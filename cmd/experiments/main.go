@@ -6,33 +6,28 @@
 //
 // Usage:
 //
-//	experiments [-run fig5,table3] [-max N] [-csv] [-v] [-par N]
+//	experiments [-run fig5,table3,schedgap] [-max N] [-csv] [-v] [-par N]
 //	            [-profile] [-profile-top N]
-//	            [-bench-out BENCH_SCHED.json] [-bench-interpreted]
-//	            [-bench-nochain] [-bench-telemetry] [-bench-overhead-gate PCT]
-//	            [-bench-diff OLD.json,NEW.json] [-bench-gate PCT]
-//	            [-bench-win-gate PCT] [-sweep-gate]
+//	            [-sweep-gate] [-bench-overhead-gate PCT] [-bench-metrics-gate PCT]
 //	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
-// -bench-diff compares two benchmark reports entry by entry (ns/instr and
-// allocs/instr deltas); with -bench-gate it exits nonzero when any
-// machine entry's ns/instr regressed by more than PCT percent.
-// -bench-interpreted measures the machine rows with the interpreted VLIW
-// Engine, producing the on-runner baseline the CI perf gate compares the
-// lowered engine against. -bench-nochain measures the machine rows with
-// direct block chaining disabled, the baseline of the chaining perf gate;
-// -bench-win-gate then requires at least half the machine rows to have
-// improved ns/instr by PCT percent. -bench-telemetry measures the machine rows with
-// the telemetry collector attached, giving overhead comparisons their
-// enabled-side report. -bench-overhead-gate measures the machine rows
-// telemetry-off and telemetry-on with interleaved reps in this one
-// process (robust to host drift) and exits nonzero when enabling
-// telemetry costs any row more than PCT percent ns/instr. -sweep-gate
-// measures the oracle sweep-throughput rows (programs/sec, serial-noreuse
-// vs serial-pooled vs parallel) and exits nonzero when the pooled or
-// parallel paths fall below their speedup contract. -profile
-// prints full per-workload hot-block and histogram telemetry dumps
-// after the requested experiment tables (the "profile" experiment
+// -run schedgap is the FCFS-vs-optimal scheduling-gap study (DESIGN.md
+// §14) over the 4x4, 8x8 and 16x16 geometries, with every repacked block
+// verified at save time; -csv emits it machine-readable.
+//
+// The three gates are in-process A/B measurements (each skips -run).
+// -sweep-gate measures the oracle sweep-throughput rows (programs/sec,
+// serial-noreuse vs serial-pooled vs parallel) and exits nonzero when
+// the pooled or parallel paths fall below their speedup contract.
+// -bench-overhead-gate measures the machine rows telemetry-off and
+// telemetry-on with interleaved reps (robust to host drift) and exits
+// nonzero when enabling telemetry costs any row more than PCT percent
+// ns/instr. -bench-metrics-gate does the same for the always-on metrics
+// publisher, gating on the mean overhead across rows. End-to-end
+// performance is measured by the repository benchmark (bench/).
+//
+// -profile prints full per-workload hot-block and histogram telemetry
+// dumps after the requested experiment tables (the "profile" experiment
 // prints the one-line-per-workload summary table).
 package main
 
@@ -56,25 +51,11 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-run progress")
 	test := flag.Bool("testmode", false, "run with the lockstep test machine (slow)")
 	par := flag.Int("par", 0, "simulation workers (0 = one per CPU, 1 = serial)")
-	benchOut := flag.String("bench-out", "",
-		"measure the benchmark matrix and write BENCH_SCHED.json to this path (skips -run)")
-	benchInterp := flag.Bool("bench-interpreted", false,
-		"with -bench-out: measure machine rows with the interpreted VLIW Engine (perf-gate baseline)")
-	benchTel := flag.Bool("bench-telemetry", false,
-		"with -bench-out: measure machine rows with telemetry enabled (overhead comparison side)")
-	benchNoChain := flag.Bool("bench-nochain", false,
-		"with -bench-out: measure machine rows with direct block chaining disabled (chaining perf-gate baseline)")
 	benchOverheadGate := flag.Float64("bench-overhead-gate", 0,
 		"measure machine rows telemetry-off vs -on with interleaved reps; fail past this percent ns/instr overhead (skips -run)")
 	profile := flag.Bool("profile", false,
 		"print per-workload telemetry profile/histogram dumps after the tables")
 	profileTop := flag.Int("profile-top", 5, "with -profile: hot blocks listed per workload")
-	benchDiff := flag.String("bench-diff", "",
-		"compare two benchmark reports: OLD.json,NEW.json (skips -run)")
-	benchGate := flag.Float64("bench-gate", 0,
-		"with -bench-diff: fail if any machine entry's ns/instr regressed by more than this percent")
-	benchWinGate := flag.Float64("bench-win-gate", 0,
-		"with -bench-diff: fail unless at least half the machine entries improved ns/instr by this percent")
 	sweepGate := flag.Bool("sweep-gate", false,
 		"measure the oracle sweep-throughput rows and enforce the pooled/parallel speedup contract (skips -run)")
 	benchMetricsGate := flag.Float64("bench-metrics-gate", 0,
@@ -111,8 +92,7 @@ func main() {
 		cpuFile = f
 	}
 
-	o := experiments.Options{MaxInstrs: *max, TestMode: *test, Workers: *par,
-		InterpretedEngine: *benchInterp, NoChain: *benchNoChain, Telemetry: *benchTel}
+	o := experiments.Options{MaxInstrs: *max, TestMode: *test, Workers: *par}
 	if *verbose {
 		o.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
@@ -141,49 +121,6 @@ func main() {
 		}
 		os.Exit(code)
 	}()
-
-	if *benchDiff != "" {
-		parts := strings.Split(*benchDiff, ",")
-		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "bench-diff: want OLD.json,NEW.json")
-			exit(2)
-			return
-		}
-		oldRep, err := experiments.LoadBenchReport(strings.TrimSpace(parts[0]))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-diff: %v\n", err)
-			exit(1)
-			return
-		}
-		newRep, err := experiments.LoadBenchReport(strings.TrimSpace(parts[1]))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-diff: %v\n", err)
-			exit(1)
-			return
-		}
-		if note := experiments.BenchEnvNote(oldRep, newRep); note != "" {
-			fmt.Fprintln(os.Stderr, "bench-diff:", note)
-		}
-		deltas := experiments.DiffBenchReports(oldRep, newRep)
-		fmt.Print(experiments.FormatBenchDiff(deltas))
-		if *benchGate > 0 {
-			if err := experiments.GateBenchDiff(deltas, *benchGate); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				exit(1)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "bench gate passed (threshold %+.1f%% ns/instr on machine entries)\n", *benchGate)
-		}
-		if *benchWinGate > 0 {
-			if err := experiments.GateBenchWins(deltas, *benchWinGate); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				exit(1)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "bench win gate passed (>= half the machine entries improved >= %.1f%% ns/instr)\n", *benchWinGate)
-		}
-		return
-	}
 
 	if *sweepGate {
 		entries, err := experiments.BenchSweep(o)
@@ -241,28 +178,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "telemetry overhead gate passed (threshold %+.1f%% ns/instr on machine entries)\n",
 			*benchOverheadGate)
-		return
-	}
-
-	if *benchOut != "" {
-		rep, err := experiments.BenchSched(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			exit(1)
-			return
-		}
-		b, err := rep.WriteJSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			exit(1)
-			return
-		}
-		if err := os.WriteFile(*benchOut, b, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			exit(1)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d entries)\n", *benchOut, len(rep.Entries))
 		return
 	}
 

@@ -114,7 +114,7 @@ type Config struct {
 	// NoChain disables direct block chaining in the VLIW Cache
 	// (DESIGN.md §16), reverting to an associative lookup on every block
 	// transition. Architecturally invisible either way; for
-	// cross-checking and perf baselines.
+	// cross-checking.
 	NoChain bool
 
 	// InterpretedEngine disables the decode-once lowered block form and

@@ -122,6 +122,11 @@ func TestBadConfigs(t *testing.T) {
 	if _, err := NewSystemFromWorkload(cfg, "gcc"); err == nil {
 		t.Error("bogus FU class should fail")
 	}
+	cfg = Feasible()
+	cfg.NextLIMissPenalty = -1
+	if _, err := NewSystemFromWorkload(cfg, "gcc"); err == nil {
+		t.Error("negative next-LI miss penalty should fail validation")
+	}
 	if _, err := RunExperiment("fig99", 0); err == nil {
 		t.Error("unknown experiment should fail")
 	}

@@ -35,7 +35,10 @@ func runWorkload(t *testing.T, w *workloads.Workload, cfg Config) *Machine {
 // on every benchmark workload: a chained run and a -nochain run produce
 // byte-identical Stats (cycles, IPC, cache and predictor counters, the
 // full scheduler and engine ledgers) once the chain dispatch counters are
-// stripped, on both the ideal and the feasible machine.
+// stripped, on both the ideal and the feasible machine. A third, chained
+// run with a telemetry collector attached proves the dispatch loop's
+// batched cycle accounting: telemetry forces one addCycles per long
+// instruction, and the per-LI totals must equal the batched ones.
 func TestChainLedgerIdentity(t *testing.T) {
 	configs := map[string]Config{
 		"ideal-8x8": IdealConfig(8, 8),
@@ -55,6 +58,7 @@ func TestChainLedgerIdentity(t *testing.T) {
 					nc := cfg
 					nc.NoChain = true
 					unchained := runWorkload(t, w, nc)
+					perLI := runWorkload(t, w, telemetryConfig(cfg, 1<<10))
 
 					if unchained.Stats.VCacheChainHits != 0 || unchained.Stats.VCacheChainLinks != 0 {
 						t.Fatal("nochain run recorded chain activity")
@@ -65,6 +69,9 @@ func TestChainLedgerIdentity(t *testing.T) {
 					got, want := chainStripped(chained.Stats), chainStripped(unchained.Stats)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("stats diverge chained vs nochain:\nchained:  %+v\nnochain:  %+v", got, want)
+					}
+					if got := chainStripped(perLI.Stats); !reflect.DeepEqual(got, want) {
+						t.Fatalf("stats diverge per-LI (telemetry) vs batched accounting:\nper-LI:   %+v\nbatched:  %+v", got, want)
 					}
 				})
 			}

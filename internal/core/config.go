@@ -64,12 +64,12 @@ type Config struct {
 	// sweeps (lowered-vs-interpreted lock-step) and debugging.
 	InterpretedEngine bool
 
-	// NoChain disables direct block chaining (DESIGN.md §16): block
-	// transitions in VLIW mode fall back to the legacy one-long-
-	// instruction-per-dispatch loop with an associative VLIW Cache lookup
-	// at every transition. Chaining is architecturally invisible — Stats,
-	// IPC and cycle ledgers are identical either way — so this switch
-	// exists for cross-checking and as the perf-gate baseline.
+	// NoChain disables direct block chaining (DESIGN.md §16): the VLIW
+	// Engine's dispatch loop resolves every block transition by an
+	// associative VLIW Cache lookup, never following or installing a
+	// chain link. Chaining is architecturally invisible — Stats, IPC and
+	// cycle ledgers are identical either way — so this switch exists to
+	// cross-check that.
 	NoChain bool
 
 	// ExitPrediction enables next-long-instruction prediction (paper §5
@@ -173,8 +173,31 @@ func ConfigFingerprint(cfg Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// ConfigError reports a Config cycle cost that no machine can charge: a
+// negative penalty would wrap the unsigned cycle counters.
+type ConfigError struct {
+	Field string
+	Value int
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("core: %s %d invalid (negative cycle cost)", e.Field, e.Value)
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	for _, p := range [...]struct {
+		field string
+		v     int
+	}{
+		{"SwitchToVLIW", c.SwitchToVLIW},
+		{"SwitchToPrimary", c.SwitchToPrimary},
+		{"NextLIMissPenalty", c.NextLIMissPenalty},
+	} {
+		if p.v < 0 {
+			return &ConfigError{Field: p.field, Value: p.v}
+		}
+	}
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("core: block geometry %dx%d invalid", c.Width, c.Height)
 	}

@@ -59,8 +59,8 @@ type Machine struct {
 	// chain edges tolerate by construction (a present edge always targets
 	// the line an associative lookup would return; see vcache.Follow).
 	curLine int32
-	// engRes is the chained dispatch loop's reusable ExecLIInto result,
-	// fully overwritten by each ExecLIInto call.
+	// engRes is runVLIW's reusable ExecLIInto result, fully overwritten
+	// by each ExecLIInto call.
 	engRes        vliw.Result //resetcheck:allow scratch result, overwritten before every read
 	seq           uint64      // sequential instructions covered so far
 	drain         int         // long instructions still draining from the last flush
@@ -353,12 +353,9 @@ func (m *Machine) Run() error {
 			m.nextFlush = m.Stats.Cycles + metricsFlushCycles
 		}
 		var err error
-		switch {
-		case m.mode == ModePrimary:
+		if m.mode == ModePrimary {
 			err = m.stepPrimary()
-		case m.cfg.NoChain:
-			err = m.stepVLIW()
-		default:
+		} else {
 			err = m.runVLIW()
 		}
 		if err != nil {
@@ -538,129 +535,16 @@ func (m *Machine) primaryWhere(pc uint32) string {
 	return w
 }
 
-// stepVLIW executes one long instruction on the VLIW Engine.
-func (m *Machine) stepVLIW() error {
-	blk := m.eng.Block()
-	res := m.eng.ExecLI(m.vpc.Line)
-
-	cycles := 1 + res.RecoveryCycles
-	for _, a := range res.MemAddrs {
-		cycles += m.dc.Access(a)
-	}
-
-	if res.Exception {
-		// Recovery already restored the block-entry checkpoint; resume on
-		// the Primary Processor at the block's first instruction.
-		if m.tel != nil {
-			m.tel.Exception(blk.Tag, res.Aliasing)
-			m.tel.ExitBlock(blk.Tag, telemetry.ExitException, blk.Tag, 0)
-		}
-		if res.Aliasing {
-			m.Stats.AliasingExceptions++
-			m.vc.Invalidate(blk.Tag, blk.EntryCWP)
-			m.sch.MarkConservative(blk.Tag, blk.EntryCWP)
-		} else {
-			m.Stats.OtherExceptions++
-			m.excBudget = blk.EndSeq - blk.FirstSeq
-			m.pendingExcErr = res.Err
-		}
-		m.switchToPrimary(blk.Tag, &cycles)
-		m.addCycles(cycles, true)
-		where := fmt.Sprintf("rollback of block %#08x (%v)", blk.Tag, res.Err)
-		if m.Ref != nil {
-			// The rollback must land exactly on the test machine's state.
-			if err := m.compare(where); err != nil {
-				return err
-			}
-		}
-		return m.notifyCheckpoint(0, blk.Tag, where)
-	}
-
-	if m.St.LogStores {
-		// The journal only feeds incremental memory comparison (TestMode
-		// and the differential oracle); without a consumer it would grow
-		// for the whole run.
-		m.journal = append(m.journal, res.Stores...)
-	}
-
-	switch {
-	case res.TraceExit:
-		// A branch left the recorded trace: one-cycle bubble, then fetch
-		// from the actual target (paper §3.5). With next-long-instruction
-		// prediction (paper §5), a correct last-target prediction hides
-		// the bubble.
-		m.seq += res.ExitAdvance
-		if m.tel != nil {
-			m.tel.ExitBlock(blk.Tag, telemetry.ExitTrace, res.NextPC, res.ExitAdvance)
-		}
-		if m.predictor != nil {
-			hit := m.predictor[res.ExitBranch] == res.NextPC
-			if hit {
-				m.Stats.ExitPredHits++
-			} else {
-				m.predictor[res.ExitBranch] = res.NextPC
-				m.Stats.ExitPredMisses++
-				cycles++
-			}
-			if m.tel != nil {
-				m.tel.ExitPrediction(hit, res.ExitBranch, res.NextPC)
-			}
-		} else {
-			cycles++
-		}
-		cycles += m.eng.FlushPending(m.vpc.Line)
-		if err := m.endBlockDrain(); err != nil {
-			return err
-		}
-		if err := m.syncRef(res.ExitAdvance, res.NextPC, "trace exit"); err != nil {
-			return err
-		}
-		if ent, ok := m.vc.Lookup(res.NextPC, m.St.CWP()); ok {
-			m.beginBlock(ent)
-			m.vpc = sched.LongAddr{Addr: res.NextPC, Line: 0}
-		} else {
-			m.switchToPrimary(res.NextPC, &cycles)
-		}
-
-	case m.vpc.Line == blk.NBA.Line:
-		// Last long instruction: follow the next block address store.
-		advance := blk.EndSeq - blk.FirstSeq
-		m.seq += advance
-		next := blk.NBA.Addr
-		if m.tel != nil {
-			m.tel.ExitBlock(blk.Tag, telemetry.ExitFallthru, next, advance)
-		}
-		cycles += m.eng.FlushPending(m.vpc.Line)
-		if err := m.endBlockDrain(); err != nil {
-			return err
-		}
-		if err := m.syncRef(advance, next, "block end"); err != nil {
-			return err
-		}
-		if ent, ok := m.vc.Lookup(next, m.St.CWP()); ok {
-			cycles += m.cfg.NextLIMissPenalty
-			m.beginBlock(ent)
-			m.vpc = sched.LongAddr{Addr: next, Line: 0}
-		} else {
-			m.switchToPrimary(next, &cycles)
-		}
-
-	default:
-		m.vpc.Line++
-	}
-
-	m.addCycles(cycles, true)
-	return nil
-}
-
 // chainLookup resolves the successor block at a block transition: first
 // through the current line's chain links, then by associative lookup —
 // installing the missing edge so the next visit follows the link
 // directly. Both paths perform identical hit/miss accounting, so
-// replacement order and statistics match a plain Lookup exactly.
+// replacement order and statistics match a plain Lookup exactly. Under
+// NoChain every transition takes the plain associative lookup and no
+// link is ever followed or installed.
 func (m *Machine) chainLookup(pc uint32, cwp uint8) (vcache.Entry, int32, bool) {
 	from := m.curLine
-	if from == vcache.NoLine {
+	if m.cfg.NoChain || from == vcache.NoLine {
 		return m.vc.LookupLine(pc, cwp)
 	}
 	if ent, line, ok := m.vc.Follow(from, pc, cwp); ok {
@@ -673,15 +557,16 @@ func (m *Machine) chainLookup(pc uint32, cwp uint8) (vcache.Entry, int32, bool) 
 	return ent, line, ok
 }
 
-// runVLIW is the chained superstep (DESIGN.md §16): stepVLIW looped, so
-// runs of cache-resident blocks execute back-to-back without returning to
-// Run's dispatch. Block transitions resolve through the chain links on
-// the VLIW Cache lines; control returns to the machine loop only on a
-// handover to the Primary Processor (chain-or-lookup miss, exception) or
-// when a cycle/instruction limit is reached (Run re-checks the limits and
-// produces the canonical outcome). The loop is architecturally invisible:
-// cycle accounting, limit-check points, statistics, telemetry ordering
-// and checkpoint sequence are identical to the -nochain per-step path.
+// runVLIW is the VLIW Engine's dispatch loop (DESIGN.md §16): one long
+// instruction per iteration, so runs of cache-resident blocks execute
+// back-to-back without returning to Run's dispatch. Block transitions
+// resolve through chainLookup (chain links on the VLIW Cache lines, or a
+// plain associative lookup under NoChain); control returns to the
+// machine loop only on a handover to the Primary Processor (lookup miss,
+// exception) or when a cycle/instruction limit is reached (Run re-checks
+// the limits and produces the canonical outcome). Chaining is
+// architecturally invisible: cycle accounting, statistics, telemetry
+// ordering and checkpoint sequence are identical with NoChain set.
 func (m *Machine) runVLIW() error {
 	blk := m.eng.Block()
 	res := &m.engRes
@@ -710,8 +595,10 @@ func (m *Machine) runVLIW() error {
 		}
 
 		if logStores {
-			// Harmless on the exception path below: an exception result
-			// carries no stores.
+			// The journal only feeds incremental memory comparison
+			// (TestMode and the differential oracle); without a consumer
+			// it would grow for the whole run. Harmless on the exception
+			// path below: an exception result carries no stores.
 			m.journal = append(m.journal, res.Stores...)
 		}
 
@@ -761,7 +648,9 @@ func (m *Machine) runVLIW() error {
 		switch {
 		case res.TraceExit:
 			// A branch left the recorded trace: one-cycle bubble, then
-			// fetch from the actual target (paper §3.5).
+			// fetch from the actual target (paper §3.5). With next-long-
+			// instruction prediction (paper §5), a correct last-target
+			// prediction hides the bubble.
 			m.seq += res.ExitAdvance
 			if m.tel != nil {
 				m.tel.ExitBlock(blk.Tag, telemetry.ExitTrace, res.NextPC, res.ExitAdvance)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -258,5 +259,54 @@ loop:
 	}
 	if m.Stats.Retired < 10_000 {
 		t.Fatalf("retired %d, want >= 10000", m.Stats.Retired)
+	}
+}
+
+// TestConfigValidate: the reference configurations validate, and every
+// malformed field is refused before a machine is built. A negative cycle
+// cost would wrap the unsigned cycle counters, so it is a typed
+// ConfigError naming the field.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		ok     bool
+		field  string // non-empty: the error must be a ConfigError on it
+	}{
+		{"ideal", func(*Config) {}, true, ""},
+		{"feasible", func(c *Config) { *c = FeasibleConfig() }, true, ""},
+		{"zero-penalties", func(c *Config) { c.SwitchToVLIW, c.SwitchToPrimary = 0, 0 }, true, ""},
+		{"zero-geometry", func(c *Config) { c.Width = 0 }, false, ""},
+		{"one-window", func(c *Config) { c.NWin = 1 }, false, ""},
+		{"no-vcache", func(c *Config) { c.VCacheKB = 0 }, false, ""},
+		{"fu-count", func(c *Config) { *c = FeasibleConfig(); c.Width = 8 }, false, ""},
+		{"negative-switch-to-vliw", func(c *Config) { c.SwitchToVLIW = -1 }, false, "SwitchToVLIW"},
+		{"negative-switch-to-primary", func(c *Config) { c.SwitchToPrimary = -3 }, false, "SwitchToPrimary"},
+		{"negative-next-li-miss", func(c *Config) { *c = FeasibleConfig(); c.NextLIMissPenalty = -1 }, false, "NextLIMissPenalty"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := IdealConfig(4, 4)
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("valid config refused: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if tc.field != "" {
+				var ce *ConfigError
+				if !errors.As(err, &ce) || ce.Field != tc.field {
+					t.Fatalf("got %v, want a ConfigError on %s", err, tc.field)
+				}
+			}
+			if _, err := NewMachine(cfg, buildState(t, sumLoop, 16)); err == nil {
+				t.Fatal("NewMachine accepted an invalid config")
+			}
+		})
 	}
 }

@@ -1,66 +1,23 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
 	"time"
 
-	"dtsvliw/internal/arch"
-	"dtsvliw/internal/asm"
 	"dtsvliw/internal/core"
-	"dtsvliw/internal/isa"
-	"dtsvliw/internal/mem"
 	"dtsvliw/internal/metrics"
 	"dtsvliw/internal/oracle"
-	"dtsvliw/internal/progen"
-	"dtsvliw/internal/sched"
 	"dtsvliw/internal/workloads"
 )
 
-// This file produces BENCH_SCHED.json, the repo's performance-trajectory
-// baseline: simulator-side cost (wall time and heap allocation per
-// simulated instruction) alongside the simulated IPC, over a fixed matrix
-// of workloads×configurations and progen hazard shapes×seeds. Numbers are
-// machine-dependent; the committed file records one reference machine so
-// future hot-path changes have a trajectory to compare against (run
-// scripts/bench.sh to regenerate).
-
-// BenchEntry is one measured row of the benchmark matrix.
-type BenchEntry struct {
-	// Kind is "machine" (full DTSVLIW simulation of a workload),
-	// "sched-feed" (pre-recorded trace replayed through the Scheduler
-	// Unit alone, mirroring BenchmarkSchedulerFeed), or "sweep" (an
-	// oracle conformance sweep measured end to end — the co-simulation
-	// throughput the machine pool and parallel fan-out exist to raise).
-	Kind   string `json:"kind"`
-	Name   string `json:"name"`   // workload or progen shape
-	Config string `json:"config"` // configuration label
-	Seed   int64  `json:"seed,omitempty"`
-	Instrs uint64 `json:"instrs"` // simulated instructions measured over
-
-	// Workers is the sweep worker count a "sweep" row was measured at
-	// (0 for the serial kinds). Throughput at different worker counts is
-	// not comparable, so the diff gate keys on it.
-	Workers int `json:"workers,omitempty"`
-
-	IPC            float64 `json:"ipc,omitempty"` // simulated IPC (machine runs)
-	NsPerInstr     float64 `json:"ns_per_instr"`
-	AllocsPerInstr float64 `json:"allocs_per_instr"`
-	BytesPerInstr  float64 `json:"bytes_per_instr"`
-	ProgramsPerSec float64 `json:"programs_per_sec,omitempty"` // sweep rows
-}
-
-// BenchReport is the top-level BENCH_SCHED.json document.
-type BenchReport struct {
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	NumCPU     int          `json:"num_cpu"`
-	GoMaxProcs int          `json:"gomaxprocs,omitempty"`
-	Entries    []BenchEntry `json:"entries"`
-}
+// This file holds the in-process A/B perf gates that need two variants
+// measured side by side in one process: the oracle sweep-throughput
+// contract (serial-noreuse vs serial-pooled vs parallel) and the
+// telemetry and metrics overhead bounds (instrumentation off vs on).
+// End-to-end performance and its trajectory are the repository benchmark
+// (BENCHMARK.json, bench/).
 
 // measure runs f once and reports wall time and heap allocation. Runs are
 // serial and preceded by a GC so ReadMemStats deltas attribute to f alone.
@@ -91,89 +48,28 @@ func benchMachineConfigs() []struct {
 	}
 }
 
-// benchFeedSeeds is the fixed seed list of the sched-feed rows.
-var benchFeedSeeds = []int64{1, 2, 3}
-
-const benchFeedInstrs = 40_000
-
-// benchMachineReps runs each machine row this many times and keeps the
-// fastest. A full workload run measures ~50ms, short enough that one
-// scheduler preemption skews a single-shot number by tens of percent;
-// min-of-N is the standard noise-robust estimator (the simulation is
-// deterministic, so the fastest run is the least-disturbed one).
-const benchMachineReps = 3
+// benchTelemetryReps is the interleaved rep count of
+// BenchTelemetryOverhead. A full workload run measures ~50ms, short
+// enough that one scheduler preemption skews a single-shot number by tens
+// of percent; min-of-N is the standard noise-robust estimator (the
+// simulation is deterministic, so the fastest run is the least-disturbed
+// one).
+const benchTelemetryReps = 3
 
 // benchMetricsReps is the interleaved rep count of BenchMetricsOverhead,
-// higher than benchMachineReps because its gate threshold (2%) sits
+// higher than benchTelemetryReps because its gate threshold (2%) sits
 // below the min-of-3 noise floor of the short workload runs.
 const benchMetricsReps = 8
 
-// BenchSched measures the benchmark matrix and returns the report.
-// Measurements are intentionally serial (Options.Workers is ignored):
-// parallel runs would contend for cache and allocator and corrupt the
-// per-run numbers.
-func BenchSched(o Options) (*BenchReport, error) {
-	rep := &BenchReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	for _, w := range workloads.All() {
-		for _, mc := range benchMachineConfigs() {
-			mc.cfg.InterpretedEngine = o.InterpretedEngine
-			mc.cfg.NoChain = o.NoChain
-			var m *core.Machine
-			var elapsed time.Duration
-			var allocs, bytes uint64
-			for rep := 0; rep < benchMachineReps; rep++ {
-				var mr *core.Machine
-				e, a, b, err := measure(func() error {
-					var err error
-					mr, err = RunOne(w, mc.cfg, o)
-					return err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("bench %s/%s: %w", w.Name, mc.label, err)
-				}
-				if rep == 0 || e < elapsed {
-					elapsed, allocs, bytes, m = e, a, b, mr
-				}
-			}
-			n := m.Stats.Retired
-			if n == 0 {
-				return nil, fmt.Errorf("bench %s/%s: no instructions retired", w.Name, mc.label)
-			}
-			rep.Entries = append(rep.Entries, BenchEntry{
-				Kind: "machine", Name: w.Name, Config: mc.label, Instrs: n,
-				IPC:            m.Stats.IPC(),
-				NsPerInstr:     float64(elapsed.Nanoseconds()) / float64(n),
-				AllocsPerInstr: float64(allocs) / float64(n),
-				BytesPerInstr:  float64(bytes) / float64(n),
-			})
-			o.note("bench %s/%s: %.0f ns/instr %.2f allocs/instr",
-				w.Name, mc.label, rep.Entries[len(rep.Entries)-1].NsPerInstr,
-				rep.Entries[len(rep.Entries)-1].AllocsPerInstr)
-		}
-	}
-	for _, shape := range progen.Shapes() {
-		for _, seed := range benchFeedSeeds {
-			entry, err := benchFeed(shape, seed)
-			if err != nil {
-				return nil, err
-			}
-			rep.Entries = append(rep.Entries, *entry)
-			o.note("bench feed %s seed %d: %.0f ns/instr %.2f allocs/instr",
-				shape, seed, entry.NsPerInstr, entry.AllocsPerInstr)
-		}
-	}
-	sweeps, err := BenchSweep(o)
-	if err != nil {
-		return nil, err
-	}
-	rep.Entries = append(rep.Entries, sweeps...)
-	return rep, nil
+// SweepEntry is one measured oracle sweep-throughput row.
+type SweepEntry struct {
+	Config  string // "serial-noreuse", "serial-pooled" or "parallel"
+	Workers int
+	Instrs  uint64 // simulated instructions measured over
+
+	NsPerInstr     float64
+	AllocsPerInstr float64
+	ProgramsPerSec float64
 }
 
 // benchSweepN is the programs per measured sweep: large enough that the
@@ -187,8 +83,7 @@ const benchSweepReps = 2
 // rebuild-everything baseline, the serial pooled path (context reuse in
 // isolation), and the pooled path at one worker per CPU. On a single-CPU
 // host the parallel row still exercises the fan-out machinery at one
-// worker; its Workers field keeps it from being compared against a
-// multi-CPU baseline.
+// worker.
 func benchSweepVariants() []struct {
 	label   string
 	workers int
@@ -209,17 +104,17 @@ func benchSweepVariants() []struct {
 // (programs/sec over a fixed conformance sweep) — the tentpole metric of
 // the pooled-context work. Any divergence during measurement is a hard
 // error: a perf run must never paper over a conformance failure.
-func BenchSweep(o Options) ([]BenchEntry, error) {
-	var out []BenchEntry
+func BenchSweep(o Options) ([]SweepEntry, error) {
+	var out []SweepEntry
 	for _, v := range benchSweepVariants() {
 		opts := oracle.SweepOptions{
 			N: benchSweepN, Seed: 1,
 			Workers: v.workers, NoReuse: v.noReuse,
 		}
-		var best BenchEntry
+		var best SweepEntry
 		for rep := 0; rep < benchSweepReps; rep++ {
 			var sr *oracle.Report
-			elapsed, allocs, bytes, err := measure(func() error {
+			elapsed, allocs, _, err := measure(func() error {
 				sr = oracle.Sweep(opts)
 				if len(sr.Failures) > 0 {
 					return fmt.Errorf("%d divergences (first: %s)",
@@ -230,12 +125,10 @@ func BenchSweep(o Options) ([]BenchEntry, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench sweep %s: %w", v.label, err)
 			}
-			e := BenchEntry{
-				Kind: "sweep", Name: "oracle", Config: v.label,
-				Workers: v.workers, Instrs: sr.Instret,
+			e := SweepEntry{
+				Config: v.label, Workers: v.workers, Instrs: sr.Instret,
 				NsPerInstr:     float64(elapsed.Nanoseconds()) / float64(sr.Instret),
 				AllocsPerInstr: float64(allocs) / float64(sr.Instret),
-				BytesPerInstr:  float64(bytes) / float64(sr.Instret),
 				ProgramsPerSec: float64(sr.Runs) / elapsed.Seconds(),
 			}
 			if rep == 0 || e.ProgramsPerSec > best.ProgramsPerSec {
@@ -250,7 +143,7 @@ func BenchSweep(o Options) ([]BenchEntry, error) {
 }
 
 // GateSweepEntries enforces the co-simulation throughput contract within
-// one report, so the gate is self-relative and holds on any host:
+// one measurement, so the gate is self-relative and holds on any host:
 //
 //   - context reuse must pay for itself: serial-pooled >= 1.05x the
 //     serial-noreuse programs/sec (the measured serial reuse win is
@@ -260,12 +153,10 @@ func BenchSweep(o Options) ([]BenchEntry, error) {
 //     with >= 2 workers on >= 2 CPUs, parallel >= 1.3x serial-pooled.
 //     On a single-CPU host the scaling clause is vacuous and only the
 //     no-regression bound (parallel >= 0.9x pooled) applies.
-func GateSweepEntries(entries []BenchEntry) error {
-	rows := make(map[string]BenchEntry)
+func GateSweepEntries(entries []SweepEntry) error {
+	rows := make(map[string]SweepEntry)
 	for _, e := range entries {
-		if e.Kind == "sweep" {
-			rows[e.Config] = e
-		}
+		rows[e.Config] = e
 	}
 	noreuse, okN := rows["serial-noreuse"]
 	pooled, okP := rows["serial-pooled"]
@@ -295,79 +186,43 @@ func GateSweepEntries(entries []BenchEntry) error {
 	return nil
 }
 
-// BenchTelemetryOverhead measures every machine row twice — telemetry
-// off and on — and returns one delta per row (off as "old", on as
-// "new"), for the ≤10% enabled-overhead gate. The off/on reps are
-// interleaved pair by pair on the same runner, so slow host drift
-// (thermal throttling, a noisy neighbour arriving mid-measurement)
-// hits both sides near-equally; a sequential off-then-on comparison
-// cannot guarantee that. Each side keeps its fastest rep, as in
-// BenchSched.
+// BenchTelemetryOverhead measures every machine row with the telemetry
+// collector detached ("old") and attached ("new") and returns one delta
+// per row, for the ≤10% enabled-overhead gate.
 func BenchTelemetryOverhead(o Options) ([]BenchDelta, error) {
-	var out []BenchDelta
-	for _, w := range workloads.All() {
-		for _, mc := range benchMachineConfigs() {
-			mc.cfg.InterpretedEngine = o.InterpretedEngine
-			mc.cfg.NoChain = o.NoChain
-			var ns, al [2]float64 // index 0 = telemetry off, 1 = on
-			for rep := 0; rep < benchMachineReps; rep++ {
-				for side, tel := range []bool{false, true} {
-					oo := o
-					oo.Telemetry = tel
-					var m *core.Machine
-					e, a, _, err := measure(func() error {
-						var err error
-						m, err = RunOne(w, mc.cfg, oo)
-						return err
-					})
-					if err != nil {
-						return nil, fmt.Errorf("bench overhead %s/%s: %w", w.Name, mc.label, err)
-					}
-					n := m.Stats.Retired
-					if n == 0 {
-						return nil, fmt.Errorf("bench overhead %s/%s: no instructions retired", w.Name, mc.label)
-					}
-					if v := float64(e.Nanoseconds()) / float64(n); rep == 0 || v < ns[side] {
-						ns[side] = v
-					}
-					if v := float64(a) / float64(n); rep == 0 || v < al[side] {
-						al[side] = v
-					}
-				}
-			}
-			out = append(out, BenchDelta{
-				Kind: "machine", Name: w.Name, Config: mc.label,
-				OldNs: ns[0], NewNs: ns[1], OldAllocs: al[0], NewAllocs: al[1],
-				NsPct: pct(ns[0], ns[1]), AllocsPct: pct(al[0], al[1]),
-			})
-			o.note("bench overhead %s/%s: %.0f -> %.0f ns/instr (%+.1f%%)",
-				w.Name, mc.label, ns[0], ns[1], pct(ns[0], ns[1]))
-		}
-	}
-	return out, nil
+	return benchOverhead(o, "telemetry", benchTelemetryReps, func(on bool) Options {
+		oo := o
+		oo.Telemetry = on
+		return oo
+	})
 }
 
-// BenchMetricsOverhead measures every machine row twice — the always-on
+// BenchMetricsOverhead measures every machine row with the always-on
 // metrics publisher disabled (metrics.SetEnabled(false): machines are
 // built without a publisher, the "compiled out" baseline) and enabled
-// against the default registry — and returns one delta per row for the
-// ≤2% metrics-overhead gate. Off/on reps interleave pair by pair like
-// BenchTelemetryOverhead, so host drift hits both sides near-equally.
+// against the default registry, and returns one delta per row for the
+// ≤2% metrics-overhead gate.
 func BenchMetricsOverhead(o Options) ([]BenchDelta, error) {
 	was := metrics.Enabled()
 	defer metrics.SetEnabled(was)
+	return benchOverhead(o, "metrics", benchMetricsReps, func(on bool) Options {
+		metrics.SetEnabled(on)
+		return o
+	})
+}
+
+// benchOverhead measures every machine row reps times per side — side
+// off and side on, as prepared by set — and keeps each side's fastest
+// rep. The off/on reps are interleaved pair by pair on the same runner,
+// so slow host drift (thermal throttling, a noisy neighbour arriving
+// mid-measurement) hits both sides near-equally; a sequential
+// off-then-on comparison cannot guarantee that.
+func benchOverhead(o Options, what string, reps int, set func(on bool) Options) ([]BenchDelta, error) {
 	var out []BenchDelta
 	for _, w := range workloads.All() {
 		for _, mc := range benchMachineConfigs() {
-			mc.cfg.InterpretedEngine = o.InterpretedEngine
-			mc.cfg.NoChain = o.NoChain
-			var ns, al [2]float64 // index 0 = metrics off, 1 = on
-			// The expected overhead (a delta flush every 2^14 cycles) is far
-			// below the run-to-run noise of these short workloads, and the
-			// gate threshold is tight (2% vs telemetry's 10%), so this bench
-			// takes more interleaved reps than BenchSched to let min-of-reps
-			// converge; the whole matrix still measures in seconds.
-			for rep := 0; rep < benchMetricsReps; rep++ {
+			var ns, al [2]float64 // index 0 = off, 1 = on
+			for rep := 0; rep < reps; rep++ {
 				// Alternate which side runs first each rep: the second run of
 				// a pair starts with warmer caches and branch predictors, and
 				// always giving that position to one side biases the
@@ -377,19 +232,19 @@ func BenchMetricsOverhead(o Options) ([]BenchDelta, error) {
 					order = [2]int{1, 0}
 				}
 				for _, side := range order {
-					metrics.SetEnabled(side == 1)
+					oo := set(side == 1)
 					var m *core.Machine
 					e, a, _, err := measure(func() error {
 						var err error
-						m, err = RunOne(w, mc.cfg, o)
+						m, err = RunOne(w, mc.cfg, oo)
 						return err
 					})
 					if err != nil {
-						return nil, fmt.Errorf("bench metrics %s/%s: %w", w.Name, mc.label, err)
+						return nil, fmt.Errorf("bench %s %s/%s: %w", what, w.Name, mc.label, err)
 					}
 					n := m.Stats.Retired
 					if n == 0 {
-						return nil, fmt.Errorf("bench metrics %s/%s: no instructions retired", w.Name, mc.label)
+						return nil, fmt.Errorf("bench %s %s/%s: no instructions retired", what, w.Name, mc.label)
 					}
 					if v := float64(e.Nanoseconds()) / float64(n); rep == 0 || v < ns[side] {
 						ns[side] = v
@@ -400,129 +255,13 @@ func BenchMetricsOverhead(o Options) ([]BenchDelta, error) {
 				}
 			}
 			out = append(out, BenchDelta{
-				Kind: "machine", Name: w.Name, Config: mc.label,
+				Name: w.Name, Config: mc.label,
 				OldNs: ns[0], NewNs: ns[1], OldAllocs: al[0], NewAllocs: al[1],
 				NsPct: pct(ns[0], ns[1]), AllocsPct: pct(al[0], al[1]),
 			})
-			o.note("bench metrics %s/%s: %.0f -> %.0f ns/instr (%+.1f%%)",
-				w.Name, mc.label, ns[0], ns[1], pct(ns[0], ns[1]))
+			o.note("bench %s %s/%s: %.0f -> %.0f ns/instr (%+.1f%%)",
+				what, w.Name, mc.label, ns[0], ns[1], pct(ns[0], ns[1]))
 		}
 	}
 	return out, nil
-}
-
-// feedConfig is the scheduler geometry of the sched-feed rows: the
-// feasible machine's 10x8 block and heterogeneous functional units, with
-// the multicycle extension active for the multicycle shape.
-func feedConfig(shape progen.Shape) sched.Config {
-	cfg := sched.Config{
-		Width: 10, Height: 8, NWin: 8,
-		FUs: []isa.FUClass{
-			isa.FUInt, isa.FUInt, isa.FUInt, isa.FUInt,
-			isa.FULoadStore, isa.FULoadStore,
-			isa.FUFloat, isa.FUFloat,
-			isa.FUBranch, isa.FUBranch,
-		},
-	}
-	if shape == progen.ShapeMulticycle {
-		cfg.LoadLatency = 2
-		cfg.FPLatency = 3
-		cfg.FPDivLatency = 8
-	}
-	return cfg
-}
-
-// benchFeed replays a pre-recorded progen trace through a Scheduler Unit
-// alone, isolating the insertion hot path from Primary Processor
-// execution (the Go twin of BenchmarkSchedulerFeed).
-func benchFeed(shape progen.Shape, seed int64) (*BenchEntry, error) {
-	src := progen.Generate(progen.ShapeParams(shape, seed))
-	p, err := asm.Assemble(src)
-	if err != nil {
-		return nil, fmt.Errorf("bench feed %s seed %d: %w", shape, seed, err)
-	}
-	mm := mem.NewMemory()
-	p.Load(mm)
-	mm.Map(0x7E000, 0x2000)
-	st := arch.NewState(8, mm)
-	st.PC = p.Entry
-	st.SetReg(14, 0x7FF00)
-	st.SetTextRange(p.TextBase, p.TextSize)
-
-	type event struct {
-		flush bool
-		c     sched.Completed
-	}
-	var events []event
-	for i := 0; i < benchFeedInstrs && !st.Halted; i++ {
-		pc := st.PC
-		cwp := st.CWP()
-		in, out, err := st.StepOutcome()
-		if err != nil {
-			return nil, fmt.Errorf("bench feed %s seed %d step %d: %w", shape, seed, i, err)
-		}
-		if !in.IsSchedulable() {
-			events = append(events, event{flush: true, c: sched.Completed{Addr: pc, Seq: uint64(i)}})
-			continue
-		}
-		events = append(events, event{
-			c: sched.Completed{Inst: in, Addr: pc, CWP: cwp, Outcome: out, Seq: uint64(i)},
-		})
-	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("bench feed %s seed %d: empty trace", shape, seed)
-	}
-
-	u, err := sched.New(feedConfig(shape))
-	if err != nil {
-		return nil, err
-	}
-	// One warm-up pass populates the pools, then the measured pass sees
-	// the steady state the machine runs in.
-	replayEvents := func() error {
-		for i := range events {
-			ev := &events[i]
-			if ev.flush {
-				u.Flush(ev.c.Addr, ev.c.Seq)
-				continue
-			}
-			if _, err := u.Insert(ev.c); err != nil {
-				return err
-			}
-		}
-		u.Flush(0, uint64(len(events)))
-		return nil
-	}
-	if err := replayEvents(); err != nil {
-		return nil, err
-	}
-	const reps = 5
-	elapsed, allocs, bytes, err := measure(func() error {
-		for r := 0; r < reps; r++ {
-			if err := replayEvents(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(len(events)) * reps
-	return &BenchEntry{
-		Kind: "sched-feed", Name: shape.String(), Config: "feasible-10x8",
-		Seed: seed, Instrs: n,
-		NsPerInstr:     float64(elapsed.Nanoseconds()) / float64(n),
-		AllocsPerInstr: float64(allocs) / float64(n),
-		BytesPerInstr:  float64(bytes) / float64(n),
-	}, nil
-}
-
-// WriteJSON renders the report as indented JSON with a trailing newline.
-func (r *BenchReport) WriteJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

@@ -6,54 +6,32 @@ import (
 	"testing"
 )
 
-// sweepRow builds a sweep BenchEntry for diff/gate tests.
-func sweepRow(config string, workers int, ns, pps float64) BenchEntry {
-	return BenchEntry{
-		Kind: "sweep", Name: "oracle", Config: config,
-		Workers: workers, Instrs: 1000,
-		NsPerInstr: ns, ProgramsPerSec: pps,
-	}
+// sweepRow builds a SweepEntry for gate tests.
+func sweepRow(config string, workers int, pps float64) SweepEntry {
+	return SweepEntry{Config: config, Workers: workers, Instrs: 1000, ProgramsPerSec: pps}
 }
 
-// TestDiffBenchWorkerMismatch: a sweep row measured at a different
-// worker count than the baseline is reported for context but marked
-// ungateable, and the gate refuses to fail on it no matter how large
-// the apparent regression.
-func TestDiffBenchWorkerMismatch(t *testing.T) {
-	old := &BenchReport{Entries: []BenchEntry{sweepRow("parallel", 8, 100, 4000)}}
-	new := &BenchReport{Entries: []BenchEntry{sweepRow("parallel", 1, 800, 500)}}
-
-	deltas := DiffBenchReports(old, new)
-	if len(deltas) != 1 {
-		t.Fatalf("got %d deltas, want 1", len(deltas))
-	}
-	d := deltas[0]
-	if d.Ungateable == "" {
-		t.Fatal("worker-mismatched sweep delta not marked ungateable")
-	}
-	if !strings.Contains(d.Ungateable, "8 -> 1") {
-		t.Fatalf("ungateable reason %q does not name the worker counts", d.Ungateable)
-	}
-	// An 8x slowdown would trip any gate — unless the row is refused.
-	if err := GateBenchDiff(deltas, 5); err != nil {
-		t.Fatalf("gate failed on an ungateable row: %v", err)
-	}
-	if !strings.Contains(FormatBenchDiff(deltas), "not gated") {
-		t.Fatal("formatted diff does not flag the ungateable row")
-	}
+func machineDelta(name string, nsPct float64) BenchDelta {
+	return BenchDelta{Name: name, Config: "ideal-4x4", OldNs: 100, NewNs: 100 + nsPct, NsPct: nsPct}
 }
 
-// TestDiffBenchSweepMatchedWorkersGates: with matching worker counts a
-// sweep regression gates like a machine row.
-func TestDiffBenchSweepMatchedWorkersGates(t *testing.T) {
-	old := &BenchReport{Entries: []BenchEntry{sweepRow("serial-pooled", 1, 100, 4000)}}
-	new := &BenchReport{Entries: []BenchEntry{sweepRow("serial-pooled", 1, 150, 2600)}}
-	deltas := DiffBenchReports(old, new)
-	if len(deltas) != 1 || deltas[0].Ungateable != "" {
-		t.Fatalf("unexpected deltas: %+v", deltas)
+// TestGateBenchDiff: the per-row gate fails on any single row past the
+// threshold, names it, and passes rows at or under it.
+func TestGateBenchDiff(t *testing.T) {
+	ok := []BenchDelta{machineDelta("a", 4.9), machineDelta("b", -20), machineDelta("c", 5)}
+	if err := GateBenchDiff(ok, 5); err != nil {
+		t.Fatalf("gate failed rows within the threshold: %v", err)
 	}
-	if err := GateBenchDiff(deltas, 5); err == nil {
-		t.Fatal("gate passed a 50%% sweep ns/instr regression")
+	bad := append(ok, machineDelta("slow", 50))
+	err := GateBenchDiff(bad, 5)
+	if err == nil {
+		t.Fatal("gate passed a 50%% ns/instr regression")
+	}
+	if !strings.Contains(err.Error(), "machine slow/ideal-4x4") {
+		t.Fatalf("gate error %q does not name the regressed row", err)
+	}
+	if !strings.Contains(FormatBenchDiff(bad), "machine slow/ideal-4x4") {
+		t.Fatal("formatted diff does not list the regressed row")
 	}
 }
 
@@ -61,17 +39,13 @@ func TestDiffBenchSweepMatchedWorkersGates(t *testing.T) {
 // noisy row past the threshold passes as long as the mean stays under,
 // and a uniform shift fails even though every row is individually small.
 func TestGateBenchMean(t *testing.T) {
-	machine := func(name string, nsPct float64) BenchDelta {
-		return BenchDelta{Kind: "machine", Name: name, Config: "ideal-4x4", NsPct: nsPct}
-	}
 	noisy := []BenchDelta{
-		machine("a", 3.5), machine("b", -2.8), machine("c", 0.4), machine("d", -0.3),
-		{Kind: "sched-feed", Name: "feed", NsPct: 50}, // never gated
+		machineDelta("a", 3.5), machineDelta("b", -2.8), machineDelta("c", 0.4), machineDelta("d", -0.3),
 	}
 	if err := GateBenchMean(noisy, 2); err != nil {
 		t.Fatalf("mean gate failed on symmetric noise: %v", err)
 	}
-	uniform := []BenchDelta{machine("a", 2.5), machine("b", 2.2), machine("c", 2.4)}
+	uniform := []BenchDelta{machineDelta("a", 2.5), machineDelta("b", 2.2), machineDelta("c", 2.4)}
 	if err := GateBenchMean(uniform, 2); err == nil {
 		t.Fatal("mean gate passed a uniform +2.4%% shift")
 	}
@@ -80,32 +54,32 @@ func TestGateBenchMean(t *testing.T) {
 	}
 }
 
-// TestGateSweepEntries: the in-report throughput contract — pooled must
+// TestGateSweepEntries: the in-process throughput contract — pooled must
 // beat noreuse; the parallel clause depends on the host's CPU count.
 func TestGateSweepEntries(t *testing.T) {
-	ok := []BenchEntry{
-		sweepRow("serial-noreuse", 1, 0, 500),
-		sweepRow("serial-pooled", 1, 0, 600),
-		sweepRow("parallel", 1, 0, 600),
+	ok := []SweepEntry{
+		sweepRow("serial-noreuse", 1, 500),
+		sweepRow("serial-pooled", 1, 600),
+		sweepRow("parallel", 1, 600),
 	}
 	if err := GateSweepEntries(ok); err != nil {
 		t.Fatalf("healthy entries failed the gate: %v", err)
 	}
 
-	slowPool := []BenchEntry{
-		sweepRow("serial-noreuse", 1, 0, 500),
-		sweepRow("serial-pooled", 1, 0, 510), // < 1.05x
-		sweepRow("parallel", 1, 0, 510),
+	slowPool := []SweepEntry{
+		sweepRow("serial-noreuse", 1, 500),
+		sweepRow("serial-pooled", 1, 510), // < 1.05x
+		sweepRow("parallel", 1, 510),
 	}
 	if err := GateSweepEntries(slowPool); err == nil {
 		t.Fatal("gate passed a pooled path slower than its contract")
 	}
 
 	if runtime.NumCPU() >= 2 {
-		noScale := []BenchEntry{
-			sweepRow("serial-noreuse", 1, 0, 500),
-			sweepRow("serial-pooled", 1, 0, 600),
-			sweepRow("parallel", 8, 0, 650), // < 1.3x pooled
+		noScale := []SweepEntry{
+			sweepRow("serial-noreuse", 1, 500),
+			sweepRow("serial-pooled", 1, 600),
+			sweepRow("parallel", 8, 650), // < 1.3x pooled
 		}
 		if err := GateSweepEntries(noScale); err == nil {
 			t.Fatal("gate passed a parallel path that does not scale")

@@ -1,71 +1,27 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 )
 
-// This file compares two BENCH_SCHED.json reports (scripts/bench.sh
-// compare mode) and gates CI on ns/instr regressions of the machine
-// entries: lowering blocks once at save time (DESIGN.md §11) is a pure
-// perf mechanism, so the full-machine simulation rate must never regress
-// past the gate threshold relative to its baseline.
+// This file renders and gates the machine-row deltas of the overhead
+// gates (bench.go): each delta pairs one workload × configuration
+// measured with instrumentation off ("old") and on ("new") in one
+// process.
 
-// LoadBenchReport reads a BENCH_SCHED.json document from disk.
-func LoadBenchReport(path string) (*BenchReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// BenchDelta is one matched benchmark row of a report comparison.
+// BenchDelta is one machine row measured off and on.
 type BenchDelta struct {
-	Kind, Name, Config   string
-	Seed                 int64
-	Workers              int
+	Name, Config         string
 	OldNs, NewNs         float64
 	OldAllocs, NewAllocs float64
 	// NsPct/AllocsPct are the relative changes in percent; positive means
-	// the new report is slower / allocates more.
+	// the "new" side is slower / allocates more.
 	NsPct, AllocsPct float64
-	// Ungateable, when non-empty, explains why this row is shown but must
-	// never gate: throughput measured at different worker counts is not a
-	// regression signal, it is a different experiment.
-	Ungateable string
 }
 
 func (d BenchDelta) label() string {
-	l := fmt.Sprintf("%s %s/%s", d.Kind, d.Name, d.Config)
-	if d.Seed != 0 {
-		l += fmt.Sprintf("#%d", d.Seed)
-	}
-	if d.Workers != 0 {
-		l += fmt.Sprintf("@%dw", d.Workers)
-	}
-	return l
-}
-
-// benchKey identifies a row for cross-report matching. Workers is part of
-// the key: a sweep row measured at 8 workers and one measured at 1 are
-// different experiments, and matching them would gate apples against
-// oranges. Non-sweep rows carry Workers == 0, so pre-existing reports
-// keep matching unchanged.
-func benchKey(e BenchEntry) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d", e.Kind, e.Name, e.Config, e.Seed, e.Workers)
-}
-
-// benchKeyNoWorkers is benchKey without the worker count, for detecting a
-// near-match measured at a different worker count.
-func benchKeyNoWorkers(e BenchEntry) string {
-	return fmt.Sprintf("%s|%s|%s|%d", e.Kind, e.Name, e.Config, e.Seed)
+	return fmt.Sprintf("machine %s/%s", d.Name, d.Config)
 }
 
 func pct(old, new float64) float64 {
@@ -73,68 +29,6 @@ func pct(old, new float64) float64 {
 		return 0
 	}
 	return 100 * (new - old) / old
-}
-
-// DiffBenchReports matches the entries of two reports by
-// (kind, name, config, seed, workers) and returns one delta per matched
-// pair, in the new report's order. Entries present on only one side are
-// skipped — a matrix change makes their comparison meaningless — except
-// sweep rows whose only mismatch is the worker count: those are reported
-// with an Ungateable note (the comparison is shown for context but
-// refused by GateBenchDiff, since throughput at different worker counts
-// is not a regression signal).
-func DiffBenchReports(old, new *BenchReport) []BenchDelta {
-	byKey := make(map[string]BenchEntry, len(old.Entries))
-	byLooseKey := make(map[string]BenchEntry, len(old.Entries))
-	for _, e := range old.Entries {
-		byKey[benchKey(e)] = e
-		byLooseKey[benchKeyNoWorkers(e)] = e
-	}
-	var out []BenchDelta
-	for _, e := range new.Entries {
-		o, ok := byKey[benchKey(e)]
-		ungateable := ""
-		if !ok {
-			o, ok = byLooseKey[benchKeyNoWorkers(e)]
-			if !ok || e.Kind != "sweep" {
-				continue
-			}
-			ungateable = fmt.Sprintf("worker counts differ (%d -> %d)", o.Workers, e.Workers)
-		}
-		out = append(out, BenchDelta{
-			Kind: e.Kind, Name: e.Name, Config: e.Config, Seed: e.Seed,
-			Workers: e.Workers,
-			OldNs:   o.NsPerInstr, NewNs: e.NsPerInstr,
-			OldAllocs: o.AllocsPerInstr, NewAllocs: e.AllocsPerInstr,
-			NsPct:      pct(o.NsPerInstr, e.NsPerInstr),
-			AllocsPct:  pct(o.AllocsPerInstr, e.AllocsPerInstr),
-			Ungateable: ungateable,
-		})
-	}
-	return out
-}
-
-// BenchEnvNote reports how the two reports' measurement environments
-// differ ("" when identical). Cross-environment deltas are trajectories,
-// not regressions.
-func BenchEnvNote(old, new *BenchReport) string {
-	var diffs []string
-	if old.GoVersion != new.GoVersion {
-		diffs = append(diffs, fmt.Sprintf("go %s -> %s", old.GoVersion, new.GoVersion))
-	}
-	if old.GOOS != new.GOOS || old.GOARCH != new.GOARCH {
-		diffs = append(diffs, fmt.Sprintf("platform %s/%s -> %s/%s", old.GOOS, old.GOARCH, new.GOOS, new.GOARCH))
-	}
-	if old.NumCPU != new.NumCPU {
-		diffs = append(diffs, fmt.Sprintf("cpus %d -> %d", old.NumCPU, new.NumCPU))
-	}
-	if old.GoMaxProcs != new.GoMaxProcs {
-		diffs = append(diffs, fmt.Sprintf("gomaxprocs %d -> %d", old.GoMaxProcs, new.GoMaxProcs))
-	}
-	if len(diffs) == 0 {
-		return ""
-	}
-	return "environments differ (" + strings.Join(diffs, ", ") + "); treat ns deltas as indicative only"
 }
 
 // FormatBenchDiff renders the deltas as an aligned per-entry table of
@@ -149,87 +43,42 @@ func FormatBenchDiff(deltas []BenchDelta) string {
 	}
 	fmt.Fprintf(&b, "%-*s  %21s  %24s\n", wide, "entry", "ns/instr old->new", "allocs/instr old->new")
 	for _, d := range deltas {
-		fmt.Fprintf(&b, "%-*s  %8.1f -> %8.1f %+6.1f%%  %7.3f -> %7.3f %+6.1f%%",
+		fmt.Fprintf(&b, "%-*s  %8.1f -> %8.1f %+6.1f%%  %7.3f -> %7.3f %+6.1f%%\n",
 			wide, d.label(), d.OldNs, d.NewNs, d.NsPct, d.OldAllocs, d.NewAllocs, d.AllocsPct)
-		if d.Ungateable != "" {
-			fmt.Fprintf(&b, "  [not gated: %s]", d.Ungateable)
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// GateBenchWins enforces a speedup contract over the machine rows: at
-// least half of them must have improved ns/instr by minPct percent or
-// more (NsPct <= -minPct) between the baseline ("old") and optimised
-// ("new") report. CI uses it for the chaining perf gate, where both
-// reports are measured on the same runner back to back, so the deltas
-// are regressions/improvements rather than cross-host trajectories.
-func GateBenchWins(deltas []BenchDelta, minPct float64) error {
-	total, wins := 0, 0
-	var losers []string
-	for _, d := range deltas {
-		if d.Kind != "machine" {
-			continue
-		}
-		total++
-		if d.NsPct <= -minPct {
-			wins++
-		} else {
-			losers = append(losers, fmt.Sprintf("%s: %.1f -> %.1f ns/instr (%+.1f%%)",
-				d.label(), d.OldNs, d.NewNs, d.NsPct))
-		}
-	}
-	if total == 0 {
-		return fmt.Errorf("bench win gate: no machine rows matched")
-	}
-	if 2*wins < total {
-		return fmt.Errorf("bench win gate: only %d/%d machine rows improved >= %.1f%% ns/instr; short of half:\n  %s",
-			wins, total, minPct, strings.Join(losers, "\n  "))
-	}
-	return nil
-}
-
-// GateBenchMean fails if the machine rows' MEAN ns/instr change exceeds
-// maxPct percent. Per-row gating suits regressions that hit one workload
-// (an algorithmic change in a path only some programs exercise); a mean
-// gate suits a uniform always-on cost like the metrics publisher, whose
-// true overhead is far below the per-row noise floor of the short bench
+// GateBenchMean fails if the rows' MEAN ns/instr change exceeds maxPct
+// percent. Per-row gating suits regressions that hit one workload (an
+// algorithmic change in a path only some programs exercise); a mean gate
+// suits a uniform always-on cost like the metrics publisher, whose true
+// overhead is far below the per-row noise floor of the short bench
 // workloads — individual rows bounce ±3% run to run with the sign
 // flipping, while a real publisher cost would shift every row together
 // and survive the averaging.
 func GateBenchMean(deltas []BenchDelta, maxPct float64) error {
+	if len(deltas) == 0 {
+		return fmt.Errorf("bench mean gate: no machine rows")
+	}
 	var sum float64
-	n := 0
 	for _, d := range deltas {
-		if d.Kind != "machine" {
-			continue
-		}
 		sum += d.NsPct
-		n++
 	}
-	if n == 0 {
-		return fmt.Errorf("bench mean gate: no machine rows matched")
-	}
-	mean := sum / float64(n)
+	mean := sum / float64(len(deltas))
 	if mean > maxPct {
 		return fmt.Errorf("bench mean gate: machine rows average %+.2f%% ns/instr (> %+.1f%%) across %d rows",
-			mean, maxPct, n)
+			mean, maxPct, len(deltas))
 	}
 	return nil
 }
 
-// GateBenchDiff fails if any machine or sweep entry's ns/instr regressed
-// by more than maxPct percent. The sched-feed microbenchmark rows are
-// reported but too noisy at CI benchtime to hard-fail on, and rows
-// marked Ungateable (sweep rows whose worker counts differ between the
-// reports) are refused outright — different worker counts are different
-// experiments, not a trajectory.
+// GateBenchDiff fails if any row's ns/instr regressed by more than
+// maxPct percent.
 func GateBenchDiff(deltas []BenchDelta, maxPct float64) error {
 	var bad []string
 	for _, d := range deltas {
-		gated := d.Kind == "machine" || (d.Kind == "sweep" && d.Ungateable == "")
-		if gated && d.NsPct > maxPct {
+		if d.NsPct > maxPct {
 			bad = append(bad, fmt.Sprintf("%s: %.1f -> %.1f ns/instr (%+.1f%% > %+.1f%%)",
 				d.label(), d.OldNs, d.NewNs, d.NsPct, maxPct))
 		}

@@ -32,16 +32,8 @@ type Options struct {
 	// CPU, 1 runs serially. Output is identical either way (see
 	// parallel.go).
 	Workers int
-	// InterpretedEngine disables lowered blocks in the benchmark matrix's
-	// machine rows, giving the on-runner baseline the perf gate compares
-	// the lowered engine against (scripts/bench.sh, CI bench-smoke).
-	InterpretedEngine bool
-	// NoChain disables direct block chaining in the benchmark matrix's
-	// machine rows, giving the on-runner baseline the chaining perf gate
-	// compares chained dispatch against (CI bench-smoke).
-	NoChain bool
 	// Telemetry attaches a telemetry collector to every machine run (the
-	// profile runner and the -bench-telemetry overhead gate use this).
+	// profile runner and the telemetry overhead gate use this).
 	Telemetry bool
 	// Progress, if non-nil, receives one line per completed run, in
 	// deterministic job order.

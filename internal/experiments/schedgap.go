@@ -23,19 +23,18 @@ var SchedGapGeometries = [][2]int{{4, 4}, {8, 8}, {16, 16}}
 
 // SchedGapRow is one workload × geometry measurement of the study.
 type SchedGapRow struct {
-	Workload      string  `json:"workload"`
-	Width         int     `json:"width"`
-	Height        int     `json:"height"`
-	FCFSIPC       float64 `json:"fcfs_ipc"`
-	OptIPC        float64 `json:"optimal_ipc"`
-	IPCGapPct     float64 `json:"ipc_gap_pct"`    // 100*(opt-fcfs)/fcfs
-	FCFSLIs       uint64  `json:"fcfs_lis"`       // flushed long instructions under FCFS packing
-	OptLIs        uint64  `json:"optimal_lis"`    // same blocks after repacking
-	HeightGapPct  float64 `json:"height_gap_pct"` // 100*(fcfs-opt)/fcfs
-	Blocks        uint64  `json:"blocks"`         // blocks flushed in the optimal run
-	ProvenPct     float64 `json:"proven_pct"`     // blocks whose repack was proven optimal
-	SearchNodes   uint64  `json:"search_nodes"`   // branch-and-bound row trials spent
-	VerifiedClean bool    `json:"verified_clean"` // optimal run passed save-time blockcheck
+	Workload     string  `json:"workload"`
+	Width        int     `json:"width"`
+	Height       int     `json:"height"`
+	FCFSIPC      float64 `json:"fcfs_ipc"`
+	OptIPC       float64 `json:"optimal_ipc"`
+	IPCGapPct    float64 `json:"ipc_gap_pct"`    // 100*(opt-fcfs)/fcfs
+	FCFSLIs      uint64  `json:"fcfs_lis"`       // flushed long instructions under FCFS packing
+	OptLIs       uint64  `json:"optimal_lis"`    // same blocks after repacking
+	HeightGapPct float64 `json:"height_gap_pct"` // 100*(fcfs-opt)/fcfs
+	Blocks       uint64  `json:"blocks"`         // blocks flushed in the optimal run
+	ProvenPct    float64 `json:"proven_pct"`     // blocks whose repack was proven optimal
+	SearchNodes  uint64  `json:"search_nodes"`   // branch-and-bound row trials spent
 }
 
 // SchedGapOptions parameterises the study beyond the shared Options.
@@ -43,18 +42,14 @@ type SchedGapOptions struct {
 	Options
 	// Geometries overrides SchedGapGeometries.
 	Geometries [][2]int
-	// Budget is the per-block branch-and-bound node budget (0 = the
-	// optimal strategy's default, negative = unlimited).
-	Budget int
-	// Verify statically verifies every block of the optimal runs with
-	// internal/blockcheck at save time; a single illegal repacked block
-	// fails the study. The FCFS runs are left unverified (they are the
-	// baseline the rest of the test suite already covers).
-	Verify bool
 }
 
 // SchedGapRows measures the FCFS-versus-optimal scheduling gap for every
-// workload over the requested geometries.
+// workload over the requested geometries. Every block of the optimal runs
+// is statically verified with internal/blockcheck at save time, so a
+// single illegal repacked block fails the study and the reported optimal
+// IPCs come from legal schedules only. The FCFS runs are left unverified
+// (they are the baseline the rest of the test suite already covers).
 func SchedGapRows(o SchedGapOptions) ([]SchedGapRow, error) {
 	geoms := o.Geometries
 	if len(geoms) == 0 {
@@ -67,8 +62,7 @@ func SchedGapRows(o SchedGapOptions) ([]SchedGapRow, error) {
 			fcfs := core.IdealConfig(g[0], g[1])
 			opt := core.IdealConfig(g[0], g[1])
 			opt.SchedStrategy = "optimal"
-			opt.SchedNodeBudget = o.Budget
-			opt.VerifyBlocks = o.Verify
+			opt.VerifyBlocks = true
 			jobs = append(jobs, runJob{w, fcfs}, runJob{w, opt})
 		}
 	}
@@ -84,13 +78,12 @@ func SchedGapRows(o SchedGapOptions) ([]SchedGapRow, error) {
 			i += 2
 			row := SchedGapRow{
 				Workload: w.Name, Width: g[0], Height: g[1],
-				FCFSIPC:       fs.IPC(),
-				OptIPC:        os.IPC(),
-				OptLIs:        os.Sched.FlushedLIs,
-				FCFSLIs:       os.Sched.FlushedLIs + os.Sched.RepackSavedLIs,
-				Blocks:        os.Sched.BlocksFlushed,
-				SearchNodes:   os.Sched.RepackNodes,
-				VerifiedClean: o.Verify,
+				FCFSIPC:     fs.IPC(),
+				OptIPC:      os.IPC(),
+				OptLIs:      os.Sched.FlushedLIs,
+				FCFSLIs:     os.Sched.FlushedLIs + os.Sched.RepackSavedLIs,
+				Blocks:      os.Sched.BlocksFlushed,
+				SearchNodes: os.Sched.RepackNodes,
 			}
 			if row.FCFSIPC > 0 {
 				row.IPCGapPct = 100 * (row.OptIPC - row.FCFSIPC) / row.FCFSIPC
@@ -109,10 +102,9 @@ func SchedGapRows(o SchedGapOptions) ([]SchedGapRow, error) {
 	return rows, nil
 }
 
-// SchedGap is the Runner entry: the study over the default geometries,
-// with save-time verification of every repacked block.
+// SchedGap is the Runner entry: the study over the default geometries.
 func SchedGap(o Options) (*stats.Table, error) {
-	rows, err := SchedGapRows(SchedGapOptions{Options: o, Verify: true})
+	rows, err := SchedGapRows(SchedGapOptions{Options: o})
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 // TestSchedGapRows runs the gap study on a small budget and checks the
 // invariants of its rows: full workload × geometry coverage, optimal
 // schedules never taller than FCFS, sane percentages, and JSON
-// round-tripping for the CI artifact.
+// round-tripping.
 func TestSchedGapRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gap study is long")
@@ -17,7 +17,6 @@ func TestSchedGapRows(t *testing.T) {
 	rows, err := SchedGapRows(SchedGapOptions{
 		Options:    Options{MaxInstrs: 20_000},
 		Geometries: geoms,
-		Verify:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +37,6 @@ func TestSchedGapRows(t *testing.T) {
 		}
 		if r.ProvenPct < 0 || r.ProvenPct > 100 {
 			t.Errorf("%s %dx%d: proven %.1f%%", r.Workload, r.Width, r.Height, r.ProvenPct)
-		}
-		if !r.VerifiedClean {
-			t.Errorf("%s %dx%d: row not marked verified", r.Workload, r.Width, r.Height)
 		}
 	}
 	b, err := json.Marshal(rows)

@@ -74,7 +74,7 @@ func StaticBoundRows(o SchedGapOptions) ([]StaticBoundRow, error) {
 
 // StaticBound is the Runner entry: the study over the default geometries.
 func StaticBound(o Options) (*stats.Table, error) {
-	rows, err := StaticBoundRows(SchedGapOptions{Options: o, Verify: true})
+	rows, err := StaticBoundRows(SchedGapOptions{Options: o})
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ func TestStaticBoundInvariant(t *testing.T) {
 	rows, err := StaticBoundRows(SchedGapOptions{
 		Options:    Options{MaxInstrs: 20_000},
 		Geometries: geoms,
-		Verify:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,6 @@ func TestStaticBoundInvariant(t *testing.T) {
 	again, err := StaticBoundRows(SchedGapOptions{
 		Options:    Options{MaxInstrs: 20_000},
 		Geometries: geoms,
-		Verify:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

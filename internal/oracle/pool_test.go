@@ -236,7 +236,7 @@ func TestSweepFastForwardStillDiffs(t *testing.T) {
 }
 
 // BenchmarkOracleSweep measures co-simulation throughput (programs/sec)
-// in the three modes the BENCH_SCHED sweep rows track.
+// in the three modes the experiments -sweep-gate contract compares.
 func BenchmarkOracleSweep(b *testing.B) {
 	for _, v := range []struct {
 		name string

@@ -90,7 +90,9 @@ func replay(tb testing.TB, u *Scheduler, events []feedEvent) {
 // (dependency checks, move-up/install/split decisions, renaming) on
 // pre-recorded traces of every progen hazard shape. ns/op is per completed
 // instruction fed; allocs/op tracks the allocation trajectory of the hot
-// path (see BENCH_SCHED.json for the recorded baselines).
+// path. The repository benchmark's traced runs replay the scheduler over
+// workload traces and report the same costs as sched.insert_ns/_allocs
+// (bench/README.md).
 func BenchmarkSchedulerFeed(b *testing.B) {
 	for _, shape := range progen.Shapes() {
 		cfg := feedConfig()
