@@ -110,50 +110,64 @@ func TestChainTelemetryLedgerIdentity(t *testing.T) {
 // TestChainPoolReuse exercises the stale-link hazard across machine
 // reuse: a pooled machine that chained heavily on one program must, after
 // Reset, replay a different program with no stale-pointer execution —
-// results must match machines built fresh. Run under -race in CI.
+// results must match machines built fresh. The verify leg turns on
+// save-time block verification, whose lowered-agreement check proves
+// every lowering written into storage recycled from the previous run
+// equal to a fresh one. Run under -race in CI.
 func TestChainPoolReuse(t *testing.T) {
-	pool := NewMachinePool()
-	cfg := FeasibleConfig()
-	cfg.MaxCycles = 1 << 40
-	cfg.MaxInstrs = 100_000
-	names := []string{"compress", "xlisp", "compress", "go", "compress"}
-	for i, name := range names {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			t.Fatal(name)
-		}
-		ctx, err := pool.Get(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := w.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := ctx.State()
-		p.Load(st.Mem)
-		st.Mem.Map(0x7E000, 0x2000)
-		st.PC = p.Entry
-		st.SetReg(14, 0x7FF00)
-		st.SetTextRange(p.TextBase, p.TextSize)
-		m, err := ctx.Prepare()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run(); err != nil {
-			t.Fatalf("run %d (%s): %v", i, name, err)
-		}
-		// Fresh-machine cross-check: reuse must not perturb a single
-		// counter, chained dispatch included.
-		fresh := runWorkload(t, w, cfg)
-		if !reflect.DeepEqual(m.Stats, fresh.Stats) {
-			t.Fatalf("run %d (%s): pooled stats diverge from fresh machine:\npooled: %+v\nfresh:  %+v",
-				i, name, m.Stats, fresh.Stats)
-		}
-		pool.Put(ctx)
-	}
-	if pool.Hits == 0 {
-		t.Fatal("pool never recycled a context; reuse path untested")
+	verify := FeasibleConfig()
+	verify.VerifyBlocks = true
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"feasible", FeasibleConfig()},
+		{"feasible-verify", verify},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			pool := NewMachinePool()
+			cfg := leg.cfg
+			cfg.MaxCycles = 1 << 40
+			cfg.MaxInstrs = 100_000
+			names := []string{"compress", "xlisp", "compress", "go", "compress"}
+			for i, name := range names {
+				w, ok := workloads.ByName(name)
+				if !ok {
+					t.Fatal(name)
+				}
+				ctx, err := pool.Get(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := w.Program()
+				if err != nil {
+					t.Fatal(err)
+				}
+				loadProgram(ctx.State(), p)
+				m, err := ctx.Prepare()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Run(); err != nil {
+					t.Fatalf("run %d (%s): %v", i, name, err)
+				}
+				if cfg.VerifyBlocks && m.Stats.BlocksVerified != m.Stats.BlocksSaved {
+					t.Fatalf("run %d (%s): verified %d of %d saved blocks",
+						i, name, m.Stats.BlocksVerified, m.Stats.BlocksSaved)
+				}
+				// Fresh-machine cross-check: reuse must not perturb a single
+				// counter, chained dispatch included.
+				fresh := runWorkload(t, w, cfg)
+				if !reflect.DeepEqual(m.Stats, fresh.Stats) {
+					t.Fatalf("run %d (%s): pooled stats diverge from fresh machine:\npooled: %+v\nfresh:  %+v",
+						i, name, m.Stats, fresh.Stats)
+				}
+				pool.Put(ctx)
+			}
+			if pool.Hits == 0 {
+				t.Fatal("pool never recycled a context; reuse path untested")
+			}
+		})
 	}
 }
 
@@ -182,12 +196,7 @@ func BenchmarkMachineRun(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					st := ctx.State()
-					p.Load(st.Mem)
-					st.Mem.Map(0x7E000, 0x2000)
-					st.PC = p.Entry
-					st.SetReg(14, 0x7FF00)
-					st.SetTextRange(p.TextBase, p.TextSize)
+					loadProgram(ctx.State(), p)
 					m, err := ctx.Prepare()
 					if err != nil {
 						b.Fatal(err)

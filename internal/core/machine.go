@@ -103,6 +103,11 @@ type Machine struct {
 	flushProbe    uint64
 	flushNonSched uint64
 
+	// lowFree holds lowered-block storage drained from the VLIW Cache by
+	// Reset; saveBlock lowers into it before allocating, the way the
+	// scheduler reuses drained blocks.
+	lowFree []*vliw.LoweredBlock
+
 	// BlockHook, when set, observes every block saved to the VLIW Cache
 	// (used by the -dumpblocks tool and by tests).
 	BlockHook func(*sched.Block)
@@ -271,7 +276,7 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 	m.drain = b.NumLIs
 	var low *vliw.LoweredBlock
 	if !m.cfg.InterpretedEngine {
-		low = vliw.Lower(b, m.cfg.NWin)
+		low = m.lower(b)
 	}
 	if m.cfg.VerifyBlocks {
 		if rep := blockcheck.Verify(b, low, m.sch.Config()); !rep.Ok() {
@@ -307,6 +312,24 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 		m.BlockHook(b)
 	}
 	return nil
+}
+
+// lower lowers b into recycled storage when Reset left some, and into
+// fresh storage otherwise. Storage a failed lowering leaves unused goes
+// back on the free list.
+func (m *Machine) lower(b *sched.Block) *vliw.LoweredBlock {
+	var dst *vliw.LoweredBlock
+	if n := len(m.lowFree); n > 0 {
+		dst = m.lowFree[n-1]
+		m.lowFree = m.lowFree[:n-1]
+	} else {
+		dst = new(vliw.LoweredBlock)
+	}
+	low := vliw.LowerInto(dst, b, m.cfg.NWin)
+	if low == nil {
+		m.lowFree = append(m.lowFree, dst)
+	}
+	return low
 }
 
 // beginBlock enters a VLIW Cache entry on the engine, preferring the
@@ -849,13 +872,20 @@ func (m *Machine) finalCompare() error {
 // another program over the same (caller-reset and reloaded) architectural
 // state: scheduler, VLIW Cache, engine, instruction/data caches and
 // pipeline are cleared, drained blocks are recycled into the scheduler's
-// block pool, hooks are detached and Stats are zeroed. The architectural
-// state itself (registers, memory, program) is the caller's to reset —
-// see MachineContext. Reset does not support TestMode or telemetry
-// machines (the reference clone and collectors are built for one run);
+// block pool and their lowered forms into the machine's, hooks are
+// detached and Stats are zeroed. Any Block or LoweredBlock obtained
+// before Reset is invalid after it. The architectural state itself
+// (registers, memory, program) is the caller's to reset — see
+// MachineContext. Reset does not support TestMode or telemetry machines
+// (the reference clone and collectors are built for one run);
 // MachinePool refuses such configurations.
 func (m *Machine) Reset() {
-	m.vc.Drain(func(ent vcache.Entry) { m.sch.RecycleBlock(ent.Blk) })
+	m.vc.Drain(func(ent vcache.Entry) {
+		m.sch.RecycleBlock(ent.Blk)
+		if ent.Low != nil {
+			m.lowFree = append(m.lowFree, ent.Low)
+		}
+	})
 	m.sch.Reset()
 	m.eng.Reset()
 	m.ic.Reset()

@@ -31,6 +31,18 @@ func feedConfig() Config {
 	}
 }
 
+// shapeConfig is feedConfig with multicycle latencies for the multicycle
+// shape, whose programs exist to exercise them.
+func shapeConfig(shape progen.Shape) Config {
+	cfg := feedConfig()
+	if shape == progen.ShapeMulticycle {
+		cfg.LoadLatency = 2
+		cfg.FPLatency = 3
+		cfg.FPDivLatency = 8
+	}
+	return cfg
+}
+
 // recordTrace executes a seeded progen program sequentially and records the
 // exact stimulus stream the Primary Processor would feed the Scheduler
 // Unit, so benchmark iterations measure scheduler cost alone.
@@ -95,15 +107,9 @@ func replay(tb testing.TB, u *Scheduler, events []feedEvent) {
 // (bench/README.md).
 func BenchmarkSchedulerFeed(b *testing.B) {
 	for _, shape := range progen.Shapes() {
-		cfg := feedConfig()
-		if shape == progen.ShapeMulticycle {
-			cfg.LoadLatency = 2
-			cfg.FPLatency = 3
-			cfg.FPDivLatency = 8
-		}
 		events := recordTrace(b, shape, 1, 40_000)
 		b.Run(shape.String(), func(b *testing.B) {
-			u, err := New(cfg)
+			u, err := New(shapeConfig(shape))
 			if err != nil {
 				b.Fatal(err)
 			}

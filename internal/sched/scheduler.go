@@ -908,7 +908,7 @@ func (u *Scheduler) Insert(c Completed) (*Block, error) {
 	var flushed *Block
 	var cand *Slot
 
-	if len(u.elems) > 0 && u.strat.WantFlushBefore(u, &c) {
+	if len(u.elems) > 0 && u.strat.WantFlushBefore(u) {
 		// Strategy-requested early flush (degenerate strategies like
 		// one-per-block): the candidate starts a fresh block below.
 		flushed = u.flush(c.Addr, c.Seq)

@@ -164,14 +164,8 @@ func checkAggregates(t *testing.T, u *Scheduler, when string) {
 func TestElementAggregatesConsistent(t *testing.T) {
 	for _, shape := range progen.Shapes() {
 		t.Run(shape.String(), func(t *testing.T) {
-			cfg := feedConfig()
-			if shape == progen.ShapeMulticycle {
-				cfg.LoadLatency = 2
-				cfg.FPLatency = 3
-				cfg.FPDivLatency = 8
-			}
 			events := recordTrace(t, shape, 2, 6_000)
-			u, err := New(cfg)
+			u, err := New(shapeConfig(shape))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,8 +185,13 @@ func TestElementAggregatesConsistent(t *testing.T) {
 }
 
 // TestDependencyChecksZeroAlloc: once pools and scratch buffers are warm,
-// the dependency-check core of the insertion path (true, output, anti and
-// copy-safety queries) performs no heap allocation.
+// the insertion path performs no heap allocation — neither the
+// dependency-check core (true, output, anti and copy-safety queries) nor
+// whole Insert calls. Each measured run also resets one scheduler per
+// progen shape and replays that shape's recorded trace through
+// Insert/Flush, recycling every flushed block, so an allocation anywhere
+// on the write path (an escaping Insert argument, a grown arena, a fresh
+// block) fails the guard.
 func TestDependencyChecksZeroAlloc(t *testing.T) {
 	events := recordTrace(t, progen.ShapeMixed, 1, 20_000)
 	u, err := New(feedConfig())
@@ -229,7 +228,39 @@ func TestDependencyChecksZeroAlloc(t *testing.T) {
 	u.candW.Reset()
 	u.candW.AddSet(cand.writes)
 
-	allocs := testing.AllocsPerRun(200, func() {
+	type feed struct {
+		u      *Scheduler
+		events []feedEvent
+	}
+	var feeds []feed
+	for _, shape := range progen.Shapes() {
+		fu, err := New(shapeConfig(shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feeds = append(feeds, feed{fu, recordTrace(t, shape, 1, 20_000)})
+	}
+	replayRecycled := func() {
+		for _, f := range feeds {
+			f.u.Reset()
+			for i := range f.events {
+				ev := &f.events[i]
+				if ev.flush {
+					f.u.RecycleBlock(f.u.Flush(ev.c.Addr, ev.c.Seq))
+					continue
+				}
+				b, err := f.u.Insert(ev.c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.u.RecycleBlock(b)
+			}
+			f.u.RecycleBlock(f.u.Flush(0, uint64(len(f.events))))
+		}
+	}
+	replayRecycled() // warm every shape's slabs and block pool
+
+	allocs := testing.AllocsPerRun(20, func() {
 		u.trueDepBlocked(cand, tail)
 		u.wawBlocked(cand, tail)
 		u.wawCopyUnsafe(cand, tail)
@@ -237,8 +268,9 @@ func TestDependencyChecksZeroAlloc(t *testing.T) {
 		u.antiConflicts(cand, e, slotIdx)
 		u.memSerialized(cand, e)
 		u.freeSlot(e, cand.Inst.Class())
+		replayRecycled()
 	})
 	if allocs != 0 {
-		t.Fatalf("dependency-check steady state allocated %.1f times per run", allocs)
+		t.Fatalf("insertion-path steady state allocated %.1f times per run", allocs)
 	}
 }

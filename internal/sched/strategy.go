@@ -27,7 +27,9 @@ type Strategy interface {
 	// returning true flushes the current block first, so the candidate
 	// starts a fresh one. The FCFS hardware never does this; degenerate
 	// reference strategies (one instruction per block) are built from it.
-	WantFlushBefore(u *Scheduler, c *Completed) bool
+	// The candidate itself is not passed: handing its address through the
+	// interface would move Insert's argument to the heap on every call.
+	WantFlushBefore(u *Scheduler) bool
 
 	// WantNewElement is consulted only after the legality machinery has
 	// proven the candidate may occupy the tail element: returning true
@@ -113,11 +115,11 @@ func init() {
 // (TestDependencyChecksZeroAlloc).
 type fcfsStrategy struct{}
 
-func (fcfsStrategy) Name() string                                { return "fcfs" }
-func (fcfsStrategy) WantFlushBefore(*Scheduler, *Completed) bool { return false }
-func (fcfsStrategy) WantNewElement(*Scheduler) bool              { return false }
-func (fcfsStrategy) WantMoveUp(*Scheduler, int) bool             { return true }
-func (fcfsStrategy) FinishBlock(*Scheduler, *Block)              {}
+func (fcfsStrategy) Name() string                    { return "fcfs" }
+func (fcfsStrategy) WantFlushBefore(*Scheduler) bool { return false }
+func (fcfsStrategy) WantNewElement(*Scheduler) bool  { return false }
+func (fcfsStrategy) WantMoveUp(*Scheduler, int) bool { return true }
+func (fcfsStrategy) FinishBlock(*Scheduler, *Block)  {}
 
 // onePerBlockStrategy is the deliberately dumb reference strategy: every
 // block holds exactly one scheduled instruction. It anchors the strategy
@@ -125,13 +127,11 @@ func (fcfsStrategy) FinishBlock(*Scheduler, *Block)              {}
 // it extracts) and gives gap studies an absolute lower bound.
 type onePerBlockStrategy struct{}
 
-func (onePerBlockStrategy) Name() string { return "one-per-block" }
-func (onePerBlockStrategy) WantFlushBefore(u *Scheduler, _ *Completed) bool {
-	return len(u.elems) > 0
-}
-func (onePerBlockStrategy) WantNewElement(*Scheduler) bool  { return false }
-func (onePerBlockStrategy) WantMoveUp(*Scheduler, int) bool { return false }
-func (onePerBlockStrategy) FinishBlock(*Scheduler, *Block)  {}
+func (onePerBlockStrategy) Name() string                      { return "one-per-block" }
+func (onePerBlockStrategy) WantFlushBefore(u *Scheduler) bool { return len(u.elems) > 0 }
+func (onePerBlockStrategy) WantNewElement(*Scheduler) bool    { return false }
+func (onePerBlockStrategy) WantMoveUp(*Scheduler, int) bool   { return false }
+func (onePerBlockStrategy) FinishBlock(*Scheduler, *Block)    {}
 
 // NoteRepack records a FinishBlock rewrite for statistics and telemetry:
 // the block went from origLIs to b.NumLIs long instructions, proven

@@ -2,7 +2,7 @@ package vliw
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 
 	"dtsvliw/internal/sched"
 )
@@ -50,29 +50,41 @@ func CheckLowered(b *sched.Block, low *LoweredBlock, nwin int) error {
 				len(low.lines), len(want.lines))}
 	}
 	for li := range want.lines {
-		gl, wl := &low.lines[li], &want.lines[li]
-		if len(gl.brs) != len(wl.brs) {
+		gl, wl := low.lines[li], want.lines[li]
+		gbrs, wbrs := low.brs[gl.br0:gl.br1], want.brs[wl.br0:wl.br1]
+		if len(gbrs) != len(wbrs) {
 			return &LowerMismatchError{Line: li, Slot: -1,
 				Detail: fmt.Sprintf("%d lowered branches, re-lowering yields %d",
-					len(gl.brs), len(wl.brs))}
+					len(gbrs), len(wbrs))}
 		}
-		for i := range wl.brs {
-			if gl.brs[i] != wl.brs[i] {
+		for i := range wbrs {
+			if gbrs[i] != wbrs[i] {
 				return &LowerMismatchError{Line: li, Slot: i,
-					Detail: fmt.Sprintf("branch %+v, re-lowering yields %+v", gl.brs[i], wl.brs[i])}
+					Detail: fmt.Sprintf("branch %+v, re-lowering yields %+v", gbrs[i], wbrs[i])}
 			}
 		}
-		if len(gl.ops) != len(wl.ops) {
+		gops, wops := low.ops[gl.op0:gl.op1], want.ops[wl.op0:wl.op1]
+		if len(gops) != len(wops) {
 			return &LowerMismatchError{Line: li, Slot: -1,
 				Detail: fmt.Sprintf("%d lowered ops, re-lowering yields %d",
-					len(gl.ops), len(wl.ops))}
+					len(gops), len(wops))}
 		}
-		for i := range wl.ops {
-			if !reflect.DeepEqual(gl.ops[i], wl.ops[i]) {
+		for i := range wops {
+			if gops[i] != wops[i] {
 				return &LowerMismatchError{Line: li, Slot: i,
-					Detail: fmt.Sprintf("op %+v, re-lowering yields %+v", gl.ops[i], wl.ops[i])}
+					Detail: fmt.Sprintf("op %+v, re-lowering yields %+v", gops[i], wops[i])}
 			}
 		}
+	}
+	// Equal ops carry equal ranges, so equal flat lists make every op's
+	// rename targets and copies equal too.
+	if !slices.Equal(low.rens, want.rens) {
+		return &LowerMismatchError{Line: -1, Slot: -1,
+			Detail: fmt.Sprintf("rename targets %v, re-lowering yields %v", low.rens, want.rens)}
+	}
+	if !slices.Equal(low.copies, want.copies) {
+		return &LowerMismatchError{Line: -1, Slot: -1,
+			Detail: fmt.Sprintf("copies %+v, re-lowering yields %+v", low.copies, want.copies)}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package vliw
 
 import (
+	"math"
+
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/sched"
 )
@@ -54,20 +56,15 @@ type lcopy struct {
 
 // lop is one lowered slot. Operand meaning depends on op; the handle
 // assignment mirrors isa.Exec's env-call order so the buffered effects
-// are emitted identically to the interpreted path.
+// are emitted identically to the interpreted path. The variable-length
+// lists live in the block's flat arrays and are addressed by [lo, hi)
+// ranges, which keeps a lop small and comparable with ==.
 type lop struct {
 	op     isa.Op
 	isCopy bool
 	tag    uint8
 	lat    uint8 // LatOr1, for the multicycle due line
-
 	useImm bool
-	a, b   int32 // primary source handles
-	c, e0  int32 // extra sources (icc/y, double-word pairs, store data)
-	d0, d1 int32 // destination handles
-	e1     int32 // extra destination (MULSCC's Y)
-	imm    uint32
-	addr   uint32 // slot's SPARC address (diagnostics, JMPL/CALL link)
 
 	// Memory metadata (paper §3.10), copied from the slot.
 	isMem      bool
@@ -77,27 +74,46 @@ type lop struct {
 	memSize    uint8
 	order      uint16
 
-	// renAll lists every rename target of the slot; a deferred exception
-	// is stashed in all of them (paper §3.8). memRens lists the memory
-	// renaming registers a split store's buffered write is routed to.
-	renAll  []int32
-	memRens []int32
+	a, b   int32 // primary source handles
+	c, e0  int32 // extra sources (icc/y, double-word pairs, store data)
+	d0, d1 int32 // destination handles
+	e1     int32 // extra destination (MULSCC's Y)
+	imm    uint32
+	addr   uint32 // slot's SPARC address (diagnostics, JMPL/CALL link)
 
-	copies []lcopy // copy slots only
+	// rens[ren0:ren1] lists every rename target of the slot; a deferred
+	// exception is stashed in all of them (paper §3.8). rens[mem0:mem1]
+	// lists the memory renaming registers a split store's buffered write
+	// is routed to. copies[cp0:cp1] is a copy slot's commit list.
+	ren0, ren1 uint16
+	mem0, mem1 uint16
+	cp0, cp1   uint16
 }
 
-// lline is one lowered long instruction: its branches for phase-1
-// resolution and every valid slot, in slot order, for phase-2 execution.
+// lline is one lowered long instruction: brs[br0:br1] are its branches
+// for phase-1 resolution and ops[op0:op1] every valid slot, in slot
+// order, for phase-2 execution.
 type lline struct {
-	brs []lbr
-	ops []lop
+	br0, br1 uint16
+	op0, op1 uint16
 }
+
+// maxLowered bounds every flat array of a LoweredBlock, so the uint16
+// ranges above can address it. Only blocks far taller than any modelled
+// geometry exceed it; they stay interpreted.
+const maxLowered = math.MaxUint16
 
 // LoweredBlock is the decode-once executable form of a scheduled block,
-// stored alongside it in the VLIW Cache.
+// stored alongside it in the VLIW Cache. All of its storage is five flat
+// arrays, which LowerInto reuses when it lowers another block into the
+// same LoweredBlock.
 type LoweredBlock struct {
 	b        *sched.Block
 	lines    []lline
+	ops      []lop
+	brs      []lbr
+	rens     []int32 // flat rename targets, addressed by lop ranges
+	copies   []lcopy
 	renTotal int // flattened renaming registers across all classes
 }
 
@@ -107,6 +123,7 @@ func (lb *LoweredBlock) Block() *sched.Block { return lb.b }
 // lowerer carries the per-block context of one lowering pass.
 type lowerer struct {
 	b    *sched.Block
+	lb   *LoweredBlock
 	nwin int
 	base [sched.NumRenameClasses]int
 	fail bool
@@ -127,35 +144,84 @@ func (lo *lowerer) renH(r sched.RenameReg) int32 { return ^lo.flatOf(r) }
 // engine then interprets the block); the scheduler never emits those for
 // schedulable traces, so nil is a defensive fallback, not a normal path.
 func Lower(b *sched.Block, nwin int) *LoweredBlock {
-	lo := &lowerer{b: b, nwin: nwin}
+	return LowerInto(new(LoweredBlock), b, nwin)
+}
+
+// LowerInto is Lower writing into dst's storage: dst's arrays are reused
+// when large enough and grown otherwise, so lowering into a recycled
+// LoweredBlock allocates nothing once its arrays fit. It returns dst, or
+// nil when b is not representable; dst's storage stays reusable either
+// way, and its previous contents are gone.
+func LowerInto(dst *LoweredBlock, b *sched.Block, nwin int) *LoweredBlock {
+	// Counting pass: size every flat array before anything is written.
+	var nops, nbrs, nrens, ncopies int
+	for li := 0; li < b.NumLIs; li++ {
+		for _, s := range b.LIs[li] {
+			if s == nil {
+				continue
+			}
+			nops++
+			if s.IsCondOrIndirectBranch() {
+				nbrs++
+			}
+			nrens += len(s.Renames)
+			for _, p := range s.Renames {
+				if p.Loc.Kind == isa.LocMem {
+					nrens++
+				}
+			}
+			if s.IsCopy {
+				ncopies += len(s.Copies)
+			}
+		}
+	}
+	if max(nops, nbrs, nrens, ncopies) > maxLowered {
+		return nil
+	}
+
+	lo := lowerer{b: b, lb: dst, nwin: nwin}
 	tot := 0
 	for c := 0; c < int(sched.NumRenameClasses); c++ {
 		lo.base[c] = tot
 		tot += int(b.Renames[c])
 	}
-	lb := &LoweredBlock{b: b, renTotal: tot, lines: make([]lline, b.NumLIs)}
+	*dst = LoweredBlock{
+		b:        b,
+		lines:    reuse(dst.lines, b.NumLIs),
+		ops:      reuse(dst.ops, nops),
+		brs:      reuse(dst.brs, nbrs),
+		rens:     reuse(dst.rens, nrens),
+		copies:   reuse(dst.copies, ncopies),
+		renTotal: tot,
+	}
 	for li := 0; li < b.NumLIs; li++ {
-		var brs []lbr
-		var ops []lop
+		ll := lline{br0: uint16(len(dst.brs)), op0: uint16(len(dst.ops))}
 		for _, s := range b.LIs[li] {
 			if s == nil {
 				continue
 			}
 			if s.IsCondOrIndirectBranch() {
-				brs = append(brs, lo.lowerBranch(s))
+				dst.brs = append(dst.brs, lo.lowerBranch(s))
 			}
 			op, ok := lo.lowerSlot(s)
 			if !ok || lo.fail {
 				return nil
 			}
-			ops = append(ops, op)
+			dst.ops = append(dst.ops, op)
 		}
-		lb.lines[li] = lline{brs: brs, ops: ops}
+		ll.br1, ll.op1 = uint16(len(dst.brs)), uint16(len(dst.ops))
+		dst.lines = append(dst.lines, ll)
 	}
-	if lo.fail {
-		return nil
+	return dst
+}
+
+// reuse returns s emptied with room for n elements: s's own array when
+// it is large enough, a new one of exactly n otherwise.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
 	}
-	return lb
+	return s[:0]
 }
 
 // lowerBranch pre-resolves a conditional or indirect branch for phase-1
@@ -256,18 +322,25 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		isMem: s.IsMem, isStore: s.IsStore, cross: s.Cross,
 		memRenamed: s.MemRenamed, memSize: s.MemSize, order: s.Order,
 	}
+	lb := lo.lb
+	op.ren0 = uint16(len(lb.rens))
 	for _, p := range s.Renames {
-		op.renAll = append(op.renAll, lo.flatOf(p.Reg))
+		lb.rens = append(lb.rens, lo.flatOf(p.Reg))
+	}
+	op.ren1, op.mem0 = uint16(len(lb.rens)), uint16(len(lb.rens))
+	for _, p := range s.Renames {
 		if p.Loc.Kind == isa.LocMem {
-			op.memRens = append(op.memRens, lo.flatOf(p.Reg))
+			lb.rens = append(lb.rens, lo.flatOf(p.Reg))
 		}
 	}
+	op.mem1 = uint16(len(lb.rens))
 	if s.IsCopy {
 		op.isCopy = true
-		op.copies = make([]lcopy, len(s.Copies))
-		for i, p := range s.Copies {
-			op.copies[i] = lcopy{flat: lo.flatOf(p.Reg), kind: p.Loc.Kind, idx: p.Loc.Idx}
+		op.cp0 = uint16(len(lb.copies))
+		for _, p := range s.Copies {
+			lb.copies = append(lb.copies, lcopy{flat: lo.flatOf(p.Reg), kind: p.Loc.Kind, idx: p.Loc.Idx})
 		}
+		op.cp1 = uint16(len(lb.copies))
 		return op, true
 	}
 

@@ -1,10 +1,14 @@
 package vliw
 
 import (
+	"slices"
 	"testing"
 
 	"dtsvliw/internal/arch"
+	"dtsvliw/internal/asm"
 	"dtsvliw/internal/isa"
+	"dtsvliw/internal/mem"
+	"dtsvliw/internal/progen"
 	"dtsvliw/internal/sched"
 )
 
@@ -124,5 +128,120 @@ func TestEngineHotLoopZeroAlloc(t *testing.T) {
 	runBlock() // warm the arenas
 	if allocs := testing.AllocsPerRun(200, runBlock); allocs != 0 {
 		t.Fatalf("warmed lowered hot loop allocates %.1f allocs/block, want 0", allocs)
+	}
+}
+
+// recordBlocks runs a seeded progen program of the given shape on the
+// sequential interpreter, feeds its trace to a Scheduler Unit on an 8x8
+// geometry (with multicycle latencies for the multicycle shape) and
+// returns every block the scheduler flushed, in flush order. The blocks
+// are never recycled, so all of them stay valid.
+func recordBlocks(t *testing.T, shape progen.Shape, seed int64) []*sched.Block {
+	t.Helper()
+	p, err := asm.Assemble(progen.Generate(progen.ShapeParams(shape, seed)))
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	m := mem.NewMemory()
+	p.Load(m)
+	m.Map(0x7E000, 0x2000)
+	st := arch.NewState(8, m)
+	st.PC = p.Entry
+	st.SetReg(14, 0x7FF00)
+	st.SetTextRange(p.TextBase, p.TextSize)
+	cfg := sched.Config{Width: 8, Height: 8, NWin: 8}
+	if shape == progen.ShapeMulticycle {
+		cfg.LoadLatency, cfg.FPLatency, cfg.FPDivLatency = 2, 3, 8
+	}
+	u, err := sched.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []*sched.Block
+	keep := func(b *sched.Block) {
+		if b != nil {
+			blocks = append(blocks, b)
+		}
+	}
+	for seq := uint64(0); seq < 20_000 && !st.Halted; seq++ {
+		pc, cwp := st.PC, st.CWP()
+		in, out, err := st.StepOutcome()
+		if err != nil {
+			t.Fatalf("step %d: %v", seq, err)
+		}
+		if !in.IsSchedulable() {
+			keep(u.Flush(pc, seq))
+			continue
+		}
+		b, err := u.Insert(sched.Completed{Inst: in, Addr: pc, CWP: cwp, Outcome: out, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(b)
+	}
+	keep(u.Flush(st.PC, st.Instret))
+	return blocks
+}
+
+// sameLowering reports whether two lowerings are identical op for op,
+// down to every range and flat list.
+func sameLowering(a, b *LoweredBlock) bool {
+	return a.b == b.b && a.renTotal == b.renTotal &&
+		slices.Equal(a.lines, b.lines) && slices.Equal(a.ops, b.ops) &&
+		slices.Equal(a.brs, b.brs) && slices.Equal(a.rens, b.rens) &&
+		slices.Equal(a.copies, b.copies)
+}
+
+// TestLowerIntoRecycledZeroAlloc guards the write path's lowering into
+// recycled storage (the machine reuses the lowered forms Reset drains
+// from the VLIW Cache). Every block of a recorded run of each progen
+// shape is lowered into one LoweredBlock that last held a larger block:
+// each result must pass CheckLowered and equal a fresh Lower op for op,
+// so no stale entry of the previous occupant survives. Once the storage
+// has grown to fit every block, lowering allocates nothing.
+func TestLowerIntoRecycledZeroAlloc(t *testing.T) {
+	var blocks []*sched.Block
+	for _, shape := range progen.Shapes() {
+		blocks = append(blocks, recordBlocks(t, shape, 1)...)
+	}
+	largest := blocks[0]
+	for _, b := range blocks {
+		if b.ValidOps > largest.ValidOps {
+			largest = b
+		}
+	}
+	dst := LowerInto(new(LoweredBlock), largest, 8)
+	if dst == nil {
+		t.Fatal("largest block did not lower")
+	}
+	splits := 0
+	for i, b := range blocks {
+		if b == largest {
+			continue
+		}
+		got := LowerInto(dst, b, 8)
+		if got != dst {
+			t.Fatalf("block %d (%#08x): LowerInto returned %p, want the recycled %p", i, b.Tag, got, dst)
+		}
+		if err := CheckLowered(b, got, 8); err != nil {
+			t.Fatalf("block %d (%#08x): %v", i, b.Tag, err)
+		}
+		if !sameLowering(got, Lower(b, 8)) {
+			t.Fatalf("block %d (%#08x): recycled lowering differs from a fresh one", i, b.Tag)
+		}
+		splits += b.Splits
+	}
+	if splits == 0 {
+		t.Fatal("no block carries a split; rename and copy lists untested")
+	}
+
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, b := range blocks {
+			LowerInto(dst, b, 8)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm lowering into recycled storage allocated %.1f times per pass over %d blocks",
+			allocs, len(blocks))
 	}
 }

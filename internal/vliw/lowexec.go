@@ -120,6 +120,7 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 		return
 	}
 	ll := &lb.lines[line]
+	brs, ops := lb.brs[ll.br0:ll.br1], lb.ops[ll.op0:ll.op1]
 	e.Stats.LIsExecuted++
 
 	// Phase 1: resolve branches in tag order against pre-LI state.
@@ -128,8 +129,8 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 	var exitSeq uint64
 	var exitBranch uint32
 	exit := false
-	for i := range ll.brs {
-		br := &ll.brs[i]
+	for i := range brs {
+		br := &brs[i]
 		if int(br.tag) > tagLimit {
 			continue
 		}
@@ -155,8 +156,8 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 	// Phase 2: execute valid slots into the scratch arenas.
 	e.resetScratch()
 	committed, annulled := 0, 0
-	for i := range ll.ops {
-		op := &ll.ops[i]
+	for i := range ops {
+		op := &ops[i]
 		if int(op.tag) > tagLimit {
 			annulled++
 			continue
@@ -179,10 +180,10 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 		}
 		due := line + int(op.lat) - 1
 		if err := e.execLoweredOp(op, due); err != nil {
-			if len(op.renAll) > 0 {
+			if rens := lb.rens[op.ren0:op.ren1]; len(rens) > 0 {
 				// Deferred exception: stash it in the renaming registers;
 				// it surfaces only if a copy commits (paper §3.8).
-				for _, f := range op.renAll {
+				for _, f := range rens {
 					e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: renVal{exc: err}})
 				}
 				continue
@@ -248,8 +249,7 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 
 // execLoweredCopy is execCopy over the flat rename arena.
 func (e *Engine) execLoweredCopy(op *lop, line int) error {
-	for i := range op.copies {
-		c := &op.copies[i]
+	for _, c := range e.lb.copies[op.cp0:op.cp1] {
 		rv := e.getRenBypassFlat(c.flat)
 		if rv.exc != nil {
 			return rv.exc
@@ -603,7 +603,7 @@ func (e *Engine) execLoweredMem(op *lop, due int) error {
 		// Split store: the buffered write moves to the memory renaming
 		// register; the access is charged when its memory copy commits.
 		rv := renVal{st: sts, nst: nst, memEA: ea}
-		for _, f := range op.memRens {
+		for _, f := range e.lb.rens[op.mem0:op.mem1] {
 			e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: rv})
 		}
 		return nil
