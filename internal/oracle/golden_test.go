@@ -17,11 +17,17 @@ import (
 	"dtsvliw/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/sched_golden.json from the current scheduler")
+var updateGolden = flag.Bool("update", false, "regenerate testdata/sched_golden.json and testdata/stats_golden.json from the current machine")
 
 // goldenPath holds the recorded pre-refactor fingerprints: one digest per
 // (program, configuration) run, hashing every block the scheduler saved.
-const goldenPath = "testdata/sched_golden.json"
+// statsGoldenPath holds, under the same keys, a digest of each run's
+// final core.Stats: cycle counts, cache and engine counters, the whole
+// simulated timing of the run.
+const (
+	goldenPath      = "testdata/sched_golden.json"
+	statsGoldenPath = "testdata/stats_golden.json"
+)
 
 // goldenConfigs are the machine configurations the fingerprint corpus
 // runs under. They pin the default strategy: the fingerprints were
@@ -43,8 +49,9 @@ func goldenConfigs() []NamedConfig {
 // (or workload), runs it, and hashes every saved block's canonical
 // rendering — identity, latency, placement metadata, rename linkage and
 // the dependency footprints: everything a strategy could plausibly
-// disturb — in save order.
-func hashBlocks(t *testing.T, cfg core.Config, source string, w *workloads.Workload, maxInstrs uint64) string {
+// disturb — in save order. stats is the digest of the run's final
+// core.Stats.
+func hashBlocks(t *testing.T, cfg core.Config, source string, w *workloads.Workload, maxInstrs uint64) (blocks, stats string) {
 	t.Helper()
 	cfg.MaxInstrs = maxInstrs
 	if cfg.MaxCycles == 0 || cfg.MaxCycles > 50_000_000 {
@@ -86,20 +93,24 @@ func hashBlocks(t *testing.T, cfg core.Config, source string, w *workloads.Workl
 	if err := m.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil)), fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", m.Stats))))
 }
 
 // TestGoldenFCFSBlocks proves the Strategy refactor left the default FCFS
 // scheduler byte-identical: every block flushed across the golden corpus
 // (progen programs over all shapes, plus capped workload prefixes) must
-// hash to the digest recorded from the pre-refactor scheduler. Run with
-// -update to re-record (only legitimate when the schedule is
-// intentionally changed — never to paper over an accidental divergence).
+// hash to the digest recorded from the pre-refactor scheduler. The same
+// runs also pin simulated timing: each run's final Stats must hash to
+// its recorded digest, so a change that keeps every block but moves a
+// single cycle or counter fails here. Run with -update to re-record
+// (only legitimate when the schedule or the timing model is
+// intentionally changed, or Stats gains a field — never to paper over
+// an accidental divergence).
 func TestGoldenFCFSBlocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus runs full machine simulations")
 	}
-	got := map[string]string{}
+	got, gotStats := map[string]string{}, map[string]string{}
 
 	// Generated programs: every shape, a spread of seeds, every golden
 	// configuration.
@@ -109,7 +120,7 @@ func TestGoldenFCFSBlocks(t *testing.T) {
 			for _, seed := range seeds {
 				src := progen.Generate(progen.ShapeParams(shape, seed))
 				key := fmt.Sprintf("progen/%s/%d/%s", shape, seed, nc.Name)
-				got[key] = hashBlocks(t, nc.Cfg, src, nil, 0)
+				got[key], gotStats[key] = hashBlocks(t, nc.Cfg, src, nil, 0)
 			}
 		}
 	}
@@ -123,35 +134,41 @@ func TestGoldenFCFSBlocks(t *testing.T) {
 		for _, cname := range []string{"ideal-8x8", "feasible"} {
 			nc, _ := ConfigByName(cname)
 			key := fmt.Sprintf("workload/%s/%s", wname, cname)
-			got[key] = hashBlocks(t, nc.Cfg, "", w, 60_000)
+			got[key], gotStats[key] = hashBlocks(t, nc.Cfg, "", w, 60_000)
 		}
 	}
 
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(got))
-		for k := range got { //determinism:allow sorted below
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		ordered := make(map[string]string, len(got))
-		for _, k := range keys {
-			ordered[k] = got[k]
-		}
-		data, err := json.MarshalIndent(ordered, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %d fingerprints to %s", len(got), goldenPath)
+		writeGolden(t, goldenPath, got)
+		writeGolden(t, statsGoldenPath, gotStats)
 		return
 	}
+	checkGolden(t, goldenPath, got, "block stream diverged from the pre-refactor scheduler")
+	checkGolden(t, statsGoldenPath, gotStats, "simulated Stats diverged from the recorded run")
+}
 
-	data, err := os.ReadFile(goldenPath)
+// writeGolden records digests as sorted, indented JSON.
+func writeGolden(t *testing.T, path string, got map[string]string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// encoding/json writes map keys sorted, so the file is deterministic.
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("recorded %d fingerprints to %s", len(got), path)
+}
+
+// checkGolden compares digests against the file at path, reporting every
+// key that is missing or differs.
+func checkGolden(t *testing.T, path string, got map[string]string, what string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden fingerprints missing (run with -update to record): %v", err)
 	}
@@ -160,7 +177,7 @@ func TestGoldenFCFSBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("corpus size changed: golden has %d runs, corpus produced %d", len(want), len(got))
+		t.Errorf("%s: corpus size changed: golden has %d runs, corpus produced %d", path, len(want), len(got))
 	}
 	keys := make([]string, 0, len(got))
 	for k := range got { //determinism:allow sorted below
@@ -169,11 +186,11 @@ func TestGoldenFCFSBlocks(t *testing.T) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if want[k] == "" {
-			t.Errorf("%s: no recorded fingerprint (run -update after an intentional change)", k)
+			t.Errorf("%s: no recorded fingerprint in %s (run -update after an intentional change)", k, path)
 			continue
 		}
 		if got[k] != want[k] {
-			t.Errorf("%s: block stream diverged from the pre-refactor scheduler\n  got  %s\n  want %s", k, got[k], want[k])
+			t.Errorf("%s: %s\n  got  %s\n  want %s", k, what, got[k], want[k])
 		}
 	}
 }
