@@ -31,7 +31,6 @@ func main() {
 	testMode := flag.Bool("testmode", false, "lockstep-validate against the sequential test machine")
 	strategy := flag.String("strategy", "", "scheduling strategy (fcfs one-per-block optimal; empty = fcfs)")
 	schedBudget := flag.Int("sched-budget", 0, "search budget per block for the optimal strategy (0 = default, negative = unlimited)")
-	interpreted := flag.Bool("interpreted", false, "disable lowered blocks: VLIW Engine re-interprets scheduler slots")
 	noChain := flag.Bool("nochain", false, "disable direct block chaining: associative VLIW Cache lookup on every block transition")
 	showOutput := flag.Bool("output", false, "print the program's trap output")
 	dumpBlocks := flag.Int("dumpblocks", 0, "print the first N scheduled blocks (Figure 2c style)")
@@ -56,7 +55,6 @@ func main() {
 	}
 	cfg.MaxInstrs = *max
 	cfg.TestMode = *testMode
-	cfg.InterpretedEngine = *interpreted
 	cfg.NoChain = *noChain
 	cfg.SchedStrategy = *strategy
 	cfg.SchedNodeBudget = *schedBudget

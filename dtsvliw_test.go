@@ -127,6 +127,9 @@ func TestBadConfigs(t *testing.T) {
 	if _, err := NewSystemFromWorkload(cfg, "gcc"); err == nil {
 		t.Error("negative next-LI miss penalty should fail validation")
 	}
+	if _, err := NewSystemFromWorkload(Ideal(64, 4096), "gcc"); err == nil {
+		t.Error("a geometry too large for the lowered form should fail validation")
+	}
 	if _, err := RunExperiment("fig99", 0); err == nil {
 		t.Error("unknown experiment should fail")
 	}

@@ -12,7 +12,8 @@ import (
 // Verify statically checks the legality of block b against the sequential
 // trace recorded in b.Trace, under the scheduler configuration cfg that
 // produced it. low is the lowered micro-op form saved alongside the block
-// (nil skips the lowered-agreement check, e.g. under InterpretedEngine).
+// (nil skips the lowered-agreement check, for callers that verify only
+// the schedule).
 // The returned report lists every violation found; Ok() means the block
 // is proven equivalent to its sequential source under the VLIW Engine's
 // execution semantics (DESIGN.md §13).
@@ -717,7 +718,7 @@ func (v *verifier) checkMemOrder() {
 
 func (v *verifier) checkLowered(low *vliw.LoweredBlock) {
 	if low == nil {
-		return // interpreted engine: no lowered form to check
+		return // schedule-only verification
 	}
 	if err := vliw.CheckLowered(v.b, low, v.cfg.NWin); err != nil {
 		viol := Violation{Kind: KindLowered, Cycle: -1, Slot: -1, Detail: err.Error()}

@@ -58,8 +58,6 @@ func verifyConfigs() []oracle.NamedConfig {
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
 	nofwd := core.IdealConfig(8, 8)
 	nofwd.NoSourceForwarding = true
-	interp := core.IdealConfig(8, 8)
-	interp.InterpretedEngine = true
 	nochain := core.IdealConfig(8, 8)
 	nochain.NoChain = true
 	return []oracle.NamedConfig{
@@ -68,7 +66,6 @@ func verifyConfigs() []oracle.NamedConfig {
 		{Name: "feasible", Cfg: core.FeasibleConfig()},
 		{Name: "multicycle", Cfg: multi},
 		{Name: "nofwd", Cfg: nofwd},
-		{Name: "interpreted", Cfg: interp},
 		{Name: "nochain", Cfg: nochain},
 	}
 }

@@ -57,11 +57,10 @@ type Config struct {
 	// data-store-list alternative.
 	StoreScheme vliw.StoreScheme
 
-	// InterpretedEngine disables block lowering: the VLIW Engine
-	// re-interprets sched.Slot structures instead of executing the
-	// decode-once micro-op form saved with each VLIW Cache line
-	// (DESIGN.md §11). Behaviourally identical; kept for conformance
-	// sweeps (lowered-vs-interpreted lock-step) and debugging.
+	// InterpretedEngine must be false, and Validate refuses true: the
+	// VLIW Engine executes only the lowered form saved with each VLIW
+	// Cache line (DESIGN.md §11). The field remains only because the
+	// benchmark module (bench/replay.go) reads it.
 	InterpretedEngine bool
 
 	// NoChain disables direct block chaining (DESIGN.md §16): the VLIW
@@ -173,15 +172,16 @@ func ConfigFingerprint(cfg Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// ConfigError reports a Config cycle cost that no machine can charge: a
-// negative penalty would wrap the unsigned cycle counters.
+// ConfigError reports a Config field value no machine can run with;
+// Reason says why.
 type ConfigError struct {
-	Field string
-	Value int
+	Field  string
+	Value  any
+	Reason string
 }
 
 func (e *ConfigError) Error() string {
-	return fmt.Sprintf("core: %s %d invalid (negative cycle cost)", e.Field, e.Value)
+	return fmt.Sprintf("core: %s %v invalid (%s)", e.Field, e.Value, e.Reason)
 }
 
 // Validate checks the configuration.
@@ -195,11 +195,21 @@ func (c Config) Validate() error {
 		{"NextLIMissPenalty", c.NextLIMissPenalty},
 	} {
 		if p.v < 0 {
-			return &ConfigError{Field: p.field, Value: p.v}
+			// A negative penalty would wrap the unsigned cycle counters.
+			return &ConfigError{Field: p.field, Value: p.v, Reason: "negative cycle cost"}
 		}
+	}
+	if c.InterpretedEngine {
+		return &ConfigError{Field: "InterpretedEngine", Value: true,
+			Reason: "the interpreted VLIW Engine was removed; every block runs lowered"}
 	}
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("core: block geometry %dx%d invalid", c.Width, c.Height)
+	}
+	if c.Width > vliw.MaxBlockSlots/c.Height {
+		// Width*Height > MaxBlockSlots, without overflowing the product.
+		return &ConfigError{Field: "Width*Height", Value: fmt.Sprintf("%dx%d", c.Width, c.Height),
+			Reason: fmt.Sprintf("a block of more than %d slots cannot be lowered", vliw.MaxBlockSlots)}
 	}
 	if c.NWin < 2 {
 		return fmt.Errorf("core: nwin %d invalid", c.NWin)

@@ -258,13 +258,30 @@ func (e *BlockVerifyError) Error() string {
 	return fmt.Sprintf("core: block failed legality verification: %s", e.Report)
 }
 
+// LoweringError reports a saved block that vliw.LowerInto refused: it
+// holds a non-schedulable operation or an unallocated renaming register,
+// or it is too large for the lowered form. The VLIW Engine executes only
+// lowered blocks, so the run cannot continue; a correct Scheduler Unit
+// under a validated Config never produces one.
+type LoweringError struct {
+	Tag      uint32
+	NumLIs   int
+	ValidOps int
+}
+
+func (e *LoweringError) Error() string {
+	return fmt.Sprintf("core: block %#08x (%d long instructions, %d valid ops) cannot be lowered",
+		e.Tag, e.NumLIs, e.ValidOps)
+}
+
 // saveBlock sends a finished block to the VLIW Cache, modelling the
 // one-long-instruction-per-cycle drain (paper §3.2): a new flush issued
 // while the previous block is still draining stalls the Primary
-// Processor. Unless the interpreted engine is forced, the block is
-// lowered once here — the software analogue of storing decoded
-// instructions in the cache line (paper §3.4). Under VerifyBlocks the
-// block must pass static legality verification before it is cached.
+// Processor. The block is lowered once here — the software analogue of
+// storing decoded instructions in the cache line (paper §3.4) — and a
+// block that does not lower fails the run with a LoweringError. Under
+// VerifyBlocks the block must pass static legality verification before
+// it is cached.
 func (m *Machine) saveBlock(b *sched.Block) error {
 	if b == nil {
 		return nil
@@ -274,9 +291,9 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 		m.addCycles(m.drain, false)
 	}
 	m.drain = b.NumLIs
-	var low *vliw.LoweredBlock
-	if !m.cfg.InterpretedEngine {
-		low = m.lower(b)
+	low := m.lower(b)
+	if low == nil {
+		return &LoweringError{Tag: b.Tag, NumLIs: b.NumLIs, ValidOps: b.ValidOps}
 	}
 	if m.cfg.VerifyBlocks {
 		if rep := blockcheck.Verify(b, low, m.sch.Config()); !rep.Ok() {
@@ -332,8 +349,7 @@ func (m *Machine) lower(b *sched.Block) *vliw.LoweredBlock {
 	return low
 }
 
-// beginBlock enters a VLIW Cache entry on the engine, preferring the
-// lowered form when the line carries one.
+// beginBlock enters a VLIW Cache entry on the engine.
 func (m *Machine) beginBlock(ent vcache.Entry) {
 	if m.tel != nil {
 		if ent.Prof != nil {
@@ -342,11 +358,7 @@ func (m *Machine) beginBlock(ent vcache.Entry) {
 			m.tel.EnterBlock(ent.Blk.Tag, ent.Blk.NumLIs)
 		}
 	}
-	if ent.Low != nil {
-		m.eng.BeginLowered(ent.Low)
-	} else {
-		m.eng.BeginBlock(ent.Blk)
-	}
+	m.eng.BeginLowered(ent.Low)
 }
 
 // Run executes until the program halts, MaxInstrs sequential instructions
@@ -882,9 +894,7 @@ func (m *Machine) finalCompare() error {
 func (m *Machine) Reset() {
 	m.vc.Drain(func(ent vcache.Entry) {
 		m.sch.RecycleBlock(ent.Blk)
-		if ent.Low != nil {
-			m.lowFree = append(m.lowFree, ent.Low)
-		}
+		m.lowFree = append(m.lowFree, ent.Low) // saveBlock never caches a nil Low
 	})
 	m.sch.Reset()
 	m.eng.Reset()

@@ -7,7 +7,10 @@ import (
 
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/asm"
+	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
+	"dtsvliw/internal/sched"
+	"dtsvliw/internal/vliw"
 )
 
 // buildState assembles and loads a program into a fresh machine state.
@@ -275,8 +278,8 @@ loop:
 
 // TestConfigValidate: the reference configurations validate, and every
 // malformed field is refused before a machine is built. A negative cycle
-// cost would wrap the unsigned cycle counters, so it is a typed
-// ConfigError naming the field.
+// cost, a geometry too large for the lowered form and the removed
+// interpreted engine are typed ConfigErrors naming the field.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -294,6 +297,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-switch-to-vliw", func(c *Config) { c.SwitchToVLIW = -1 }, false, "SwitchToVLIW"},
 		{"negative-switch-to-primary", func(c *Config) { c.SwitchToPrimary = -3 }, false, "SwitchToPrimary"},
 		{"negative-next-li-miss", func(c *Config) { *c = FeasibleConfig(); c.NextLIMissPenalty = -1 }, false, "NextLIMissPenalty"},
+		{"largest-lowerable-geometry", func(c *Config) { c.Width, c.Height = 5, vliw.MaxBlockSlots/5 }, true, ""},
+		{"smallest-unlowerable-geometry", func(c *Config) { c.Width, c.Height = 2, vliw.MaxBlockSlots/2+1 }, false, "Width*Height"},
+		{"interpreted-engine", func(c *Config) { c.InterpretedEngine = true }, false, "InterpretedEngine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,13 +317,35 @@ func TestConfigValidate(t *testing.T) {
 			}
 			if tc.field != "" {
 				var ce *ConfigError
-				if !errors.As(err, &ce) || ce.Field != tc.field {
-					t.Fatalf("got %v, want a ConfigError on %s", err, tc.field)
+				if !errors.As(err, &ce) || ce.Field != tc.field || ce.Reason == "" {
+					t.Fatalf("got %v, want a ConfigError with a reason on %s", err, tc.field)
 				}
 			}
 			if _, err := NewMachine(cfg, buildState(t, sumLoop, 16)); err == nil {
 				t.Fatal("NewMachine accepted an invalid config")
 			}
 		})
+	}
+}
+
+// TestSaveBlockRefusesUnlowerableBlock: lowering is total, so a block
+// that vliw.LowerInto refuses (here a hand-built LDSTUB, which the
+// Scheduler Unit never places) fails the save with a LoweringError
+// instead of reaching the VLIW Cache.
+func TestSaveBlockRefusesUnlowerableBlock(t *testing.T) {
+	m, err := NewMachine(IdealConfig(4, 4), buildState(t, sumLoop, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Slot{Inst: isa.Inst{Op: isa.OpLDSTUB, Rd: 2, Rs1: 6, UseImm: true},
+		Addr: 0x1000, IsMem: true, MemSize: 1}
+	b := &sched.Block{Tag: 0x1000, LIs: [][]*sched.Slot{{s}}, NumLIs: 1, ValidOps: 1}
+	err = m.saveBlock(b)
+	var le *LoweringError
+	if !errors.As(err, &le) || le.Tag != 0x1000 {
+		t.Fatalf("saveBlock returned %v, want a LoweringError for block 0x1000", err)
+	}
+	if _, hit := m.vc.Lookup(0x1000, 0); hit || m.Stats.BlocksSaved != 0 {
+		t.Fatal("an unlowerable block reached the VLIW Cache")
 	}
 }

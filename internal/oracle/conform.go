@@ -35,8 +35,7 @@ type NamedConfig struct {
 // rotates through: the paper's ideal geometries, the feasible machine,
 // and one variant per orthogonal mechanism (multicycle latencies, the
 // §3.11 data-store-list scheme, next-long-instruction prediction, the
-// no-source-forwarding ablation, the interpreted engine, and unchained
-// block dispatch).
+// no-source-forwarding ablation, and unchained block dispatch).
 func DefaultConfigs() []NamedConfig {
 	multi := core.IdealConfig(8, 8)
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
@@ -49,9 +48,6 @@ func DefaultConfigs() []NamedConfig {
 
 	nofwd := core.IdealConfig(8, 8)
 	nofwd.NoSourceForwarding = true
-
-	interp := core.IdealConfig(8, 8)
-	interp.InterpretedEngine = true
 
 	nochain := core.IdealConfig(8, 8)
 	nochain.NoChain = true
@@ -66,7 +62,6 @@ func DefaultConfigs() []NamedConfig {
 		{"storelist", storelist},
 		{"exitpred", exitpred},
 		{"nofwd", nofwd},
-		{"interpreted", interp},
 		{"nochain", nochain},
 	}
 }
@@ -131,7 +126,6 @@ type Failure struct {
 	Seed       int64
 	Shape      progen.Shape
 	ConfigName string
-	Engines    bool   // found by the lowered-vs-interpreted engines mode
 	Source     string // shrunk program (re-runnable assembly)
 	OrigLines  int    // lines before shrinking
 	Lines      int    // lines after shrinking
@@ -151,12 +145,8 @@ func (f *Failure) Render() string {
 	if f.Err != nil {
 		fmt.Fprintf(&b, "error: %v\n", f.Err)
 	}
-	mode := ""
-	if f.Engines {
-		mode = " -engines"
-	}
-	fmt.Fprintf(&b, "replay: dtsvliw-oracle%s -replay %d -shapes %s -configs %s\n",
-		mode, f.Seed, f.Shape, f.ConfigName)
+	fmt.Fprintf(&b, "replay: dtsvliw-oracle -replay %d -shapes %s -configs %s\n",
+		f.Seed, f.Shape, f.ConfigName)
 	b.WriteString("---- reproducer ----\n")
 	b.WriteString(strings.TrimRight(f.Source, "\n"))
 	b.WriteString("\n---- end reproducer ----")
@@ -181,10 +171,6 @@ type SweepOptions struct {
 	Configs     []NamedConfig
 	MaxFail     int // stop after this many failures
 	ShrinkEvals int // differential runs each shrink may spend
-	// EngineDiff switches the runner from machine-vs-sequential-reference
-	// (RunDiff) to lowered-vs-interpreted engine lock-step
-	// (RunDiffEngines).
-	EngineDiff bool
 	// VerifyBlocks additionally runs the block-legality verifier
 	// (internal/blockcheck) on every block the machine saves: the run
 	// fails if the scheduler ever emits a block that cannot be statically
@@ -253,18 +239,11 @@ func newSweepRunner(o SweepOptions, shapes []progen.Shape, configs []NamedConfig
 		r.reg = sm.reg
 		r.wp = sm.workerPrograms.With(workerLabel(worker))
 	}
-	switch {
-	case o.NoReuse && o.EngineDiff:
-		r.diffRun = RunDiffEngines
-	case o.NoReuse:
+	if o.NoReuse {
 		r.diffRun = RunDiff
-	default:
+	} else {
 		r.sc = NewSweepContext()
-		if o.EngineDiff {
-			r.diffRun = r.sc.RunDiffEngines
-		} else {
-			r.diffRun = r.sc.RunDiff
-		}
+		r.diffRun = r.sc.RunDiff
 	}
 	return r
 }
@@ -296,19 +275,18 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		// engine diverge from nothing in particular: reject it before any
 		// engine runs it, and report the generator bug as its own failure.
 		return caseResult{failure: &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
-			Engines: r.o.EngineDiff, Source: src, OrigLines: countLines(src),
-			Lines: countLines(src), Err: err}}
+			Source: src, OrigLines: countLines(src), Lines: countLines(src), Err: err}}
 	}
 
 	res, err := r.diffRun(src, nc.Cfg)
 	if err == nil {
 		return caseResult{instret: res.Instret, cycles: res.Cycles}
 	}
-	f := &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name, Engines: r.o.EngineDiff,
+	f := &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
 	var d *Divergence
 	if errors.As(err, &d) {
-		small, smallDiv := shrinkWith(src, nc.Cfg, r.o.ShrinkEvals, r.diffRun)
+		small, smallDiv := ShrinkDivergence(src, nc.Cfg, r.o.ShrinkEvals)
 		f.Source, f.Lines = small, countLines(small)
 		f.Div = smallDiv
 		if f.Div == nil {
@@ -470,13 +448,6 @@ func Sweep(o SweepOptions) *Report {
 // that loop forever die fast, falling back to the full budget when the
 // original failure needs longer to surface.
 func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *Divergence) {
-	return shrinkWith(src, cfg, evals, RunDiff)
-}
-
-// shrinkWith is ShrinkDivergence parameterised over the differential
-// runner, so the lowered-vs-interpreted engines mode shrinks with the
-// same runner that found the failure.
-func shrinkWith(src string, cfg core.Config, evals int, run func(string, core.Config) (*Result, error)) (string, *Divergence) {
 	diverges := func(budget uint64) func(string) bool {
 		c := cfg
 		c.MaxCycles = budget
@@ -484,7 +455,7 @@ func shrinkWith(src string, cfg core.Config, evals int, run func(string, core.Co
 			if !refHalts(cand, c.NWin) {
 				return false
 			}
-			_, err := run(cand, c)
+			_, err := RunDiff(cand, c)
 			var d *Divergence
 			return errors.As(err, &d)
 		}
@@ -499,7 +470,7 @@ func shrinkWith(src string, cfg core.Config, evals int, run func(string, core.Co
 		}
 	}
 	small := Shrink(src, check, evals)
-	_, err := run(small, cfg)
+	_, err := RunDiff(small, cfg)
 	var d *Divergence
 	errors.As(err, &d)
 	return small, d

@@ -130,10 +130,11 @@ type line struct {
 	inRefs []int32
 }
 
-// Entry is one cache line's payload: the scheduled block and, when the
-// machine runs the lowered engine path, its decode-once lowered form
-// (the software analogue of the paper's decoded-instruction line, §3.4).
-// Low is nil when lowering was disabled or fell back. Prof is the
+// Entry is one cache line's payload: the scheduled block and its
+// decode-once lowered form, which the VLIW Engine executes (the software
+// analogue of the paper's decoded-instruction line, §3.4). The machine
+// always saves a lowered form; Low is nil only where a caller saves
+// blocks it never executes. Prof is the
 // block's telemetry profile, resolved once at save time so the
 // per-entry hook needs no map lookup; nil when telemetry is off.
 type Entry struct {

@@ -126,61 +126,52 @@ type Stats struct {
 	MaxDataStoreList int
 }
 
-// Engine executes blocks of long instructions. Blocks run in one of two
-// forms: the interpreted path re-executes sched.Slot/isa.Inst structures
-// through isa.Exec, while the lowered path (BeginLowered) dispatches the
-// decode-once micro-op form produced by Lower. Both paths share the
-// commit, aliasing, checkpoint and statistics machinery and are
-// behaviourally identical.
+// Engine executes blocks of long instructions in their lowered form: the
+// decode-once micro-op form Lower produces when a block is saved into the
+// VLIW Cache (DESIGN.md §11), the software analogue of the paper's
+// decoded-instruction cache line.
 type Engine struct {
 	st   *arch.State          //resetcheck:allow shared architectural state, the caller's to reset (see Reset doc)
 	nwin int                  //resetcheck:allow window count fixed at construction
 	tel  *telemetry.Collector //resetcheck:allow nil when telemetry is disabled; pooled reuse refuses telemetry machines
 
-	block *sched.Block
-	lb    *LoweredBlock                    // non-nil while executing a lowered block
-	ren   [sched.NumRenameClasses][]renVal //resetcheck:allow resized and cleared by BeginBlock before any read
-	loads []memRec                         //resetcheck:allow truncated by beginCommon before any read
-	strs  []memRec                         //resetcheck:allow truncated by beginCommon before any read
+	lb    *LoweredBlock // the block being executed
+	loads []memRec      //resetcheck:allow truncated by BeginLowered before any read
+	strs  []memRec      //resetcheck:allow truncated by BeginLowered before any read
 
-	// Flat renaming-register file for the lowered path: one arena indexed
-	// by LoweredBlock's flattened register numbers, invalidated per block
-	// by epoch stamping instead of clearing.
+	// Renaming-register file: one arena indexed by LoweredBlock's
+	// flattened register numbers, invalidated per block by epoch
+	// stamping instead of clearing.
 	flatRen   []renVal //resetcheck:allow epoch-stamped; BeginLowered invalidates wholesale via epoch++
 	flatStamp []uint32 //resetcheck:allow epoch stamps; stale entries compare unequal to the bumped epoch
 	epoch     uint32   //resetcheck:allow monotonic by design; resetting it could revalidate stale stamps
 
-	shadowRegs []uint32   //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginBlock
-	shadowF    [32]uint32 //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginBlock
-	shadowICC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginBlock
-	shadowFCC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginBlock
-	shadowY    uint32     //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginBlock
-	shadowCWP  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginBlock
-	undo       []undoRec  //resetcheck:allow truncated by beginCommon before any read
+	shadowRegs []uint32   //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowF    [32]uint32 //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowICC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowFCC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowY    uint32     //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowCWP  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	undo       []undoRec  //resetcheck:allow truncated by BeginLowered before any read
 
 	scheme  StoreScheme //resetcheck:allow store-handling scheme fixed at construction
 	overlay *dataStoreOverlay
 
 	// Multicycle extension: writes of latency-L slots commit at the end
-	// of long instruction issueLI+L-1. pendRens carries the interpreted
-	// path's class-indexed registers; lpendRens the lowered path's flat
-	// indices. Only one is populated per block.
-	pendWrites []pendWrite //resetcheck:allow truncated by beginCommon before any read
-	pendRens   []pendRen   //resetcheck:allow truncated by beginCommon before any read
-	lpendRens  []lpendRen  //resetcheck:allow truncated by beginCommon before any read
-	maxDue     int         //resetcheck:allow recomputed by beginCommon before any read
+	// of long instruction issueLI+L-1.
+	pendWrites []pendWrite //resetcheck:allow truncated by BeginLowered before any read
+	lpendRens  []lpendRen  //resetcheck:allow truncated by BeginLowered before any read
+	maxDue     int         //resetcheck:allow recomputed by BeginLowered before any read
 
 	// Per-LI scratch arenas, reused across ExecLI calls so the steady-
 	// state hot loop never allocates. Result.MemAddrs and Result.Stores
 	// alias scMemAddrs/scStores and are valid until the next ExecLI.
 	scWrites   []pendWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scRens     []pendRen       //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scLRens    []lpendRen      //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scPend     []microStore    //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scMemOps   []opMem         //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scMemAddrs []uint32        //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scStores   []arch.StoreRec //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	env        slotEnv         //resetcheck:allow reusable isa.Env adapter, rebound per slot
 
 	Stats Stats
 }
@@ -191,35 +182,17 @@ type pendWrite struct {
 	w   bufWrite
 }
 
-// pendRen is a renaming-register write awaiting its producer's latency.
-type pendRen struct {
-	due int
-	r   renWrite
-}
-
-// lpendRen is the lowered path's pendRen: the target register is a flat
-// index into the engine's epoch-stamped rename arena.
+// lpendRen is a renaming-register write awaiting its producer's latency;
+// the target register is a flat index into the engine's epoch-stamped
+// rename arena.
 type lpendRen struct {
 	due  int
 	flat int32
 	v    renVal
 }
 
-// getRenBypass reads a renaming register through the result-forwarding
-// bypass: a copy instruction scheduled inside its multicycle producer's
-// latency shadow picks the value up from the functional unit's output
-// latch (the newest pending write) rather than the rename file.
-func (e *Engine) getRenBypass(r sched.RenameReg) renVal {
-	for i := len(e.pendRens) - 1; i >= 0; i-- {
-		if e.pendRens[i].r.reg == r {
-			return e.pendRens[i].r.v
-		}
-	}
-	return e.getRen(r)
-}
-
-// getRenFlat reads the lowered path's flat rename file; an entry whose
-// stamp predates the current block epoch reads as empty.
+// getRenFlat reads the flat rename file; an entry whose stamp predates
+// the current block epoch reads as empty.
 func (e *Engine) getRenFlat(flat int32) renVal {
 	if e.flatStamp[flat] != e.epoch {
 		return renVal{}
@@ -232,8 +205,11 @@ func (e *Engine) setRenFlat(flat int32, v renVal) {
 	e.flatStamp[flat] = e.epoch
 }
 
-// getRenBypassFlat is getRenBypass for the lowered path: copies inside a
-// multicycle producer's latency shadow read the newest pending write.
+// getRenBypassFlat reads a renaming register through the result-
+// forwarding bypass: a copy instruction scheduled inside its multicycle
+// producer's latency shadow picks the value up from the functional
+// unit's output latch (the newest pending write) rather than the rename
+// file.
 func (e *Engine) getRenBypassFlat(flat int32) renVal {
 	for i := len(e.lpendRens) - 1; i >= 0; i-- {
 		if e.lpendRens[i].flat == flat {
@@ -256,11 +232,11 @@ func (e *Engine) SetTelemetry(t *telemetry.Collector) { e.tel = t }
 // the same architectural state object. Every arena survives: the flat
 // rename file stays epoch-invalidated (the stamp discipline makes stale
 // entries unreadable), the per-block and per-LI scratch slices are
-// truncated by the next BeginBlock/BeginLowered, and the store-list
-// overlay is emptied. Statistics are zeroed. A reset engine behaves
-// identically to a freshly constructed one.
+// truncated by the next BeginLowered, and the store-list overlay is
+// emptied. Statistics are zeroed. A reset engine behaves identically to
+// a freshly constructed one.
 func (e *Engine) Reset() {
-	e.block, e.lb = nil, nil
+	e.lb = nil
 	if e.overlay != nil {
 		e.overlay.reset()
 	}
@@ -268,35 +244,35 @@ func (e *Engine) Reset() {
 }
 
 // Block returns the block currently being executed.
-func (e *Engine) Block() *sched.Block { return e.block }
-
-// BeginBlock starts executing block b on the interpreted path: it takes a
-// checkpoint of the SPARC state (paper §3.11) and clears the renaming
-// registers and the load and store lists.
-func (e *Engine) BeginBlock(b *sched.Block) {
-	e.lb = nil
-	e.beginCommon(b)
-	for c := range e.ren {
-		e.ren[c] = e.ren[c][:0]
-		if n := int(b.Renames[c]); n > 0 {
-			if cap(e.ren[c]) < n {
-				e.ren[c] = make([]renVal, n)
-			} else {
-				e.ren[c] = e.ren[c][:n]
-				for i := range e.ren[c] {
-					e.ren[c][i] = renVal{}
-				}
-			}
-		}
+func (e *Engine) Block() *sched.Block {
+	if e.lb == nil {
+		return nil
 	}
+	return e.lb.b
 }
 
-// BeginLowered starts executing the lowered form of a block: the same
-// checkpoint as BeginBlock, with the flat renaming-register arena
-// invalidated by bumping the epoch stamp instead of clearing.
+// BeginLowered starts executing the lowered form of a block: it takes a
+// checkpoint of the SPARC state (paper §3.11), clears the load and store
+// lists, and invalidates the renaming-register arena by bumping the epoch
+// stamp instead of clearing it.
 func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.lb = lb
-	e.beginCommon(lb.b)
+	e.loads = e.loads[:0]
+	e.strs = e.strs[:0]
+	e.undo = e.undo[:0]
+	e.pendWrites = e.pendWrites[:0]
+	e.lpendRens = e.lpendRens[:0]
+	e.maxDue = 0
+	if e.shadowRegs == nil {
+		e.shadowRegs = make([]uint32, len(e.st.Regs))
+	}
+	copy(e.shadowRegs, e.st.Regs)
+	e.shadowF = e.st.F
+	e.shadowICC = e.st.ICC()
+	e.shadowFCC = e.st.FCC()
+	e.shadowY = e.st.Y()
+	e.shadowCWP = e.st.CWP()
+	e.Stats.BlocksEntered++
 	e.epoch++
 	if e.epoch == 0 {
 		// Stamp wrap-around: reset all stamps so stale epoch-0 entries
@@ -312,29 +288,6 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	}
 }
 
-// beginCommon takes the block-entry checkpoint and clears per-block state
-// shared by the interpreted and lowered paths.
-func (e *Engine) beginCommon(b *sched.Block) {
-	e.block = b
-	e.loads = e.loads[:0]
-	e.strs = e.strs[:0]
-	e.undo = e.undo[:0]
-	e.pendWrites = e.pendWrites[:0]
-	e.pendRens = e.pendRens[:0]
-	e.lpendRens = e.lpendRens[:0]
-	e.maxDue = 0
-	if e.shadowRegs == nil {
-		e.shadowRegs = make([]uint32, len(e.st.Regs))
-	}
-	copy(e.shadowRegs, e.st.Regs)
-	e.shadowF = e.st.F
-	e.shadowICC = e.st.ICC()
-	e.shadowFCC = e.st.FCC()
-	e.shadowY = e.st.Y()
-	e.shadowCWP = e.st.CWP()
-	e.Stats.BlocksEntered++
-}
-
 // recover restores the checkpoint: shadow registers and the checkpoint
 // recovery store list are written back, and the load and store lists are
 // emptied (paper §3.11). It returns the recovery cost in cycles (one
@@ -347,7 +300,6 @@ func (e *Engine) recover() int {
 	e.st.SetY(e.shadowY)
 	e.st.SetCWP(e.shadowCWP)
 	e.pendWrites = e.pendWrites[:0]
-	e.pendRens = e.pendRens[:0]
 	e.lpendRens = e.lpendRens[:0]
 	e.maxDue = 0
 	if e.scheme == SchemeStoreList {
@@ -376,12 +328,6 @@ type bufWrite struct {
 	val  uint32
 }
 
-// renWrite is one buffered renaming-register write.
-type renWrite struct {
-	reg sched.RenameReg
-	v   renVal
-}
-
 // opMem is the aliasing metadata of one committed memory operation.
 type opMem struct {
 	addr    uint32
@@ -391,142 +337,8 @@ type opMem struct {
 	isStore bool
 }
 
-// slotEnv adapts isa.Env for one slot's execution: reads come from the
-// pre-LI architectural state, writes are buffered, renamed outputs are
-// redirected to renaming registers, and the slot's recorded CWP resolves
-// register windows (paper §3.9).
-type slotEnv struct {
-	eng  *Engine
-	slot *sched.Slot
-
-	writes []bufWrite
-	rens   []renWrite
-	stores [maxMicroStores]microStore
-	nst    uint8
-	memEA  uint32
-}
-
-// reset rebinds the reusable environment to slot s.
-func (v *slotEnv) reset(e *Engine, s *sched.Slot) {
-	v.eng = e
-	v.slot = s
-	v.writes = v.writes[:0]
-	v.rens = v.rens[:0]
-	v.nst = 0
-	v.memEA = 0
-}
-
-// srcRenameFor reports whether the slot reads location l from a renaming
-// register (source forwarding, paper Figure 2). The matching rules live
-// on sched.Slot so block lowering applies the identical definition.
-func (v *slotEnv) srcRenameFor(l isa.Loc) (sched.RenameReg, bool) {
-	return v.slot.SrcRenameTarget(l)
-}
-
-func (v *slotEnv) renameFor(l isa.Loc) (sched.RenameReg, bool) {
-	return v.slot.RenameTarget(l)
-}
-
-func (v *slotEnv) ReadReg(idx uint16) uint32 {
-	if idx == 0 {
-		return 0
-	}
-	if r, ok := v.srcRenameFor(isa.IReg(idx)); ok {
-		return v.eng.getRen(r).val
-	}
-	return v.eng.st.ReadReg(idx)
-}
-func (v *slotEnv) WriteReg(idx uint16, val uint32) {
-	if idx == 0 {
-		return
-	}
-	if r, ok := v.renameFor(isa.IReg(idx)); ok {
-		v.rens = append(v.rens, renWrite{reg: r, v: renVal{val: val}})
-		return
-	}
-	v.writes = append(v.writes, bufWrite{kind: isa.LocIReg, idx: idx, val: val})
-}
-func (v *slotEnv) ReadF(idx uint8) uint32 {
-	if r, ok := v.srcRenameFor(isa.FReg(uint16(idx))); ok {
-		return v.eng.getRen(r).val
-	}
-	return v.eng.st.ReadF(idx)
-}
-func (v *slotEnv) WriteF(idx uint8, val uint32) {
-	if r, ok := v.renameFor(isa.FReg(uint16(idx))); ok {
-		v.rens = append(v.rens, renWrite{reg: r, v: renVal{val: val}})
-		return
-	}
-	v.writes = append(v.writes, bufWrite{kind: isa.LocFReg, idx: uint16(idx), val: val})
-}
-func (v *slotEnv) ICC() uint8 {
-	if r, ok := v.srcRenameFor(isa.Loc{Kind: isa.LocICC}); ok {
-		return uint8(v.eng.getRen(r).val)
-	}
-	return v.eng.st.ICC()
-}
-func (v *slotEnv) SetICC(x uint8) {
-	if r, ok := v.renameFor(isa.Loc{Kind: isa.LocICC}); ok {
-		v.rens = append(v.rens, renWrite{reg: r, v: renVal{val: uint32(x)}})
-		return
-	}
-	v.writes = append(v.writes, bufWrite{kind: isa.LocICC, val: uint32(x)})
-}
-func (v *slotEnv) FCC() uint8 {
-	if r, ok := v.srcRenameFor(isa.Loc{Kind: isa.LocFCC}); ok {
-		return uint8(v.eng.getRen(r).val)
-	}
-	return v.eng.st.FCC()
-}
-func (v *slotEnv) SetFCC(x uint8) {
-	if r, ok := v.renameFor(isa.Loc{Kind: isa.LocFCC}); ok {
-		v.rens = append(v.rens, renWrite{reg: r, v: renVal{val: uint32(x)}})
-		return
-	}
-	v.writes = append(v.writes, bufWrite{kind: isa.LocFCC, val: uint32(x)})
-}
-func (v *slotEnv) Y() uint32 {
-	if r, ok := v.srcRenameFor(isa.Loc{Kind: isa.LocY}); ok {
-		return v.eng.getRen(r).val
-	}
-	return v.eng.st.Y()
-}
-func (v *slotEnv) SetY(x uint32) {
-	if r, ok := v.renameFor(isa.Loc{Kind: isa.LocY}); ok {
-		v.rens = append(v.rens, renWrite{reg: r, v: renVal{val: x}})
-		return
-	}
-	v.writes = append(v.writes, bufWrite{kind: isa.LocY, val: x})
-}
-func (v *slotEnv) CWP() uint8 { return v.slot.CWP }
-
-func (v *slotEnv) SetCWP(x uint8) {
-	if r, ok := v.renameFor(isa.Loc{Kind: isa.LocCWP}); ok {
-		v.rens = append(v.rens, renWrite{reg: r, v: renVal{val: uint32(x)}})
-		return
-	}
-	v.writes = append(v.writes, bufWrite{kind: isa.LocCWP, val: uint32(x)})
-}
-func (v *slotEnv) Load(addr uint32, size uint8) (uint32, error) {
-	return v.eng.loadMem(addr, size)
-}
-func (v *slotEnv) Store(addr uint32, val uint32, size uint8) error {
-	// Buffered; applied at the end of the long instruction (or routed to a
-	// memory renaming register for split stores).
-	if int(v.nst) >= len(v.stores) {
-		return fmt.Errorf("vliw: more than %d micro-stores in one operation", len(v.stores))
-	}
-	v.stores[v.nst] = microStore{addr: addr, val: val, size: size}
-	v.nst++
-	if v.nst == 1 {
-		v.memEA = addr // base EA: first micro-store of the operation
-	}
-	return nil
-}
-
 // loadMem performs one in-block memory read, honouring the data-store-
-// list overlay when the §3.11 scheme is active. Shared by both execution
-// paths.
+// list overlay when the §3.11 scheme is active.
 func (e *Engine) loadMem(addr uint32, size uint8) (uint32, error) {
 	if e.scheme == SchemeStoreList {
 		// Loads read the data store list over the Data Cache and use the

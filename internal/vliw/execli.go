@@ -6,7 +6,6 @@ import (
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
-	"dtsvliw/internal/sched"
 )
 
 // ExecLI executes long instruction line of the current block. All operand
@@ -27,16 +26,14 @@ func (e *Engine) ExecLI(line int) Result {
 // of blocks instead of copying the struct out per long instruction.
 func (e *Engine) ExecLIInto(line int, res *Result) {
 	*res = Result{}
-	if e.lb != nil {
-		e.execLoweredLIInto(line, res)
-		return
-	}
-	if e.block == nil || line < 0 || line >= e.block.NumLIs {
+	lb := e.lb
+	if lb == nil || line < 0 || line >= len(lb.lines) {
 		res.Exception = true
 		res.Err = fmt.Errorf("vliw: no long instruction %d", line)
 		return
 	}
-	li := e.block.LIs[line]
+	ll := &lb.lines[line]
+	brs, ops := lb.brs[ll.br0:ll.br1], lb.ops[ll.op0:ll.op1]
 	e.Stats.LIsExecuted++
 
 	// Phase 1: resolve conditional and indirect branches in tag order
@@ -47,15 +44,13 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 	var exitSeq uint64
 	var exitBranch uint32
 	exit := false
-	for _, s := range li {
-		if s == nil || !s.IsCondOrIndirectBranch() {
-			continue
-		}
-		if int(s.Tag) > tagLimit {
+	for i := range brs {
+		br := &brs[i]
+		if int(br.tag) > tagLimit {
 			continue // annulled by an earlier deviating branch
 		}
-		taken, target := e.resolveBranch(s)
-		if taken == s.BrTaken && (!taken || target == s.BrTarget) {
+		taken, target := e.resolveLoweredBranch(br)
+		if taken == br.brTaken && (!taken || target == br.brTarget) {
 			continue // followed the recorded trace
 		}
 		// Deviation: instructions tagged after this branch are annulled
@@ -64,14 +59,14 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 		if taken {
 			next = target
 		} else {
-			next = s.Addr + 4
+			next = br.addr + 4
 		}
-		if !exit || int(s.Tag) < tagLimit {
+		if !exit || int(br.tag) < tagLimit {
 			exit = true
 			exitPC = next
-			exitSeq = s.Seq
-			exitBranch = s.Addr
-			tagLimit = int(s.Tag)
+			exitSeq = br.seq
+			exitBranch = br.addr
+			tagLimit = int(br.tag)
 		}
 	}
 
@@ -80,20 +75,17 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 	// which its producer's latency lands.
 	e.resetScratch()
 	committed, annulled := 0, 0
-
-	for _, s := range li {
-		if s == nil {
-			continue
-		}
-		if int(s.Tag) > tagLimit {
+	for i := range ops {
+		op := &ops[i]
+		if int(op.tag) > tagLimit {
 			annulled++
 			continue
 		}
 		committed++
-		if s.IsCopy {
-			if err := e.execCopy(s, line); err != nil {
+		if op.isCopy {
+			if err := e.execLoweredCopy(op, line); err != nil {
 				e.Stats.Exceptions++
-				if _, alias := err.(*AliasingError); alias {
+				if isAliasing(err) {
 					e.Stats.Aliasing++
 				}
 				res.RecoveryCycles = e.recover()
@@ -105,18 +97,13 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 			e.Stats.CopiesExecuted++
 			continue
 		}
-
-		env := &e.env
-		env.reset(e, s)
-		out, err := isa.Exec(&s.Inst, s.Addr, env, e.nwin)
-		if err != nil {
-			if len(s.Renames) > 0 {
+		due := line + int(op.lat) - 1
+		if err := e.execLoweredOp(op, due); err != nil {
+			if rens := lb.rens[op.ren0:op.ren1]; len(rens) > 0 {
 				// Deferred exception: stash it in the renaming registers;
 				// it surfaces only if a copy commits (paper §3.8).
-				due := line + s.LatOr1() - 1
-				for _, p := range s.Renames {
-					e.scRens = append(e.scRens, pendRen{due: due,
-						r: renWrite{reg: p.Reg, v: renVal{exc: err}}})
+				for _, f := range rens {
+					e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: renVal{exc: err}})
 				}
 				continue
 			}
@@ -126,46 +113,8 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 			res.Err = err
 			return
 		}
-		if out.Trap {
-			// Non-schedulable instructions never reach blocks; a trapping
-			// Ticc here is a scheduler invariant violation.
-			e.Stats.Exceptions++
-			res.RecoveryCycles = e.recover()
-			res.Exception = true
-			res.Err = fmt.Errorf("vliw: trap %d inside block at %#08x", out.TrapNum, s.Addr)
-			return
-		}
-
-		due := line + s.LatOr1() - 1
-		if s.MemRenamed {
-			// Split store: route the buffered micro-stores to the memory
-			// renaming register.
-			for _, p := range s.Renames {
-				if p.Loc.Kind == isa.LocMem {
-					e.scRens = append(e.scRens, pendRen{due: due,
-						r: renWrite{reg: p.Reg, v: renVal{st: env.stores, nst: env.nst, memEA: env.memEA}}})
-				}
-			}
-			env.nst = 0
-		}
-
-		for _, w := range env.writes {
-			e.scWrites = append(e.scWrites, pendWrite{due: due, w: w})
-		}
-		for _, r := range env.rens {
-			e.scRens = append(e.scRens, pendRen{due: due, r: r})
-		}
-		e.scPend = append(e.scPend, env.stores[:env.nst]...)
-		if s.IsMem && out.HasEA && !s.MemRenamed {
-			// A renamed store's access is charged when its memory copy
-			// commits; only direct memory operations count here.
-			e.scMemAddrs = append(e.scMemAddrs, out.EA)
-			e.scMemOps = append(e.scMemOps, opMem{
-				addr: out.EA, size: s.MemSize, order: s.Order,
-				cross: s.Cross, isStore: s.IsStore,
-			})
-		}
 	}
+
 	// Phase 3: aliasing detection (paper §3.10) before anything commits.
 	if err := e.checkAliasing(e.scMemOps); err != nil {
 		e.Stats.Exceptions++
@@ -194,17 +143,15 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 		e.Stats.TraceExits++
 		res.TraceExit = true
 		res.NextPC = exitPC
-		res.ExitAdvance = exitSeq - e.block.FirstSeq + 1
+		res.ExitAdvance = exitSeq - lb.b.FirstSeq + 1
 		res.ExitBranch = exitBranch
 	}
-	return
 }
 
 // resetScratch readies the per-LI scratch arenas for a new long
 // instruction.
 func (e *Engine) resetScratch() {
 	e.scWrites = e.scWrites[:0]
-	e.scRens = e.scRens[:0]
 	e.scLRens = e.scLRens[:0]
 	e.scPend = e.scPend[:0]
 	e.scMemOps = e.scMemOps[:0]
@@ -212,12 +159,12 @@ func (e *Engine) resetScratch() {
 	e.scStores = e.scStores[:0]
 }
 
-// commitLI runs the commit phases shared by the interpreted and lowered
-// paths over the scratch arenas. Phase 4: in-flight writes from earlier
-// long instructions land first (when an older producer's latency expires
-// in the same long instruction in which a younger instruction writes the
-// same location, program order requires the younger value to survive),
-// then this long instruction's writes apply or queue on their due line,
+// commitLI runs the commit phases over the scratch arenas. Phase 4:
+// in-flight writes from earlier long instructions land first (when an
+// older producer's latency expires in the same long instruction in which
+// a younger instruction writes the same location, program order requires
+// the younger value to survive), then this long instruction's writes
+// apply or queue on their due line,
 // then buffered stores reach memory under the active recoverability
 // scheme. Phase 5 records cross-bit memory operations in the load/store
 // lists. It returns false if a memory fault forced a rollback, with res
@@ -231,16 +178,6 @@ func (e *Engine) commitLI(line int, res *Result) bool {
 			e.pendWrites = append(e.pendWrites, w)
 			if w.due > e.maxDue {
 				e.maxDue = w.due
-			}
-		}
-	}
-	for _, r := range e.scRens {
-		if r.due <= line {
-			e.setRen(r.r.reg, r.r.v)
-		} else {
-			e.pendRens = append(e.pendRens, r)
-			if r.due > e.maxDue {
-				e.maxDue = r.due
 			}
 		}
 	}
@@ -316,72 +253,6 @@ func isAliasing(err error) bool {
 	return ok
 }
 
-// resolveBranch evaluates a conditional or indirect branch against the
-// pre-LI state (reading source-forwarded renaming registers where the
-// Scheduler Unit rewrote the operands) and returns its actual direction
-// and target.
-func (e *Engine) resolveBranch(s *sched.Slot) (taken bool, target uint32) {
-	env := slotEnv{eng: e, slot: s}
-	in := &s.Inst
-	switch in.Op {
-	case isa.OpBICC:
-		return isa.EvalICC(in.Cond, env.ICC()), in.BranchTarget(s.Addr)
-	case isa.OpFBFCC:
-		return isa.EvalFCC(in.Cond, env.FCC()), in.BranchTarget(s.Addr)
-	case isa.OpJMPL:
-		t := env.ReadReg(isa.PhysReg(s.CWP, in.Rs1, e.nwin))
-		if in.UseImm {
-			t += uint32(in.Imm)
-		} else {
-			t += env.ReadReg(isa.PhysReg(s.CWP, in.Rs2, e.nwin))
-		}
-		return true, t
-	}
-	return false, 0
-}
-
-// execCopy commits a copy instruction: each renaming register's value is
-// written to its architectural location; memory renaming registers release
-// their buffered stores. A deferred exception held in a renaming register
-// surfaces here (paper §3.8). Results accumulate in the engine's per-LI
-// scratch arenas with a due line of the current long instruction (copies
-// always complete in one cycle).
-func (e *Engine) execCopy(s *sched.Slot, line int) error {
-	for _, p := range s.Copies {
-		rv := e.getRenBypass(p.Reg)
-		if rv.exc != nil {
-			return rv.exc
-		}
-		switch p.Loc.Kind {
-		case isa.LocMem:
-			e.scPend = append(e.scPend, rv.st[:rv.nst]...)
-			e.scMemOps = append(e.scMemOps, opMem{
-				addr: rv.memEA, size: s.MemSize, order: s.Order,
-				cross: s.Cross, isStore: true,
-			})
-		case isa.LocIReg:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocIReg, idx: p.Loc.Idx, val: rv.val}})
-		case isa.LocFReg:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocFReg, idx: p.Loc.Idx, val: rv.val}})
-		case isa.LocICC:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocICC, val: rv.val}})
-		case isa.LocFCC:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocFCC, val: rv.val}})
-		case isa.LocY:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocY, val: rv.val}})
-		case isa.LocCWP:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocCWP, val: rv.val}})
-		}
-	}
-	return nil
-}
-
 // checkAliasing applies the paper's §3.10 rules: every load compares
 // against the stores of its long instruction and the store list; every
 // store compares against the loads and stores of its long instruction and
@@ -450,23 +321,6 @@ func (e *Engine) applyWrite(w bufWrite) {
 	}
 }
 
-func (e *Engine) getRen(r sched.RenameReg) renVal {
-	file := e.ren[r.Class]
-	if int(r.Idx) >= len(file) {
-		return renVal{exc: fmt.Errorf("vliw: renaming register %v%d unallocated", r.Class, r.Idx)}
-	}
-	return file[r.Idx]
-}
-
-func (e *Engine) setRen(r sched.RenameReg, v renVal) {
-	file := e.ren[r.Class]
-	for int(r.Idx) >= len(file) {
-		file = append(file, renVal{})
-	}
-	file[r.Idx] = v
-	e.ren[r.Class] = file
-}
-
 // commitDue applies pending delayed writes whose due long instruction has
 // been reached.
 func (e *Engine) commitDue(line int) {
@@ -480,17 +334,6 @@ func (e *Engine) commitDue(line int) {
 			}
 		}
 		e.pendWrites = keep
-	}
-	if len(e.pendRens) > 0 {
-		keep := e.pendRens[:0]
-		for _, p := range e.pendRens {
-			if p.due <= line {
-				e.setRen(p.r.reg, p.r.v)
-			} else {
-				keep = append(keep, p)
-			}
-		}
-		e.pendRens = keep
 	}
 	if len(e.lpendRens) > 0 {
 		keep := e.lpendRens[:0]

@@ -13,9 +13,10 @@ import (
 // Every operand is pre-resolved to a handle — an architectural register
 // index or a flattened renaming-register number — so the engine's hot loop
 // dispatches on a dense op code and never re-walks sched.Slot rename
-// lists. Lowering is best-effort: Lower returns nil for any block it
-// cannot represent and the engine falls back to the interpreted path for
-// that block.
+// lists. The lowered form is the only one the engine executes. Lower
+// returns nil for a block it cannot represent, which a correct scheduler
+// never produces under a geometry of at most MaxBlockSlots slots; the
+// machine reports such a block as an error.
 
 // Operand handles. A handle ≥ 0 is an architectural index into the file
 // the operand position implies (integer registers are physical,
@@ -56,9 +57,10 @@ type lcopy struct {
 
 // lop is one lowered slot. Operand meaning depends on op; the handle
 // assignment mirrors isa.Exec's env-call order so the buffered effects
-// are emitted identically to the interpreted path. The variable-length
-// lists live in the block's flat arrays and are addressed by [lo, hi)
-// ranges, which keeps a lop small and comparable with ==.
+// are emitted in the order the sequential interpreter performs them. The
+// variable-length lists live in the block's flat arrays and are
+// addressed by [lo, hi) ranges, which keeps a lop small and comparable
+// with ==.
 type lop struct {
 	op     isa.Op
 	isCopy bool
@@ -99,9 +101,23 @@ type lline struct {
 }
 
 // maxLowered bounds every flat array of a LoweredBlock, so the uint16
-// ranges above can address it. Only blocks far taller than any modelled
-// geometry exceed it; they stay interpreted.
+// ranges above can address it.
 const maxLowered = math.MaxUint16
+
+// maxRenameTargets bounds what one slot adds to a LoweredBlock's rens
+// and copies arrays. An operation writes at most three locations
+// (MULSCC: rd, icc and y) and the scheduler renames each at most once, so
+// a slot has at most three rename targets and a copy slot commits at
+// most three renaming registers. A renamed store's single memory write
+// is listed twice (among all targets, then among the memory targets),
+// which stays within the bound.
+const maxRenameTargets = 3
+
+// MaxBlockSlots is the largest block geometry, in Width×Height slots,
+// whose every block fits the lowered form: ops and branches take at most
+// one array entry per slot, rename targets and copies at most
+// maxRenameTargets. core.Config.Validate refuses larger geometries.
+const MaxBlockSlots = maxLowered / maxRenameTargets
 
 // LoweredBlock is the decode-once executable form of a scheduled block,
 // stored alongside it in the VLIW Cache. All of its storage is five flat
@@ -131,7 +147,7 @@ type lowerer struct {
 
 func (lo *lowerer) flatOf(r sched.RenameReg) int32 {
 	if int(r.Idx) >= int(lo.b.Renames[r.Class]) {
-		lo.fail = true // unallocated register; interpreted path reports it
+		lo.fail = true // unallocated register: a scheduler invariant violation
 		return 0
 	}
 	return int32(lo.base[r.Class] + int(r.Idx))
@@ -140,9 +156,11 @@ func (lo *lowerer) flatOf(r sched.RenameReg) int32 {
 func (lo *lowerer) renH(r sched.RenameReg) int32 { return ^lo.flatOf(r) }
 
 // Lower translates block b into its flat micro-op form. It returns nil
-// when the block contains a construct lowering does not represent (the
-// engine then interprets the block); the scheduler never emits those for
-// schedulable traces, so nil is a defensive fallback, not a normal path.
+// when the block holds a construct lowering does not represent (a
+// non-schedulable operation or an unallocated renaming register) or
+// needs more entries than the flat arrays address. The scheduler emits
+// neither for schedulable traces under a geometry of at most
+// MaxBlockSlots, so nil means a broken invariant.
 func Lower(b *sched.Block, nwin int) *LoweredBlock {
 	return LowerInto(new(LoweredBlock), b, nwin)
 }
@@ -226,7 +244,7 @@ func reuse[T any](s []T, n int) []T {
 
 // lowerBranch pre-resolves a conditional or indirect branch for phase-1
 // evaluation. Branch operands read pre-LI state through source forwarding
-// but never the multicycle bypass, exactly as resolveBranch does.
+// but never the multicycle bypass.
 func (lo *lowerer) lowerBranch(s *sched.Slot) lbr {
 	br := lbr{
 		tag: s.Tag, cond: s.Inst.Cond, addr: s.Addr, seq: s.Seq,
@@ -256,7 +274,7 @@ func (lo *lowerer) lowerBranch(s *sched.Slot) lbr {
 
 // rh resolves an integer source register (window-resolved, then source
 // forwarding). Physical register 0 reads as architectural zero even when
-// a rename pair nominally covers it, matching slotEnv.ReadReg.
+// a rename pair nominally covers it, as in the sequential interpreter.
 func (lo *lowerer) rh(s *sched.Slot, r uint8) int32 {
 	p := isa.PhysReg(s.CWP, r, lo.nwin)
 	if p == 0 {

@@ -7,17 +7,14 @@ import (
 	"dtsvliw/internal/isa"
 )
 
-// Lowered-block execution: the decode-once twin of ExecLI. The phases are
-// identical — branch resolution in tag order, slot execution into the
-// scratch arenas, aliasing detection, commit — but every operand is a
+// Lowered-op execution for ExecLI's phases: every operand is a
 // pre-resolved handle and dispatch is a dense switch on isa.Op, so the
 // hot loop performs no rename-list walks, no interface calls and no
 // allocation.
 
 // Handle accessors. A handle ≥ 0 addresses the architectural file the
 // operand position implies; < 0 is ^flat into the epoch-stamped rename
-// arena. Reads never use the multicycle bypass (only copies do),
-// matching slotEnv.
+// arena. Reads never use the multicycle bypass (only copies do).
 
 func (e *Engine) lrdReg(h int32) uint32 {
 	if h >= 0 {
@@ -110,127 +107,10 @@ func (e *Engine) lemitD(op *lop, v float64, due int) {
 	e.lemitF(op.d1, uint32(bits), due)
 }
 
-// execLoweredLIInto is ExecLIInto over the lowered form of the current
-// block; *res has already been reset by the caller.
-func (e *Engine) execLoweredLIInto(line int, res *Result) {
-	lb := e.lb
-	if line < 0 || line >= len(lb.lines) {
-		res.Exception = true
-		res.Err = fmt.Errorf("vliw: no long instruction %d", line)
-		return
-	}
-	ll := &lb.lines[line]
-	brs, ops := lb.brs[ll.br0:ll.br1], lb.ops[ll.op0:ll.op1]
-	e.Stats.LIsExecuted++
-
-	// Phase 1: resolve branches in tag order against pre-LI state.
-	tagLimit := int(^uint(0) >> 1)
-	var exitPC uint32
-	var exitSeq uint64
-	var exitBranch uint32
-	exit := false
-	for i := range brs {
-		br := &brs[i]
-		if int(br.tag) > tagLimit {
-			continue
-		}
-		taken, target := e.resolveLoweredBranch(br)
-		if taken == br.brTaken && (!taken || target == br.brTarget) {
-			continue
-		}
-		var next uint32
-		if taken {
-			next = target
-		} else {
-			next = br.addr + 4
-		}
-		if !exit || int(br.tag) < tagLimit {
-			exit = true
-			exitPC = next
-			exitSeq = br.seq
-			exitBranch = br.addr
-			tagLimit = int(br.tag)
-		}
-	}
-
-	// Phase 2: execute valid slots into the scratch arenas.
-	e.resetScratch()
-	committed, annulled := 0, 0
-	for i := range ops {
-		op := &ops[i]
-		if int(op.tag) > tagLimit {
-			annulled++
-			continue
-		}
-		committed++
-		if op.isCopy {
-			if err := e.execLoweredCopy(op, line); err != nil {
-				e.Stats.Exceptions++
-				if isAliasing(err) {
-					e.Stats.Aliasing++
-				}
-				res.RecoveryCycles = e.recover()
-				res.Exception = true
-				res.Aliasing = isAliasing(err)
-				res.Err = err
-				return
-			}
-			e.Stats.CopiesExecuted++
-			continue
-		}
-		due := line + int(op.lat) - 1
-		if err := e.execLoweredOp(op, due); err != nil {
-			if rens := lb.rens[op.ren0:op.ren1]; len(rens) > 0 {
-				// Deferred exception: stash it in the renaming registers;
-				// it surfaces only if a copy commits (paper §3.8).
-				for _, f := range rens {
-					e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: renVal{exc: err}})
-				}
-				continue
-			}
-			e.Stats.Exceptions++
-			res.RecoveryCycles = e.recover()
-			res.Exception = true
-			res.Err = err
-			return
-		}
-	}
-
-	// Phase 3: aliasing detection (paper §3.10) before anything commits.
-	if err := e.checkAliasing(e.scMemOps); err != nil {
-		e.Stats.Exceptions++
-		e.Stats.Aliasing++
-		res.RecoveryCycles = e.recover()
-		res.Exception = true
-		res.Aliasing = true
-		res.Err = err
-		return
-	}
-
-	if !e.commitLI(line, res) {
-		return
-	}
-
-	e.Stats.OpsCommitted += uint64(committed)
-	e.Stats.OpsAnnulled += uint64(annulled)
-	if e.tel != nil {
-		e.tel.LIExecuted(committed, annulled)
-	}
-	res.Committed = committed
-	res.Annulled = annulled
-	res.MemAddrs = e.scMemAddrs
-	res.Stores = e.scStores
-	if exit {
-		e.Stats.TraceExits++
-		res.TraceExit = true
-		res.NextPC = exitPC
-		res.ExitAdvance = exitSeq - e.block.FirstSeq + 1
-		res.ExitBranch = exitBranch
-	}
-	return
-}
-
-// resolveLoweredBranch is resolveBranch over pre-resolved handles.
+// resolveLoweredBranch evaluates a conditional or indirect branch against
+// the pre-LI state (reading source-forwarded renaming registers where the
+// Scheduler Unit rewrote the operands) and returns its actual direction
+// and target.
 func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 	switch br.kind {
 	case lbrICC:
@@ -247,7 +127,12 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 	return true, t
 }
 
-// execLoweredCopy is execCopy over the flat rename arena.
+// execLoweredCopy commits a copy instruction: each renaming register's
+// value is written to its architectural location; memory renaming
+// registers release their buffered stores. A deferred exception held in a
+// renaming register surfaces here (paper §3.8). Results accumulate in the
+// engine's per-LI scratch arenas with a due line of the current long
+// instruction (copies always complete in one cycle).
 func (e *Engine) execLoweredCopy(op *lop, line int) error {
 	for _, c := range e.lb.copies[op.cp0:op.cp1] {
 		rv := e.getRenBypassFlat(c.flat)
