@@ -1,8 +1,11 @@
 package dtsvliw
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"dtsvliw/internal/core"
 )
 
 // TestQuickstart exercises the README quick-start path end to end.
@@ -129,6 +132,12 @@ func TestBadConfigs(t *testing.T) {
 	}
 	if _, err := NewSystemFromWorkload(Ideal(64, 4096), "gcc"); err == nil {
 		t.Error("a geometry too large for the lowered form should fail validation")
+	}
+	cfg = Feasible()
+	cfg.DCache.LineBytes = 48
+	var ce *core.ConfigError
+	if _, err := NewSystemFromWorkload(cfg, "gcc"); !errors.As(err, &ce) || ce.Field != "DCache" {
+		t.Errorf("D-cache line size not a power of two: got %v, want a ConfigError on DCache", err)
 	}
 	if _, err := RunExperiment("fig99", 0); err == nil {
 		t.Error("unknown experiment should fail")

@@ -171,42 +171,57 @@ func TestChainPoolReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkMachineRun measures full-workload simulation on the feasible
-// machine, chained (default) and -nochain, on pooled contexts so the
-// per-iteration cost is the run itself.
+// BenchmarkMachineRun measures full-workload simulation on the ideal 8x8
+// machine and the feasible machine, chained (default) and -nochain, on
+// pooled contexts so the per-iteration cost is the run itself. It
+// reports host ns per simulated instruction, so one program can be
+// profiled on either machine with -cpuprofile, for example
+// -bench 'MachineRun/ideal/xlisp/chained'.
 func BenchmarkMachineRun(b *testing.B) {
-	for _, w := range workloads.All() {
-		for _, nochain := range []bool{false, true} {
-			name := w.Name + "/chained"
-			if nochain {
-				name = w.Name + "/nochain"
+	machines := []struct {
+		name string
+		cfg  Config
+	}{
+		{"ideal", IdealConfig(8, 8)},
+		{"feasible", FeasibleConfig()},
+	}
+	for _, mc := range machines {
+		for _, w := range workloads.All() {
+			for _, nochain := range []bool{false, true} {
+				name := mc.name + "/" + w.Name + "/chained"
+				if nochain {
+					name = mc.name + "/" + w.Name + "/nochain"
+				}
+				b.Run(name, func(b *testing.B) {
+					p, err := w.Program()
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg := mc.cfg
+					cfg.NoChain = nochain
+					cfg.MaxCycles = 1 << 40
+					pool := NewMachinePool()
+					var instrs uint64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ctx, err := pool.Get(cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						loadProgram(ctx.State(), p)
+						m, err := ctx.Prepare()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := m.Run(); err != nil {
+							b.Fatal(err)
+						}
+						instrs += m.Stats.Retired
+						pool.Put(ctx)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+				})
 			}
-			b.Run(name, func(b *testing.B) {
-				p, err := w.Program()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := FeasibleConfig()
-				cfg.NoChain = nochain
-				cfg.MaxCycles = 1 << 40
-				pool := NewMachinePool()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ctx, err := pool.Get(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					loadProgram(ctx.State(), p)
-					m, err := ctx.Prepare()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Run(); err != nil {
-						b.Fatal(err)
-					}
-					pool.Put(ctx)
-				}
-			})
 		}
 	}
 }

@@ -220,6 +220,14 @@ func (c Config) Validate() error {
 	if c.FUs != nil && len(c.FUs) != c.Width {
 		return fmt.Errorf("core: %d FU classes for width %d", len(c.FUs), c.Width)
 	}
+	for _, cc := range [...]struct {
+		field string
+		cfg   mem.CacheConfig
+	}{{"ICache", c.ICache}, {"DCache", c.DCache}} {
+		if err := cc.cfg.Validate(); err != nil {
+			return &ConfigError{Field: cc.field, Value: cc.cfg, Reason: err.Error()}
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"dtsvliw/internal/arch"
@@ -653,6 +654,12 @@ func (m *Machine) runVLIW() error {
 		}
 
 		if res.Exception {
+			var rerr *vliw.RecoveryError
+			if errors.As(res.Err, &rerr) {
+				// The checkpoint could not be restored, so there is no
+				// state to resume from.
+				return fmt.Errorf("core: block %#08x: %w", blk.Tag, res.Err)
+			}
 			// Recovery already restored the block-entry checkpoint; resume
 			// on the Primary Processor at the block's first instruction.
 			if m.tel != nil {

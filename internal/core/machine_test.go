@@ -300,6 +300,8 @@ func TestConfigValidate(t *testing.T) {
 		{"largest-lowerable-geometry", func(c *Config) { c.Width, c.Height = 5, vliw.MaxBlockSlots/5 }, true, ""},
 		{"smallest-unlowerable-geometry", func(c *Config) { c.Width, c.Height = 2, vliw.MaxBlockSlots/2+1 }, false, "Width*Height"},
 		{"interpreted-engine", func(c *Config) { c.InterpretedEngine = true }, false, "InterpretedEngine"},
+		{"icache-line-not-power-of-two", func(c *Config) { *c = FeasibleConfig(); c.ICache.LineBytes = 48 }, false, "ICache"},
+		{"dcache-zero-assoc", func(c *Config) { *c = FeasibleConfig(); c.DCache.Assoc = 0 }, false, "DCache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

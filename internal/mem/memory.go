@@ -9,16 +9,25 @@
 // image.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 const pageBits = 12
 const pageSize = 1 << pageBits
 
 // Memory is a sparse, page-allocated 32-bit physical memory. Multi-byte
-// values are big-endian, following SPARC. The zero value is an empty
-// memory ready for use.
+// values are big-endian, following SPARC. NewMemory returns an empty one.
+//
+// pages is the one source of truth for what is mapped. Read and Write
+// translate through tlb, a small direct-mapped cache of pages entries.
+// Only Recycle unmaps pages, and it drops every translation, so a cached
+// translation is always current. Read fills the cache, so even reads
+// must not run concurrently with other accesses.
 type Memory struct {
 	pages map[uint32]*[pageSize]byte
+	tlb   [tlbEntries]tlbEntry
 	// free recycles unmapped pages (see Recycle) so a reused memory maps
 	// pages without allocating in the steady state.
 	free []*[pageSize]byte
@@ -27,6 +36,16 @@ type Memory struct {
 	// returned). Zeroed by Recycle with the rest of the observable state;
 	// the metrics publisher snapshots it at coarse sync points.
 	Faults uint64
+}
+
+// tlbEntries is the size of Memory's translation cache, indexed by the
+// low bits of the page number.
+const tlbEntries = 16
+
+// tlbEntry caches one page translation; p is nil in an empty entry.
+type tlbEntry struct {
+	pn uint32
+	p  *[pageSize]byte
 }
 
 // NewMemory returns an empty memory.
@@ -43,6 +62,7 @@ func (m *Memory) Recycle() {
 		m.free = append(m.free, p)
 		delete(m.pages, pn)
 	}
+	m.tlb = [tlbEntries]tlbEntry{}
 	m.Faults = 0
 }
 
@@ -65,6 +85,21 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 			p = new([pageSize]byte)
 		}
 		m.pages[pn] = p
+	}
+	return p
+}
+
+// translate returns the page holding addr, or nil if it is unmapped,
+// through the translation cache.
+func (m *Memory) translate(addr uint32) *[pageSize]byte {
+	pn := addr >> pageBits
+	t := &m.tlb[pn%tlbEntries]
+	if t.p != nil && t.pn == pn {
+		return t.p
+	}
+	p := m.pages[pn]
+	if p != nil {
+		*t = tlbEntry{pn: pn, p: p}
 	}
 	return p
 }
@@ -103,8 +138,62 @@ func (m *Memory) SetByte(addr uint32, v byte) error {
 	return nil
 }
 
-// Read reads size bytes (1, 2 or 4) big-endian, zero-extended.
+// Read reads size bytes (1, 2 or 4) big-endian, zero-extended. An access
+// within one page costs one translation; only a page-crossing access
+// (never an aligned one) goes byte by byte, faulting at the first
+// unmapped byte.
 func (m *Memory) Read(addr uint32, size uint8) (uint32, error) {
+	off := addr & (pageSize - 1)
+	if !inPage(off, size) {
+		return m.readBytes(addr, size)
+	}
+	p := m.translate(addr)
+	if p == nil {
+		m.Faults++
+		return 0, &FaultError{Addr: addr}
+	}
+	switch size {
+	case 1:
+		return uint32(p[off]), nil
+	case 2:
+		return uint32(binary.BigEndian.Uint16(p[off:])), nil
+	}
+	return binary.BigEndian.Uint32(p[off:]), nil
+}
+
+// Write writes the low size bytes (1, 2 or 4) of v big-endian. Like Read,
+// it translates once within a page. A page-crossing write goes byte by
+// byte and, when the second page is unmapped, leaves the bytes before
+// the fault written.
+func (m *Memory) Write(addr uint32, v uint32, size uint8) error {
+	off := addr & (pageSize - 1)
+	if !inPage(off, size) {
+		return m.writeBytes(addr, v, size)
+	}
+	p := m.translate(addr)
+	if p == nil {
+		m.Faults++
+		return &FaultError{Addr: addr}
+	}
+	switch size {
+	case 1:
+		p[off] = byte(v)
+	case 2:
+		binary.BigEndian.PutUint16(p[off:], uint16(v))
+	default:
+		binary.BigEndian.PutUint32(p[off:], v)
+	}
+	return nil
+}
+
+// inPage reports whether an access of size bytes at page offset off
+// takes the one-translation path: 1, 2 or 4 bytes, all in one page.
+func inPage(off uint32, size uint8) bool {
+	return (size == 1 || size == 2 || size == 4) && off+uint32(size) <= pageSize
+}
+
+// readBytes is Read one byte at a time, for page-crossing accesses.
+func (m *Memory) readBytes(addr uint32, size uint8) (uint32, error) {
 	var v uint32
 	for i := uint8(0); i < size; i++ {
 		b, err := m.ByteAt(addr + uint32(i))
@@ -116,8 +205,8 @@ func (m *Memory) Read(addr uint32, size uint8) (uint32, error) {
 	return v, nil
 }
 
-// Write writes the low size bytes (1, 2 or 4) of v big-endian.
-func (m *Memory) Write(addr uint32, v uint32, size uint8) error {
+// writeBytes is Write one byte at a time, for page-crossing accesses.
+func (m *Memory) writeBytes(addr uint32, v uint32, size uint8) error {
 	for i := uint8(0); i < size; i++ {
 		shift := uint32(size-1-i) * 8
 		if err := m.SetByte(addr+uint32(i), byte(v>>shift)); err != nil {

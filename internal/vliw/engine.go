@@ -34,9 +34,22 @@ type microStore struct {
 // the hot path never allocates.
 const maxMicroStores = 2
 
-// renVal is the runtime contents of one renaming register.
-type renVal struct {
+// renCell is one renaming register's value and its epoch stamp. A stamp
+// of epoch|fullBit marks a register whose write also carried a renVal
+// payload (Engine.renFull).
+type renCell struct {
 	val   uint32
+	stamp uint32
+}
+
+// fullBit is the stamp bit marking a renaming register that holds a
+// renVal payload; epochs are even, so the bit is free.
+const fullBit = 1
+
+// renVal is the payload of a renaming register that holds more than a
+// value: a deferred exception, or a split store's buffered data. Such a
+// register's value reads as zero.
+type renVal struct {
 	exc   error                      // deferred exception (paper §3.8)
 	st    [maxMicroStores]microStore // memory renaming registers buffer the store data
 	nst   uint8
@@ -75,6 +88,24 @@ func (e *AliasingError) Error() string {
 		e.Addr, e.Description, e.LoadOrder, e.StoreOrder)
 }
 
+// RecoveryError reports a checkpoint recovery that could not complete:
+// writing a recovery-list entry back to memory failed, which only memory
+// unmapped under a running block causes. The state is then neither the
+// checkpoint nor the faulting one, so execution cannot resume; Result.Err
+// carries this error in place of the exception that forced the recovery.
+type RecoveryError struct {
+	Addr  uint32 // address of the failed recovery-list write
+	Err   error  // why the write failed
+	Cause error  // the exception being recovered from
+}
+
+func (e *RecoveryError) Error() string {
+	return fmt.Sprintf("vliw: checkpoint recovery store at %#08x failed: %v (recovering from: %v)",
+		e.Addr, e.Err, e.Cause)
+}
+
+func (e *RecoveryError) Unwrap() error { return e.Err }
+
 // Result reports the effects of executing one long instruction.
 type Result struct {
 	// TraceExit is set when a conditional or indirect branch left the
@@ -92,7 +123,8 @@ type Result struct {
 
 	// Exception is set when recovery is required; Aliasing distinguishes
 	// aliasing exceptions (which invalidate the block) from others. The
-	// engine has already rolled the block back when Exception is set.
+	// engine has already rolled the block back when Exception is set,
+	// unless Err is a *RecoveryError.
 	Exception      bool
 	Aliasing       bool
 	Err            error
@@ -139,12 +171,13 @@ type Engine struct {
 	loads []memRec      //resetcheck:allow truncated by BeginLowered before any read
 	strs  []memRec      //resetcheck:allow truncated by BeginLowered before any read
 
-	// Renaming-register file: one arena indexed by LoweredBlock's
-	// flattened register numbers, invalidated per block by epoch
-	// stamping instead of clearing.
-	flatRen   []renVal //resetcheck:allow epoch-stamped; BeginLowered invalidates wholesale via epoch++
-	flatStamp []uint32 //resetcheck:allow epoch stamps; stale entries compare unequal to the bumped epoch
-	epoch     uint32   //resetcheck:allow monotonic by design; resetting it could revalidate stale stamps
+	// Renaming-register file: arenas indexed by LoweredBlock's flattened
+	// register numbers, invalidated per block by epoch stamping instead
+	// of clearing. ren holds every register's value and stamp; renFull
+	// holds the payload of the few whose stamp carries fullBit.
+	ren     []renCell //resetcheck:allow epoch-stamped; BeginLowered invalidates wholesale via the epoch bump
+	renFull []renVal  //resetcheck:allow read only under a current fullBit stamp in ren
+	epoch   uint32    //resetcheck:allow monotonic by design; resetting it could revalidate stale stamps
 
 	shadowRegs []uint32   //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
 	shadowF    [32]uint32 //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
@@ -160,14 +193,16 @@ type Engine struct {
 	// Multicycle extension: writes of latency-L slots commit at the end
 	// of long instruction issueLI+L-1.
 	pendWrites []pendWrite //resetcheck:allow truncated by BeginLowered before any read
-	lpendRens  []lpendRen  //resetcheck:allow truncated by BeginLowered before any read
+	pendRens   []renWrite  //resetcheck:allow truncated by BeginLowered before any read
+	pendFulls  []fullWrite //resetcheck:allow truncated by BeginLowered before any read
 	maxDue     int         //resetcheck:allow recomputed by BeginLowered before any read
 
 	// Per-LI scratch arenas, reused across ExecLI calls so the steady-
 	// state hot loop never allocates. Result.MemAddrs and Result.Stores
 	// alias scMemAddrs/scStores and are valid until the next ExecLI.
 	scWrites   []pendWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scLRens    []lpendRen      //resetcheck:allow per-LI scratch, truncated at each ExecLI
+	scRens     []renWrite      //resetcheck:allow per-LI scratch, truncated at each ExecLI
+	scFulls    []fullWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scPend     []microStore    //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scMemOps   []opMem         //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scMemAddrs []uint32        //resetcheck:allow per-LI scratch, truncated at each ExecLI
@@ -182,41 +217,68 @@ type pendWrite struct {
 	w   bufWrite
 }
 
-// lpendRen is a renaming-register write awaiting its producer's latency;
-// the target register is a flat index into the engine's epoch-stamped
-// rename arena.
-type lpendRen struct {
-	due  int
+// renWrite is a value-only renaming-register write, the common case,
+// buffered until its due long instruction; the target register is a flat
+// index into the engine's epoch-stamped rename arena.
+type renWrite struct {
+	due  int32
+	flat int32
+	val  uint32
+}
+
+// fullWrite is a renaming-register write carrying a renVal payload: a
+// deferred exception or a split store. Each renaming register is written
+// by one slot of its block (the Scheduler Unit allocates them fresh per
+// block), so a register has at most one write in flight and renWrites
+// and fullWrites need no order between them.
+type fullWrite struct {
+	due  int32
 	flat int32
 	v    renVal
 }
 
-// getRenFlat reads the flat rename file; an entry whose stamp predates
-// the current block epoch reads as empty.
-func (e *Engine) getRenFlat(flat int32) renVal {
-	if e.flatStamp[flat] != e.epoch {
-		return renVal{}
+// renValue reads a renaming register's value; a register whose stamp
+// predates the current block epoch reads as zero.
+func (e *Engine) renValue(flat int32) uint32 {
+	c := e.ren[flat]
+	if c.stamp&^fullBit != e.epoch {
+		return 0
 	}
-	return e.flatRen[flat]
+	return c.val
 }
 
-func (e *Engine) setRenFlat(flat int32, v renVal) {
-	e.flatRen[flat] = v
-	e.flatStamp[flat] = e.epoch
-}
-
-// getRenBypassFlat reads a renaming register through the result-
-// forwarding bypass: a copy instruction scheduled inside its multicycle
+// copySource reads a renaming register for a copy instruction through
+// the result-forwarding bypass: a copy scheduled inside its multicycle
 // producer's latency shadow picks the value up from the functional
-// unit's output latch (the newest pending write) rather than the rename
-// file.
-func (e *Engine) getRenBypassFlat(flat int32) renVal {
-	for i := len(e.lpendRens) - 1; i >= 0; i-- {
-		if e.lpendRens[i].flat == flat {
-			return e.lpendRens[i].v
+// unit's output latch (the pending write) rather than the rename file.
+// p is the register's payload, nil when it holds only a value.
+func (e *Engine) copySource(flat int32) (val uint32, p *renVal) {
+	for i := len(e.pendFulls) - 1; i >= 0; i-- {
+		if e.pendFulls[i].flat == flat {
+			return 0, &e.pendFulls[i].v
 		}
 	}
-	return e.getRenFlat(flat)
+	for i := len(e.pendRens) - 1; i >= 0; i-- {
+		if e.pendRens[i].flat == flat {
+			return e.pendRens[i].val, nil
+		}
+	}
+	switch c := e.ren[flat]; c.stamp {
+	case e.epoch:
+		return c.val, nil
+	case e.epoch | fullBit:
+		return 0, &e.renFull[flat]
+	}
+	return 0, nil
+}
+
+func (e *Engine) commitRen(w renWrite) {
+	e.ren[w.flat] = renCell{val: w.val, stamp: e.epoch}
+}
+
+func (e *Engine) commitFull(w *fullWrite) {
+	e.ren[w.flat] = renCell{stamp: e.epoch | fullBit}
+	e.renFull[w.flat] = w.v
 }
 
 // New builds a VLIW Engine over the shared architectural state.
@@ -261,7 +323,8 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.strs = e.strs[:0]
 	e.undo = e.undo[:0]
 	e.pendWrites = e.pendWrites[:0]
-	e.lpendRens = e.lpendRens[:0]
+	e.pendRens = e.pendRens[:0]
+	e.pendFulls = e.pendFulls[:0]
 	e.maxDue = 0
 	if e.shadowRegs == nil {
 		e.shadowRegs = make([]uint32, len(e.st.Regs))
@@ -273,26 +336,25 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.shadowY = e.st.Y()
 	e.shadowCWP = e.st.CWP()
 	e.Stats.BlocksEntered++
-	e.epoch++
+	e.epoch += 2
 	if e.epoch == 0 {
 		// Stamp wrap-around: reset all stamps so stale epoch-0 entries
-		// cannot read as valid (once every 2^32 blocks).
-		for i := range e.flatStamp {
-			e.flatStamp[i] = 0
-		}
-		e.epoch = 1
+		// cannot read as valid (once every 2^31 blocks).
+		clear(e.ren)
+		e.epoch = 2
 	}
-	if len(e.flatRen) < lb.renTotal {
-		e.flatRen = make([]renVal, lb.renTotal)
-		e.flatStamp = make([]uint32, lb.renTotal)
+	if len(e.ren) < lb.renTotal {
+		e.ren = make([]renCell, lb.renTotal)
+		e.renFull = make([]renVal, lb.renTotal)
 	}
 }
 
 // recover restores the checkpoint: shadow registers and the checkpoint
 // recovery store list are written back, and the load and store lists are
 // emptied (paper §3.11). It returns the recovery cost in cycles (one
-// cycle for the shadow-register restore plus one per recovery-list entry).
-func (e *Engine) recover() int {
+// cycle for the shadow-register restore plus one per recovery-list entry)
+// and, when a recovery-list write fails, a RecoveryError without Cause.
+func (e *Engine) recover() (int, *RecoveryError) {
 	copy(e.st.Regs, e.shadowRegs)
 	e.st.F = e.shadowF
 	e.st.SetICC(e.shadowICC)
@@ -300,25 +362,28 @@ func (e *Engine) recover() int {
 	e.st.SetY(e.shadowY)
 	e.st.SetCWP(e.shadowCWP)
 	e.pendWrites = e.pendWrites[:0]
-	e.lpendRens = e.lpendRens[:0]
+	e.pendRens = e.pendRens[:0]
+	e.pendFulls = e.pendFulls[:0]
 	e.maxDue = 0
 	if e.scheme == SchemeStoreList {
 		// Discarding the data store list is the whole recovery for
 		// memory: nothing was written through (paper §3.11).
 		e.overlay.reset()
-		return 1
+		return 1, nil
 	}
 	cycles := 1 + len(e.undo)
+	var err *RecoveryError
 	for i := len(e.undo) - 1; i >= 0; i-- {
 		u := e.undo[i]
-		if err := e.st.Mem.Write(u.addr, u.old, u.size); err != nil {
-			panic(fmt.Sprintf("vliw: recovery store failed: %v", err))
+		if werr := e.st.Mem.Write(u.addr, u.old, u.size); werr != nil {
+			err = &RecoveryError{Addr: u.addr, Err: werr}
+			break
 		}
 	}
 	e.undo = e.undo[:0]
 	e.loads = e.loads[:0]
 	e.strs = e.strs[:0]
-	return cycles
+	return cycles, err
 }
 
 // bufWrite is one buffered non-memory architectural write.

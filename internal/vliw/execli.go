@@ -84,14 +84,7 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 		committed++
 		if op.isCopy {
 			if err := e.execLoweredCopy(op, line); err != nil {
-				e.Stats.Exceptions++
-				if isAliasing(err) {
-					e.Stats.Aliasing++
-				}
-				res.RecoveryCycles = e.recover()
-				res.Exception = true
-				res.Aliasing = isAliasing(err)
-				res.Err = err
+				e.fail(res, err)
 				return
 			}
 			e.Stats.CopiesExecuted++
@@ -103,26 +96,18 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 				// Deferred exception: stash it in the renaming registers;
 				// it surfaces only if a copy commits (paper §3.8).
 				for _, f := range rens {
-					e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: renVal{exc: err}})
+					e.scFulls = append(e.scFulls, fullWrite{due: int32(due), flat: f, v: renVal{exc: err}})
 				}
 				continue
 			}
-			e.Stats.Exceptions++
-			res.RecoveryCycles = e.recover()
-			res.Exception = true
-			res.Err = err
+			e.fail(res, err)
 			return
 		}
 	}
 
 	// Phase 3: aliasing detection (paper §3.10) before anything commits.
 	if err := e.checkAliasing(e.scMemOps); err != nil {
-		e.Stats.Exceptions++
-		e.Stats.Aliasing++
-		res.RecoveryCycles = e.recover()
-		res.Exception = true
-		res.Aliasing = true
-		res.Err = err
+		e.fail(res, err)
 		return
 	}
 
@@ -148,11 +133,31 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 	}
 }
 
+// fail rolls the block back to its entry checkpoint and reports err as
+// the long instruction's exception. A recovery that cannot complete
+// reports its *RecoveryError, with err as the cause, instead.
+func (e *Engine) fail(res *Result, err error) {
+	e.Stats.Exceptions++
+	res.Aliasing = isAliasing(err)
+	if res.Aliasing {
+		e.Stats.Aliasing++
+	}
+	cycles, rerr := e.recover()
+	res.RecoveryCycles = cycles
+	res.Exception = true
+	res.Err = err
+	if rerr != nil {
+		rerr.Cause = err
+		res.Err = rerr
+	}
+}
+
 // resetScratch readies the per-LI scratch arenas for a new long
 // instruction.
 func (e *Engine) resetScratch() {
 	e.scWrites = e.scWrites[:0]
-	e.scLRens = e.scLRens[:0]
+	e.scRens = e.scRens[:0]
+	e.scFulls = e.scFulls[:0]
 	e.scPend = e.scPend[:0]
 	e.scMemOps = e.scMemOps[:0]
 	e.scMemAddrs = e.scMemAddrs[:0]
@@ -181,13 +186,24 @@ func (e *Engine) commitLI(line int, res *Result) bool {
 			}
 		}
 	}
-	for _, r := range e.scLRens {
-		if r.due <= line {
-			e.setRenFlat(r.flat, r.v)
+	for _, r := range e.scRens {
+		if int(r.due) <= line {
+			e.commitRen(r)
 		} else {
-			e.lpendRens = append(e.lpendRens, r)
-			if r.due > e.maxDue {
-				e.maxDue = r.due
+			e.pendRens = append(e.pendRens, r)
+			if int(r.due) > e.maxDue {
+				e.maxDue = int(r.due)
+			}
+		}
+	}
+	for i := range e.scFulls {
+		r := &e.scFulls[i]
+		if int(r.due) <= line {
+			e.commitFull(r)
+		} else {
+			e.pendFulls = append(e.pendFulls, *r)
+			if int(r.due) > e.maxDue {
+				e.maxDue = int(r.due)
 			}
 		}
 	}
@@ -196,10 +212,7 @@ func (e *Engine) commitLI(line int, res *Result) bool {
 			// Buffer in the data store list; memory is written at block
 			// end (drain) and the journal is produced there.
 			if !e.st.Mem.Mapped(ms.addr) {
-				e.Stats.Exceptions++
-				res.RecoveryCycles = e.recover()
-				res.Exception = true
-				res.Err = &mem.FaultError{Addr: ms.addr}
+				e.fail(res, &mem.FaultError{Addr: ms.addr})
 				return false
 			}
 			e.overlay.add(ms)
@@ -211,10 +224,7 @@ func (e *Engine) commitLI(line int, res *Result) bool {
 			err = e.st.Mem.Write(ms.addr, ms.val, ms.size)
 		}
 		if err != nil {
-			e.Stats.Exceptions++
-			res.RecoveryCycles = e.recover()
-			res.Exception = true
-			res.Err = err
+			e.fail(res, err)
 			return false
 		}
 		e.scStores = append(e.scStores, arch.StoreRec{Addr: ms.addr, Size: ms.size})
@@ -335,16 +345,27 @@ func (e *Engine) commitDue(line int) {
 		}
 		e.pendWrites = keep
 	}
-	if len(e.lpendRens) > 0 {
-		keep := e.lpendRens[:0]
-		for _, p := range e.lpendRens {
-			if p.due <= line {
-				e.setRenFlat(p.flat, p.v)
+	if len(e.pendRens) > 0 {
+		keep := e.pendRens[:0]
+		for _, p := range e.pendRens {
+			if int(p.due) <= line {
+				e.commitRen(p)
 			} else {
 				keep = append(keep, p)
 			}
 		}
-		e.lpendRens = keep
+		e.pendRens = keep
+	}
+	if len(e.pendFulls) > 0 {
+		keep := e.pendFulls[:0]
+		for i := range e.pendFulls {
+			if p := &e.pendFulls[i]; int(p.due) <= line {
+				e.commitFull(p)
+			} else {
+				keep = append(keep, *p)
+			}
+		}
+		e.pendFulls = keep
 	}
 }
 

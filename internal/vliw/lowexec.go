@@ -20,35 +20,35 @@ func (e *Engine) lrdReg(h int32) uint32 {
 	if h >= 0 {
 		return e.st.ReadReg(uint16(h))
 	}
-	return e.getRenFlat(^h).val
+	return e.renValue(^h)
 }
 
 func (e *Engine) lrdF(h int32) uint32 {
 	if h >= 0 {
 		return e.st.ReadF(uint8(h))
 	}
-	return e.getRenFlat(^h).val
+	return e.renValue(^h)
 }
 
 func (e *Engine) lrdICC(h int32) uint8 {
 	if h >= 0 {
 		return e.st.ICC()
 	}
-	return uint8(e.getRenFlat(^h).val)
+	return uint8(e.renValue(^h))
 }
 
 func (e *Engine) lrdFCC(h int32) uint8 {
 	if h >= 0 {
 		return e.st.FCC()
 	}
-	return uint8(e.getRenFlat(^h).val)
+	return uint8(e.renValue(^h))
 }
 
 func (e *Engine) lrdY(h int32) uint32 {
 	if h >= 0 {
 		return e.st.Y()
 	}
-	return e.getRenFlat(^h).val
+	return e.renValue(^h)
 }
 
 // lrdD reads a double from an even/odd handle pair (even = most
@@ -79,7 +79,7 @@ func (e *Engine) lemitReg(h int32, v uint32, due int) {
 			w: bufWrite{kind: isa.LocIReg, idx: uint16(h), val: v}})
 		return
 	}
-	e.scLRens = append(e.scLRens, lpendRen{due: due, flat: ^h, v: renVal{val: v}})
+	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: ^h, val: v})
 }
 
 func (e *Engine) lemitF(h int32, v uint32, due int) {
@@ -88,7 +88,7 @@ func (e *Engine) lemitF(h int32, v uint32, due int) {
 			w: bufWrite{kind: isa.LocFReg, idx: uint16(h), val: v}})
 		return
 	}
-	e.scLRens = append(e.scLRens, lpendRen{due: due, flat: ^h, v: renVal{val: v}})
+	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: ^h, val: v})
 }
 
 // lemitLoc buffers a write to one of the ICC/FCC/Y/CWP singletons.
@@ -98,7 +98,7 @@ func (e *Engine) lemitLoc(h int32, kind isa.LocKind, v uint32, due int) {
 			w: bufWrite{kind: kind, val: v}})
 		return
 	}
-	e.scLRens = append(e.scLRens, lpendRen{due: due, flat: ^h, v: renVal{val: v}})
+	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: ^h, val: v})
 }
 
 func (e *Engine) lemitD(op *lop, v float64, due int) {
@@ -135,35 +135,39 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 // instruction (copies always complete in one cycle).
 func (e *Engine) execLoweredCopy(op *lop, line int) error {
 	for _, c := range e.lb.copies[op.cp0:op.cp1] {
-		rv := e.getRenBypassFlat(c.flat)
-		if rv.exc != nil {
-			return rv.exc
+		val, p := e.copySource(c.flat)
+		if p != nil && p.exc != nil {
+			return p.exc
 		}
 		switch c.kind {
 		case isa.LocMem:
-			e.scPend = append(e.scPend, rv.st[:rv.nst]...)
+			var memEA uint32
+			if p != nil {
+				e.scPend = append(e.scPend, p.st[:p.nst]...)
+				memEA = p.memEA
+			}
 			e.scMemOps = append(e.scMemOps, opMem{
-				addr: rv.memEA, size: op.memSize, order: op.order,
+				addr: memEA, size: op.memSize, order: op.order,
 				cross: op.cross, isStore: true,
 			})
 		case isa.LocIReg:
 			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocIReg, idx: c.idx, val: rv.val}})
+				w: bufWrite{kind: isa.LocIReg, idx: c.idx, val: val}})
 		case isa.LocFReg:
 			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocFReg, idx: c.idx, val: rv.val}})
+				w: bufWrite{kind: isa.LocFReg, idx: c.idx, val: val}})
 		case isa.LocICC:
 			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocICC, val: rv.val}})
+				w: bufWrite{kind: isa.LocICC, val: val}})
 		case isa.LocFCC:
 			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocFCC, val: rv.val}})
+				w: bufWrite{kind: isa.LocFCC, val: val}})
 		case isa.LocY:
 			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocY, val: rv.val}})
+				w: bufWrite{kind: isa.LocY, val: val}})
 		case isa.LocCWP:
 			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocCWP, val: rv.val}})
+				w: bufWrite{kind: isa.LocCWP, val: val}})
 		}
 	}
 	return nil
@@ -307,9 +311,10 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 		// Resolved in phase 1; no architectural effects.
 
 	case isa.OpLD, isa.OpLDUB, isa.OpLDSB, isa.OpLDUH, isa.OpLDSH, isa.OpLDD,
-		isa.OpST, isa.OpSTB, isa.OpSTH, isa.OpSTD,
-		isa.OpLDF, isa.OpLDDF, isa.OpSTF, isa.OpSTDF:
-		return e.execLoweredMem(op, due)
+		isa.OpLDF, isa.OpLDDF:
+		return e.execLoweredLoad(op, due)
+	case isa.OpST, isa.OpSTB, isa.OpSTH, isa.OpSTD, isa.OpSTF, isa.OpSTDF:
+		return e.execLoweredStore(op, due)
 
 	case isa.OpFMOVS:
 		e.lemitF(op.d0, e.lrdF(op.a), due)
@@ -378,17 +383,12 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 	return nil
 }
 
-// execLoweredMem executes one lowered memory slot: effective-address
-// computation, alignment check, then loads through loadMem (honouring the
-// data-store-list overlay) or buffered micro-stores routed either to the
-// pending-store arena or, for split stores, to the memory renaming
-// register. On any error nothing has been emitted (matching isa.Exec,
-// whose memory errors all precede the first write).
-func (e *Engine) execLoweredMem(op *lop, due int) error {
+// effAddr computes a lowered memory slot's effective address and checks
+// its alignment.
+func (e *Engine) effAddr(op *lop) (uint32, error) {
 	ea := e.lrdReg(op.a) + e.lop2(op)
-	size := op.memSize
 	var alignment uint32
-	switch size {
+	switch op.memSize {
 	case 2:
 		alignment = 1
 	case 4:
@@ -397,11 +397,30 @@ func (e *Engine) execLoweredMem(op *lop, due int) error {
 		alignment = 7
 	}
 	if ea&alignment != 0 {
-		return &isa.AlignmentError{Addr: ea, Size: size}
+		return 0, &isa.AlignmentError{Addr: ea, Size: op.memSize}
 	}
+	return ea, nil
+}
 
-	var sts [maxMicroStores]microStore
-	var nst uint8
+// recordMem notes a memory slot's access for Data Cache timing and its
+// aliasing metadata for phase 3.
+func (e *Engine) recordMem(op *lop, ea uint32) {
+	e.scMemAddrs = append(e.scMemAddrs, ea)
+	e.scMemOps = append(e.scMemOps, opMem{
+		addr: ea, size: op.memSize, order: op.order,
+		cross: op.cross, isStore: op.isStore,
+	})
+}
+
+// execLoweredLoad executes one lowered load: effective address,
+// alignment check, then reads through loadMem (honouring the
+// data-store-list overlay). On any error nothing has been emitted
+// (matching isa.Exec, whose memory errors all precede the first write).
+func (e *Engine) execLoweredLoad(op *lop, due int) error {
+	ea, err := e.effAddr(op)
+	if err != nil {
+		return err
+	}
 	switch op.op {
 	case isa.OpLD:
 		v, err := e.loadMem(ea, 4)
@@ -461,23 +480,35 @@ func (e *Engine) execLoweredMem(op *lop, due int) error {
 		}
 		e.lemitF(op.d0, v0, due)
 		e.lemitF(op.d1, v1, due)
+	}
+	e.recordMem(op, ea)
+	return nil
+}
 
+// execLoweredStore executes one lowered store: effective address,
+// alignment check, then buffered micro-stores routed either to the
+// pending-store arena or, for split stores, to the memory renaming
+// register. On any error nothing has been emitted.
+func (e *Engine) execLoweredStore(op *lop, due int) error {
+	ea, err := e.effAddr(op)
+	if err != nil {
+		return err
+	}
+	var sts [maxMicroStores]microStore
+	nst := uint8(1)
+	switch op.op {
 	case isa.OpST:
 		sts[0] = microStore{addr: ea, val: e.lrdReg(op.c), size: 4}
-		nst = 1
 	case isa.OpSTB:
 		sts[0] = microStore{addr: ea, val: e.lrdReg(op.c), size: 1}
-		nst = 1
 	case isa.OpSTH:
 		sts[0] = microStore{addr: ea, val: e.lrdReg(op.c), size: 2}
-		nst = 1
 	case isa.OpSTD:
 		sts[0] = microStore{addr: ea, val: e.lrdReg(op.c), size: 4}
 		sts[1] = microStore{addr: ea + 4, val: e.lrdReg(op.e0), size: 4}
 		nst = 2
 	case isa.OpSTF:
 		sts[0] = microStore{addr: ea, val: e.lrdF(op.c), size: 4}
-		nst = 1
 	case isa.OpSTDF:
 		sts[0] = microStore{addr: ea, val: e.lrdF(op.c), size: 4}
 		sts[1] = microStore{addr: ea + 4, val: e.lrdF(op.e0), size: 4}
@@ -489,15 +520,11 @@ func (e *Engine) execLoweredMem(op *lop, due int) error {
 		// register; the access is charged when its memory copy commits.
 		rv := renVal{st: sts, nst: nst, memEA: ea}
 		for _, f := range e.lb.rens[op.mem0:op.mem1] {
-			e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: rv})
+			e.scFulls = append(e.scFulls, fullWrite{due: int32(due), flat: f, v: rv})
 		}
 		return nil
 	}
 	e.scPend = append(e.scPend, sts[:nst]...)
-	e.scMemAddrs = append(e.scMemAddrs, ea)
-	e.scMemOps = append(e.scMemOps, opMem{
-		addr: ea, size: size, order: op.order,
-		cross: op.cross, isStore: op.isStore,
-	})
+	e.recordMem(op, ea)
 	return nil
 }
