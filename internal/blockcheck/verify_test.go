@@ -311,24 +311,20 @@ func TestTamperDetection(t *testing.T) {
 // faultCase names one deliberate scheduler bug and the violation kind the
 // verifier must report for it.
 type faultCase struct {
-	name string
-	set  func(*core.Config)
-	kind blockcheck.Kind
-	cfg  core.Config
+	name  string
+	fault sched.Fault
+	kind  blockcheck.Kind
+	cfg   core.Config
 }
 
 func faultCases() []faultCase {
 	multi := core.IdealConfig(8, 8)
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
 	return []faultCase{
-		{"drop-copy", func(c *core.Config) { c.FaultDropCopy = true },
-			blockcheck.KindRenameNoCopy, core.IdealConfig(8, 8)},
-		{"drop-rename", func(c *core.Config) { c.FaultDropRename = true },
-			blockcheck.KindRenameNoProducer, core.IdealConfig(8, 8)},
-		{"swap-slots", func(c *core.Config) { c.FaultSwapSlots = true },
-			blockcheck.KindRAW, core.IdealConfig(8, 8)},
-		{"latency-violation", func(c *core.Config) { c.FaultLatencyViolation = true },
-			blockcheck.KindLatency, multi},
+		{"drop-copy", sched.FaultDropCopy, blockcheck.KindRenameNoCopy, core.IdealConfig(8, 8)},
+		{"drop-rename", sched.FaultDropRename, blockcheck.KindRenameNoProducer, core.IdealConfig(8, 8)},
+		{"swap-slots", sched.FaultSwapSlots, blockcheck.KindRAW, core.IdealConfig(8, 8)},
+		{"latency-violation", sched.FaultLatencyViolation, blockcheck.KindLatency, multi},
 	}
 }
 
@@ -360,7 +356,7 @@ func TestFaultInjectionCaught(t *testing.T) {
 				cfg := fc.cfg
 				cfg.VerifyBlocks = true
 				cfg.MaxInstrs = 30_000
-				fc.set(&cfg)
+				cfg.Fault = fc.fault
 				rep := runFaulted(t, src, cfg)
 				if rep == nil {
 					continue // fault never triggered on this program

@@ -14,6 +14,7 @@ import (
 	"dtsvliw/internal/mem"
 	"dtsvliw/internal/metrics"
 	"dtsvliw/internal/primary"
+	"dtsvliw/internal/sched"
 	"dtsvliw/internal/telemetry"
 	"dtsvliw/internal/vcache"
 	"dtsvliw/internal/vliw"
@@ -127,17 +128,9 @@ type Config struct {
 	// so the zero-alloc hot paths stay intact only when disabled.
 	VerifyBlocks bool
 
-	// FaultDropCopy injects a deliberate scheduler bug (splits lose their
-	// copy instruction) for the differential oracle's meta-test. Test-only;
-	// see sched.Config.FaultDropCopy.
-	FaultDropCopy bool
-
-	// FaultDropRename/FaultSwapSlots/FaultLatencyViolation inject the
-	// scheduler faults the blockcheck meta-tests assert detection of; see
-	// the matching sched.Config switches. Test-only.
-	FaultDropRename       bool
-	FaultSwapSlots        bool
-	FaultLatencyViolation bool
+	// Fault injects one deliberate scheduler bug for the oracle's and
+	// blockcheck's meta-tests (see sched.Fault). Test-only.
+	Fault sched.Fault
 
 	// MaxInstrs stops the simulation after this many sequential
 	// instructions (0 = run until the program halts). MaxCycles is a
@@ -202,6 +195,9 @@ func (c Config) Validate() error {
 	if c.InterpretedEngine {
 		return &ConfigError{Field: "InterpretedEngine", Value: true,
 			Reason: "the interpreted VLIW Engine was removed; every block runs lowered"}
+	}
+	if !c.Fault.Valid() {
+		return &ConfigError{Field: "Fault", Value: c.Fault, Reason: "no such scheduler fault"}
 	}
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("core: block geometry %dx%d invalid", c.Width, c.Height)

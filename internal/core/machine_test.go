@@ -302,6 +302,7 @@ func TestConfigValidate(t *testing.T) {
 		{"interpreted-engine", func(c *Config) { c.InterpretedEngine = true }, false, "InterpretedEngine"},
 		{"icache-line-not-power-of-two", func(c *Config) { *c = FeasibleConfig(); c.ICache.LineBytes = 48 }, false, "ICache"},
 		{"dcache-zero-assoc", func(c *Config) { *c = FeasibleConfig(); c.DCache.Assoc = 0 }, false, "DCache"},
+		{"unknown-fault", func(c *Config) { c.Fault = sched.FaultLatencyViolation + 1 }, false, "Fault"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

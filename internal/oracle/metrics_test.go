@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dtsvliw/internal/metrics"
+	"dtsvliw/internal/sched"
 )
 
 // TestSweepMetricsReconcile: at quiescence the sweep's registry counters
@@ -78,7 +79,7 @@ func TestSweepMetricsReconcile(t *testing.T) {
 func TestSweepMetricsDivergenceCount(t *testing.T) {
 	reg := metrics.NewRegistry()
 	faulty := DefaultConfigs()[:1]
-	faulty[0].Cfg.FaultDropCopy = true
+	faulty[0].Cfg.Fault = sched.FaultDropCopy
 	rep := Sweep(SweepOptions{N: 6, Seed: 400, Configs: faulty, MaxFail: 4,
 		ShrinkEvals: 40, Workers: 1, Metrics: reg})
 	if len(rep.Failures) == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"dtsvliw/internal/core"
 	"dtsvliw/internal/progen"
+	"dtsvliw/internal/sched"
 )
 
 // TestRunDiffClean: hand-written programs run identically on the DTSVLIW
@@ -155,7 +156,7 @@ loop:	add %l0, 1, %l0
 // bug enabled: splits silently drop their copy instruction.
 func faultyConfig() core.Config {
 	cfg := core.IdealConfig(8, 8)
-	cfg.FaultDropCopy = true
+	cfg.Fault = sched.FaultDropCopy
 	return cfg
 }
 

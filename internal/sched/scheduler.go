@@ -825,7 +825,7 @@ func (u *Scheduler) split(cand *Slot, e *element, slotIdx int, conflicted []isa.
 			continue
 		}
 		reg := u.allocRename(w)
-		if u.cfg.FaultDropRename && !faultedRename && w.Kind != isa.LocMem {
+		if u.cfg.Fault == FaultDropRename && !faultedRename && w.Kind != isa.LocMem {
 			// Fault injection (blockcheck meta-test): the split allocates
 			// the renaming register and leaves the copy behind, but forgets
 			// to redirect the producer's write — the copy commits a
@@ -864,7 +864,7 @@ func (u *Scheduler) split(cand *Slot, e *element, slotIdx int, conflicted []isa.
 	u.candW.AddSet(cand.writes)
 	copySlot.reads = u.grabLocs(cpReads)
 	copySlot.writes = u.grabLocs(cpWrites)
-	if u.cfg.FaultDropCopy {
+	if u.cfg.Fault == FaultDropCopy {
 		// Fault injection (oracle meta-test): lose the copy instruction,
 		// leaving the renamed values stranded in the renaming registers.
 		e.slots[slotIdx] = nil
@@ -1126,7 +1126,7 @@ func (u *Scheduler) Flush(nbaAddr uint32, endSeq uint64) *Block {
 }
 
 func (u *Scheduler) flush(nbaAddr uint32, endSeq uint64) *Block {
-	if u.cfg.FaultSwapSlots || u.cfg.FaultLatencyViolation {
+	if u.cfg.Fault == FaultSwapSlots || u.cfg.Fault == FaultLatencyViolation {
 		u.injectFlushFaults()
 	}
 	// The block takes a compact copy of the slot grid (a pooled Height×Width
@@ -1190,7 +1190,7 @@ func (u *Scheduler) injectFlushFaults() {
 				continue
 			}
 			dstIdx := i
-			if u.cfg.FaultLatencyViolation {
+			if u.cfg.Fault == FaultLatencyViolation {
 				if prod.LatOr1() < 2 {
 					continue
 				}

@@ -331,33 +331,48 @@ type Config struct {
 	// only when it is disabled.
 	RecordTrace bool
 
-	// FaultDropCopy is a deliberate fault-injection switch used only by
-	// the differential oracle's meta-test (internal/oracle): the scheduler
-	// drops the copy instruction a split leaves behind, so values
-	// redirected to renaming registers are never committed architecturally
-	// and VLIW execution diverges from sequential semantics. It exists to
-	// prove the oracle detects real scheduler bugs; never set it otherwise.
-	FaultDropCopy bool
+	// Fault plants one deliberate scheduler bug (FaultNone by default).
+	// Meta-test only: it exists to prove the differential oracle and the
+	// block-legality verifier detect real scheduler bugs.
+	Fault Fault
+}
+
+// Fault names a deliberate scheduler bug for fault-injection meta-tests.
+type Fault uint8
+
+// Injectable scheduler faults.
+const (
+	FaultNone Fault = iota
+
+	// FaultDropCopy drops the copy instruction a split leaves behind, so
+	// values redirected to renaming registers are never committed
+	// architecturally and VLIW execution diverges from sequential
+	// semantics (the differential oracle's meta-test, internal/oracle).
+	FaultDropCopy
 
 	// FaultDropRename makes each split forget to redirect the producer's
 	// first conflicted (non-memory) output to its renaming register while
 	// still leaving the copy instruction behind: the copy then commits a
-	// renaming register nothing writes. Meta-test only (blockcheck flags
-	// it as a rename-no-producer violation).
-	FaultDropRename bool
+	// renaming register nothing writes (blockcheck flags it as a
+	// rename-no-producer violation).
+	FaultDropRename
 
 	// FaultSwapSlots relocates, at flush time, one consumer into the same
 	// long instruction as its producer, violating the read-before-write
-	// long-instruction semantics. Meta-test only (blockcheck flags it as
-	// a RAW violation).
-	FaultSwapSlots bool
+	// long-instruction semantics (blockcheck flags it as a RAW violation).
+	FaultSwapSlots
 
 	// FaultLatencyViolation relocates, at flush time, one consumer of a
-	// multicycle producer into the producer's latency shadow. Meta-test
-	// only (blockcheck flags it as a latency violation); it needs a
-	// configuration with LoadLatency/FPLatency > 1 to find a victim.
-	FaultLatencyViolation bool
-}
+	// multicycle producer into the producer's latency shadow (blockcheck
+	// flags it as a latency violation); it needs a configuration with
+	// LoadLatency/FPLatency > 1 to find a victim.
+	FaultLatencyViolation
+
+	numFaults
+)
+
+// Valid reports whether f is FaultNone or names a known fault.
+func (f Fault) Valid() bool { return f < numFaults }
 
 // Latency returns the scheduling latency of an instruction under this
 // configuration (exported for the block-legality verifier, which re-checks
