@@ -146,8 +146,6 @@ type Stats struct {
 	OpsCommitted   uint64
 	OpsAnnulled    uint64
 	TraceExits     uint64
-	Aliasing       uint64
-	Exceptions     uint64
 	BlocksEntered  uint64
 	MaxLoadList    int
 	MaxStoreList   int

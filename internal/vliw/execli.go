@@ -137,11 +137,7 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 // the long instruction's exception. A recovery that cannot complete
 // reports its *RecoveryError, with err as the cause, instead.
 func (e *Engine) fail(res *Result, err error) {
-	e.Stats.Exceptions++
 	res.Aliasing = isAliasing(err)
-	if res.Aliasing {
-		e.Stats.Aliasing++
-	}
 	cycles, rerr := e.recover()
 	res.RecoveryCycles = cycles
 	res.Exception = true
