@@ -121,22 +121,13 @@ func main() {
 	}
 
 	s := sys.Stats()
-	fmt.Printf("instructions:        %d\n", s.Retired)
-	fmt.Printf("cycles:              %d\n", s.Cycles)
+	if err := s.WriteCounters(os.Stdout); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("IPC:                 %.3f\n", s.IPC())
 	fmt.Printf("VLIW cycles:         %.2f%%\n", 100*s.VLIWCycleFraction())
-	fmt.Printf("blocks saved:        %d\n", s.BlocksSaved)
-	fmt.Printf("blocks entered:      %d\n", s.Engine.BlocksEntered)
-	fmt.Printf("trace exits:         %d\n", s.Engine.TraceExits)
-	fmt.Printf("splits/copies:       %d/%d\n", s.Sched.Splits, s.Engine.CopiesExecuted)
-	fmt.Printf("aliasing exceptions: %d\n", s.AliasingExceptions)
-	if s.VCacheChainLinks > 0 || s.VCacheChainHits > 0 {
-		fmt.Printf("chain links/hits:    %d/%d (%.1f%% of vcache hits; %d unlinked)\n",
-			s.VCacheChainLinks, s.VCacheChainHits, 100*s.ChainHitRate(), s.VCacheChainUnlinks)
-	}
-	if s.Sched.RepackedBlocks > 0 {
-		fmt.Printf("repacked blocks:     %d (saved %d LIs, %d proven optimal, %d search nodes)\n",
-			s.Sched.RepackedBlocks, s.Sched.RepackSavedLIs, s.Sched.RepackProven, s.Sched.RepackNodes)
+	if s.VCacheChainHits > 0 {
+		fmt.Printf("chain hits:          %.1f%% of VLIW Cache hits\n", 100*s.ChainHitRate())
 	}
 	fmt.Printf("renaming (int/fp/flag/mem): %d/%d/%d/%d\n",
 		s.Sched.MaxRenames[0], s.Sched.MaxRenames[1], s.Sched.MaxRenames[2], s.Sched.MaxRenames[3])
