@@ -4,20 +4,21 @@
 //
 // The design splits responsibility in two:
 //
-//   - The hot layers (core, sched, vcache, mem) keep their existing plain,
-//     single-owner counters — ordinary uint64 fields touched only by the
-//     goroutine that owns the machine, exactly as before this package
-//     existed.
-//   - A per-machine publisher flushes *deltas* of those plain counters
-//     into registry instruments at coarse synchronisation points (engine
-//     handovers, stat harvests, every few thousand cycles). Registry
+//   - The hot layers (core, sched, vcache, mem) keep plain, single-owner
+//     counters — ordinary uint64 fields touched only by the goroutine
+//     that owns the machine. The machine copies them into core.Stats,
+//     the one owner of every machine counter.
+//   - A per-machine publisher walks one counter table over Stats and
+//     flushes each row's *delta* into a registry instrument at coarse
+//     synchronisation points: every return from Run, and every 2^14
+//     simulated cycles, chained VLIW execution included. Registry
 //     instruments are atomics, so any number of machines can share one
 //     registry and a scraper can read it concurrently, mid-run, without
 //     locks on the simulation side.
 //
 // This keeps the per-instruction hot paths untouched (the zero-alloc
 // guards and perf gates hold with metrics permanently on) while a live
-// scrape is never more than one flush interval stale — and exactly equal
+// scrape is about one flush interval stale at most — and exactly equal
 // to Stats at quiescence.
 //
 // Registration is idempotent: asking for an instrument that already
