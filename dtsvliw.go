@@ -275,7 +275,7 @@ func WorkloadProgram(name string) (*Program, error) {
 }
 
 // Stats re-exports the machine statistics (IPC, cycle split, scheduler and
-// engine counters).
+// engine counters); WriteCounters prints every nonzero counter.
 type Stats = core.Stats
 
 // System is a DTSVLIW machine loaded with a program.

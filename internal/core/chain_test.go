@@ -15,7 +15,8 @@ func chainStripped(s Stats) Stats {
 	return s
 }
 
-func runWorkload(t *testing.T, w *workloads.Workload, cfg Config) *Machine {
+// workloadMachine builds a machine for cfg over workload w.
+func workloadMachine(t testing.TB, w *workloads.Workload, cfg Config) *Machine {
 	t.Helper()
 	st, err := w.NewState(cfg.NWin)
 	if err != nil {
@@ -25,6 +26,12 @@ func runWorkload(t *testing.T, w *workloads.Workload, cfg Config) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func runWorkload(t *testing.T, w *workloads.Workload, cfg Config) *Machine {
+	t.Helper()
+	m := workloadMachine(t, w, cfg)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
