@@ -112,8 +112,8 @@ func TestVCacheStatsFlow(t *testing.T) {
 // the test machine's instruction count at halt.
 func TestRetiredMatchesReference(t *testing.T) {
 	m := runDTSVLIW(t, sumLoop, IdealConfig(8, 4))
-	if m.Stats.Retired != m.Ref.Instret {
-		t.Fatalf("retired %d != reference instret %d", m.Stats.Retired, m.Ref.Instret)
+	if m.Stats.Retired != m.test.Retired() {
+		t.Fatalf("retired %d != test machine retired %d", m.Stats.Retired, m.test.Retired())
 	}
 }
 

@@ -220,8 +220,8 @@ func TestMachineMetricsHarvestOnError(t *testing.T) {
 	if err := m.Run(); err == nil || !strings.Contains(err.Error(), "cycle limit") {
 		t.Fatalf("Run = %v, want the cycle-limit error", err)
 	}
-	if m.Stats.Retired == 0 || m.Stats.Retired != m.RefInstret() {
-		t.Fatalf("Retired = %d, want RefInstret %d", m.Stats.Retired, m.RefInstret())
+	if m.Stats.Retired == 0 || m.Stats.Retired != m.seq {
+		t.Fatalf("Retired = %d, want the machine's sequence count %d", m.Stats.Retired, m.seq)
 	}
 	if m.Stats.ICacheAccesses == 0 || m.Stats.Sched.Inserted == 0 || m.Stats.Engine.LIsExecuted == 0 {
 		t.Fatalf("component counters not harvested: %+v", m.Stats)

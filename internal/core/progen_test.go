@@ -41,8 +41,8 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			if string(m.St.Output) != string(ref.Output) {
 				t.Errorf("output %q != sequential %q", m.St.Output, ref.Output)
 			}
-			if m.RefInstret() != ref.Instret {
-				t.Errorf("instret %d != sequential %d", m.RefInstret(), ref.Instret)
+			if m.test.Retired() != ref.Instret {
+				t.Errorf("instret %d != sequential %d", m.test.Retired(), ref.Instret)
 			}
 		})
 	}

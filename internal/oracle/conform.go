@@ -129,7 +129,7 @@ type Failure struct {
 	Source     string // shrunk program (re-runnable assembly)
 	OrigLines  int    // lines before shrinking
 	Lines      int    // lines after shrinking
-	Div        *Divergence
+	Div        *core.MismatchError
 	Err        error // non-divergence failure (generator or harness bug)
 }
 
@@ -284,7 +284,7 @@ func (r *sweepRunner) runCase(i int) caseResult {
 	}
 	f := &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
-	var d *Divergence
+	var d *core.MismatchError
 	if errors.As(err, &d) {
 		small, smallDiv := ShrinkDivergence(src, nc.Cfg, r.o.ShrinkEvals)
 		f.Source, f.Lines = small, countLines(small)
@@ -447,7 +447,7 @@ func Sweep(o SweepOptions) *Report {
 // program fault. Shrinking prefers a tight cycle budget so candidates
 // that loop forever die fast, falling back to the full budget when the
 // original failure needs longer to surface.
-func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *Divergence) {
+func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *core.MismatchError) {
 	diverges := func(budget uint64) func(string) bool {
 		c := cfg
 		c.MaxCycles = budget
@@ -456,7 +456,7 @@ func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *Divergen
 				return false
 			}
 			_, err := RunDiff(cand, c)
-			var d *Divergence
+			var d *core.MismatchError
 			return errors.As(err, &d)
 		}
 	}
@@ -471,7 +471,7 @@ func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *Divergen
 	}
 	small := Shrink(src, check, evals)
 	_, err := RunDiff(small, cfg)
-	var d *Divergence
+	var d *core.MismatchError
 	errors.As(err, &d)
 	return small, d
 }

@@ -80,7 +80,7 @@ func TestRunDiffGenerated(t *testing.T) {
 }
 
 // TestProgramErrorClassification: a program that faults under sequential
-// execution is reported as a ProgramError, not a Divergence.
+// execution is reported as a ProgramError, not a MismatchError.
 func TestProgramErrorClassification(t *testing.T) {
 	_, err := RunDiff(`
 	mov 1, %l0
@@ -91,7 +91,7 @@ func TestProgramErrorClassification(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want ProgramError", err)
 	}
-	var d *Divergence
+	var d *core.MismatchError
 	if errors.As(err, &d) {
 		t.Fatalf("misaligned load misclassified as divergence: %v", d)
 	}
@@ -120,38 +120,6 @@ func TestShrinkDDMin(t *testing.T) {
 	}
 }
 
-// TestRefContext: the reference keeps a bounded disassembled window with
-// the latest instruction marked.
-func TestRefContext(t *testing.T) {
-	ref, err := NewRef(`
-	mov 0, %l0
-	mov 40, %l1
-loop:	add %l0, 1, %l0
-	subcc %l1, 1, %l1
-	bne loop
-	mov %l0, %o0
-	ta 0
-`, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := ref.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := ref.Context()
-	if n := len(strings.Split(ctx, "\n")); n != contextWindow {
-		t.Fatalf("context window has %d lines, want %d:\n%s", n, contextWindow, ctx)
-	}
-	if !strings.Contains(ctx, "=>") {
-		t.Fatalf("context has no current-instruction marker:\n%s", ctx)
-	}
-	if !strings.Contains(ctx, "add") || !strings.Contains(ctx, "subcc") {
-		t.Fatalf("context not disassembled:\n%s", ctx)
-	}
-}
-
 // faultyConfig returns an 8x8 ideal machine with the deliberate scheduler
 // bug enabled: splits silently drop their copy instruction.
 func faultyConfig() core.Config {
@@ -162,12 +130,12 @@ func faultyConfig() core.Config {
 
 // findInjectedFault scans seeds until the faulty machine diverges on a
 // generated program, and returns the program and seed.
-func findInjectedFault(t *testing.T, shape progen.Shape, maxSeeds int) (string, int64, *Divergence) {
+func findInjectedFault(t *testing.T, shape progen.Shape, maxSeeds int) (string, int64, *core.MismatchError) {
 	t.Helper()
 	for seed := int64(0); seed < int64(maxSeeds); seed++ {
 		src := progen.Generate(progen.ShapeParams(shape, seed))
 		_, err := RunDiff(src, faultyConfig())
-		var d *Divergence
+		var d *core.MismatchError
 		if errors.As(err, &d) {
 			return src, seed, d
 		}
