@@ -7,7 +7,7 @@ import (
 // tiny returns a one-set cache (Assoc ways total), so every tag collides
 // and replacement can be forced deterministically.
 func tiny(assoc int) *Cache {
-	c, err := New(Config{SizeKB: 1, Assoc: assoc, Width: 8, Height: 8, DecodedBytes: 6, NBABytes: 5})
+	c, err := New(Config{SizeKB: 1, Assoc: assoc, Width: 8, Height: 8})
 	if err != nil {
 		panic(err)
 	}

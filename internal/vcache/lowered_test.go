@@ -45,7 +45,7 @@ func TestLoweredPayloadRoundTrip(t *testing.T) {
 // evicted line's lowered payload goes with it — a later save of the same
 // tag installs the new block's own lowered form, never the stale one.
 func TestEvictionDropsLoweredBlock(t *testing.T) {
-	c, err := New(Config{SizeKB: 1, Assoc: 2, Width: 8, Height: 8, DecodedBytes: 6, NBABytes: 5})
+	c, err := New(Config{SizeKB: 1, Assoc: 2, Width: 8, Height: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

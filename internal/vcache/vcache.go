@@ -19,20 +19,25 @@ import (
 	"dtsvliw/internal/vliw"
 )
 
+// Line storage per paper Table 1: a decoded instruction slot takes
+// DecodedBytes and a line's next block address store NBABytes.
+const (
+	DecodedBytes = 6
+	NBABytes     = 5
+)
+
 // Config sizes the VLIW Cache.
 type Config struct {
 	SizeKB int // total capacity in kilobytes
 	Assoc  int
-	// Width/Height of a block and DecodedBytes (paper Table 1: 6 bytes per
-	// decoded instruction) determine how many blocks fit.
+	// Width/Height of a block and DecodedBytes determine how many blocks
+	// fit.
 	Width, Height int
-	DecodedBytes  int // bytes per decoded instruction slot
-	NBABytes      int // bytes per nba store
 }
 
 // BlockBytes returns the line size of the cache in bytes.
 func (c Config) BlockBytes() int {
-	return c.Width*c.Height*c.DecodedBytes + c.NBABytes
+	return c.Width*c.Height*DecodedBytes + NBABytes
 }
 
 // Blocks returns the number of block lines the cache holds.

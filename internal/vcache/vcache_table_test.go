@@ -18,7 +18,7 @@ func blkNBA(tag uint32, cwp uint8, next uint32) *sched.Block {
 // tables control the victim deterministically, plus the set stride.
 func oneSetCache(t *testing.T, assoc int) *Cache {
 	t.Helper()
-	c, err := New(Config{SizeKB: 1, Assoc: assoc, Width: 16, Height: 16, DecodedBytes: 6, NBABytes: 5})
+	c, err := New(Config{SizeKB: 1, Assoc: assoc, Width: 16, Height: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func cfg(kb, assoc int) Config {
-	return Config{SizeKB: kb, Assoc: assoc, Width: 8, Height: 8, DecodedBytes: 6, NBABytes: 5}
+	return Config{SizeKB: kb, Assoc: assoc, Width: 8, Height: 8}
 }
 
 func blk(tag uint32, cwp uint8) *sched.Block {
@@ -86,7 +86,7 @@ func TestOverwriteSameTag(t *testing.T) {
 
 func TestLRUReplacement(t *testing.T) {
 	// Tiny cache: force one set and measure eviction order.
-	c, err := New(Config{SizeKB: 1, Assoc: 2, Width: 8, Height: 8, DecodedBytes: 6, NBABytes: 5})
+	c, err := New(Config{SizeKB: 1, Assoc: 2, Width: 8, Height: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
