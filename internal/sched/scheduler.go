@@ -921,11 +921,7 @@ func (u *Scheduler) Insert(c Completed) (*Block, error) {
 		cand = u.buildSlot(c)
 	} else {
 		cand = u.buildSlot(c)
-		tail := u.elems[len(u.elems)-1]
-		// The strategy is consulted only when the legality machinery has
-		// proven the tail can hold the candidate (short-circuit): it may
-		// open a new element anyway, but never prevent a forced one.
-		if u.needsNewElement(cand, tail) || u.strat.WantNewElement(u) {
+		if u.needsNewElement(cand, u.elems[len(u.elems)-1]) {
 			if len(u.elems) >= u.cfg.Height {
 				flushed = u.flush(c.Addr, c.Seq)
 				u.startBlock(c)
@@ -1010,12 +1006,6 @@ func (u *Scheduler) moveUp(cand *Slot, elemIdx, slotIdx int) {
 			u.freeSlot(prev, cand.Inst.Class()) < 0 ||
 			u.memSerialized(cand, prev) ||
 			u.wawCopyUnsafe(cand, elemIdx) {
-			break
-		}
-
-		// The move is legal; the strategy decides whether to take it (the
-		// FCFS hardware always does).
-		if !u.strat.WantMoveUp(u, elemIdx) {
 			break
 		}
 

@@ -19,9 +19,6 @@ import (
 // Strategies must be deterministic: the differential oracle and the
 // parallel experiment driver both rely on byte-identical re-runs.
 type Strategy interface {
-	// Name returns the registry name the strategy was constructed under.
-	Name() string
-
 	// WantFlushBefore is consulted when a new candidate arrives while the
 	// scheduling list is non-empty, before the candidate's slot is built:
 	// returning true flushes the current block first, so the candidate
@@ -30,19 +27,6 @@ type Strategy interface {
 	// The candidate itself is not passed: handing its address through the
 	// interface would move Insert's argument to the heap on every call.
 	WantFlushBefore(u *Scheduler) bool
-
-	// WantNewElement is consulted only after the legality machinery has
-	// proven the candidate may occupy the tail element: returning true
-	// opens a new tail element anyway (trading ILP away). It is never
-	// consulted when a new element is forced by a dependency or resource
-	// shortage.
-	WantNewElement(u *Scheduler) bool
-
-	// WantMoveUp is consulted at each element boundary of the insertion
-	// journey, only after the legality machinery has proven the move to
-	// element elemIdx-1 is possible: returning false installs the
-	// candidate where it is. The FCFS hardware always moves.
-	WantMoveUp(u *Scheduler, elemIdx int) bool
 
 	// FinishBlock observes — and may rewrite — every flushed block before
 	// it leaves the scheduler, after the slot grid has been compacted but
@@ -107,18 +91,14 @@ func init() {
 }
 
 // fcfsStrategy is the paper's hardware algorithm: greedy
-// first-come-first-served list scheduling. It never flushes early, never
-// declines the tail element, and always moves a candidate as high as the
-// legality machinery allows — so with this strategy the scheduler's
-// behaviour is exactly the pre-Strategy implementation, byte for byte
-// (TestGoldenFCFSBlocks), and the insertion hot path stays zero-alloc
+// first-come-first-served list scheduling. It never flushes early and
+// never rewrites a block, so the scheduler places every candidate in the
+// tail element the legality machinery allows and moves it as high as it
+// can (TestGoldenFCFSBlocks), and the insertion hot path stays zero-alloc
 // (TestDependencyChecksZeroAlloc).
 type fcfsStrategy struct{}
 
-func (fcfsStrategy) Name() string                    { return "fcfs" }
 func (fcfsStrategy) WantFlushBefore(*Scheduler) bool { return false }
-func (fcfsStrategy) WantNewElement(*Scheduler) bool  { return false }
-func (fcfsStrategy) WantMoveUp(*Scheduler, int) bool { return true }
 func (fcfsStrategy) FinishBlock(*Scheduler, *Block)  {}
 
 // onePerBlockStrategy is the deliberately dumb reference strategy: every
@@ -127,10 +107,7 @@ func (fcfsStrategy) FinishBlock(*Scheduler, *Block)  {}
 // it extracts) and gives gap studies an absolute lower bound.
 type onePerBlockStrategy struct{}
 
-func (onePerBlockStrategy) Name() string                      { return "one-per-block" }
 func (onePerBlockStrategy) WantFlushBefore(u *Scheduler) bool { return len(u.elems) > 0 }
-func (onePerBlockStrategy) WantNewElement(*Scheduler) bool    { return false }
-func (onePerBlockStrategy) WantMoveUp(*Scheduler, int) bool   { return false }
 func (onePerBlockStrategy) FinishBlock(*Scheduler, *Block)    {}
 
 // NoteRepack records a FinishBlock rewrite for statistics and telemetry:
