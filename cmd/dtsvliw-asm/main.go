@@ -55,13 +55,8 @@ func main() {
 	if !*run {
 		return
 	}
-	m := mem.NewMemory()
-	p.Load(m)
-	m.Map(0x7E000, 0x2000)
-	st := arch.NewState(16, m)
-	st.PC = p.Entry
-	st.SetReg(14, 0x7FF00)
-	st.SetTextRange(p.TextBase, p.TextSize)
+	st := arch.NewState(16, mem.NewMemory())
+	st.LoadProgram(p)
 	if err := st.Run(*max); err != nil {
 		fatal(err)
 	}

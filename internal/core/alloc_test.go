@@ -39,7 +39,7 @@ func TestWarmRerunAllocBound(t *testing.T) {
 				var retired uint64
 				run := func() {
 					st := ctx.State()
-					loadProgram(st, p)
+					st.LoadProgram(p)
 					m, err := ctx.Prepare()
 					if err != nil {
 						t.Fatal(err)

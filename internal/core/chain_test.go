@@ -150,7 +150,7 @@ func TestChainPoolReuse(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				loadProgram(ctx.State(), p)
+				ctx.State().LoadProgram(p)
 				m, err := ctx.Prepare()
 				if err != nil {
 					t.Fatal(err)
@@ -215,7 +215,7 @@ func BenchmarkMachineRun(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						loadProgram(ctx.State(), p)
+						ctx.State().LoadProgram(p)
 						m, err := ctx.Prepare()
 						if err != nil {
 							b.Fatal(err)

@@ -30,17 +30,6 @@ func buildState(t testing.TB, source string, nwin int) *arch.State {
 	return s
 }
 
-// loadProgram loads an assembled program into a context's (fresh or
-// recycled) state with the workloads' layout: sections, stack, entry PC,
-// %sp and text range, as workloads.Workload.NewState does.
-func loadProgram(st *arch.State, p *asm.Program) {
-	p.Load(st.Mem)
-	st.Mem.Map(0x7E000, 0x2000)
-	st.PC = p.Entry
-	st.SetReg(14, 0x7FF00)
-	st.SetTextRange(p.TextBase, p.TextSize)
-}
-
 // runDTSVLIW runs source on a DTSVLIW in lockstep test mode and returns
 // the machine.
 func runDTSVLIW(t testing.TB, source string, cfg Config) *Machine {

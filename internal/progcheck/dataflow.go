@@ -3,6 +3,7 @@ package progcheck
 import (
 	"fmt"
 
+	"dtsvliw/internal/arch"
 	"dtsvliw/internal/isa"
 )
 
@@ -430,13 +431,13 @@ func (c *CFG) windowDepth(nwin int) []Diagnostic {
 // entry block additionally knows %sp. This only fires on addresses that
 // are provably constant, so it never false-positives on computed
 // addresses.
-func (c *CFG) memRange(stackLo, stackHi uint32) []Diagnostic {
+func (c *CFG) memRange() []Diagnostic {
 	type rng struct{ lo, hi uint32 }
 	var valid []rng
 	for _, s := range c.Prog.Sections {
 		valid = append(valid, rng{s.Addr, s.Addr + uint32(len(s.Bytes))})
 	}
-	valid = append(valid, rng{stackLo, stackHi})
+	valid = append(valid, rng{arch.StackBase, arch.StackBase + arch.StackSize})
 	inRange := func(lo, hi uint32) bool {
 		for _, r := range valid {
 			if lo >= r.lo && hi <= r.hi {
@@ -459,7 +460,7 @@ func (c *CFG) memRange(stackLo, stackHi uint32) []Diagnostic {
 		}
 		known[0] = true // %g0
 		if bi == c.Entry {
-			known[14], val[14] = true, 0x7FF00 // %sp as set by the loaders
+			known[14], val[14] = true, arch.InitialSP // %sp as set by arch.State.LoadProgram
 		}
 		for i := int(b.Start-c.TextBase) / 4; i < int(b.End-c.TextBase)/4; i++ {
 			if !c.Ok[i] {

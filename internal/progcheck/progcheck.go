@@ -7,21 +7,16 @@ import (
 	"dtsvliw/internal/asm"
 )
 
-// Options configures a progcheck run. The defaults mirror the repository
-// loaders: 8 register windows and the [0x7E000, 0x80000) stack the
-// workload harness maps.
+// Options configures a progcheck run. The memory layout is the one every
+// loader installs (arch.State.LoadProgram): the program's sections and
+// the stack at [arch.StackBase, arch.StackBase+arch.StackSize).
 type Options struct {
-	NWin    int    // register windows (0 = 8)
-	StackLo uint32 // stack segment (0,0 = the workload loader's default)
-	StackHi uint32
+	NWin int // register windows (0 = 8)
 }
 
 func (o *Options) fill() {
 	if o.NWin <= 0 {
 		o.NWin = 8
-	}
-	if o.StackLo == 0 && o.StackHi == 0 {
-		o.StackLo, o.StackHi = 0x7E000, 0x80000
 	}
 }
 
@@ -75,7 +70,7 @@ func Analyze(p *asm.Program, source string, o Options) *Result {
 	ds := c.structural()
 	ds = append(ds, c.uninitReads()...)
 	ds = append(ds, c.windowDepth(o.NWin)...)
-	ds = append(ds, c.memRange(o.StackLo, o.StackHi)...)
+	ds = append(ds, c.memRange()...)
 	w := parseWaivers(source)
 	for i := range ds {
 		if ds[i].Line > 0 && w.covers(ds[i].Line, ds[i].Kind) {

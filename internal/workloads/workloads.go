@@ -46,13 +46,8 @@ func (w *Workload) NewState(nwin int) (*arch.State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
-	m := mem.NewMemory()
-	p.Load(m)
-	m.Map(0x7E000, 0x2000) // stack
-	st := arch.NewState(nwin, m)
-	st.PC = p.Entry
-	st.SetReg(14, 0x7FF00) // %sp
-	st.SetTextRange(p.TextBase, p.TextSize)
+	st := arch.NewState(nwin, mem.NewMemory())
+	st.LoadProgram(p)
 	return st, nil
 }
 
