@@ -1,131 +1,80 @@
 package sched
 
-import (
-	"math/bits"
-
-	"dtsvliw/internal/isa"
-)
+import "dtsvliw/internal/isa"
 
 // This file maintains the dependency signatures of the scheduling list:
 // the word-parallel equivalent of the paper's §3.7 comparator network.
 // The candidate instruction's packed read/write bitsets (isa.Sig) live in
-// the Scheduler (candR/candW); installed slots' bitsets live in per-slot
-// arrays owned by the element (sigR/sigW, parallel to slots), so the Slot
-// struct stays small and signature storage is recycled with the element.
-// Every element also caches the OR of its installed slots' bitsets plus a
-// side table of LocMem write intervals (bitsets cannot encode address
-// ranges exactly), bucketed by producer latency so the multicycle horizon
-// checks can mask out producers whose writeback has already landed.
-// Aggregates are updated incrementally on install; on the rare removal
-// events (move-up, split) the counters adjust incrementally and the OR
-// aggregates are rebuilt from the element-owned per-slot arrays without
-// dereferencing any Slot.
+// the Scheduler (candR/candW) while it journeys up the list. Every element
+// caches the OR of its installed slots' bitsets plus a side table of
+// LocMem write intervals (bitsets cannot encode address ranges exactly),
+// bucketed by producer latency so the multicycle horizon checks can mask
+// out producers whose writeback has already landed.
+//
+// As in the hardware, a candidate joins the comparator network only where
+// it installs. On its way up it occupies a slot of each element it passes
+// and counts in that element's counters (occupy/vacate), but its
+// signatures join an element's aggregates once, through install. A
+// split's copy instruction installs where it is created. The aggregates
+// of an open block therefore only grow; releaseElement clears them.
 
 // memWrite is one LocMem entry of an installed slot's write footprint,
-// with the producing slot's latency for the horizon filters and its slot
-// index for removal.
+// with the producing slot's latency for the horizon filters.
 type memWrite struct {
-	loc  isa.Loc
-	lat  int16
-	slot int16
+	loc isa.Loc
+	lat int16
 }
 
-// add folds the slot just stored at index idx into the element's cached
-// aggregates. The slot's signatures must already be in sigR[idx] and
-// sigW[idx].
-func (e *element) add(s *Slot, idx int) {
-	lat := s.LatOr1()
-	e.slotLat[idx] = uint8(lat)
+// occupy puts s into slot idx of e and counts it in the element's
+// counters. Its signatures join the aggregates only through install.
+func (e *element) occupy(s *Slot, idx int) {
+	e.slots[idx] = s
 	e.occ++
 	e.occMask |= 1 << idx
-	e.addCounters(s)
-	e.rsig.Or(&e.sigR[idx])
-	e.wsigLat[lat].Or(&e.sigW[idx])
+	e.count(s, 1)
+}
+
+// vacate undoes occupy. It must see the flags occupy counted. The
+// branch-tag counter is deliberately not touched: it is cumulative over
+// the element's lifetime (paper §3.8), not an aggregate of the current
+// occupancy.
+func (e *element) vacate(s *Slot, idx int) {
+	e.slots[idx] = nil
+	e.occ--
+	e.occMask &^= 1 << idx
+	e.count(s, -1)
+}
+
+// count adds d to each counter s contributes to.
+func (e *element) count(s *Slot, d int) {
+	memCopy := s.IsCopy && hasMemCopy(s)
+	if s.IsCondOrIndirectBranch() {
+		e.ctis += d
+	}
+	if s.IsMem || memCopy {
+		e.mems += d
+	}
+	if (s.IsStore && !s.MemRenamed) || memCopy {
+		e.stores += d
+	}
+	if !s.IsCopy && s.IsMem && !s.IsStore {
+		e.loads += d
+	}
+}
+
+// install folds the footprints of s, which occupies a slot of e, into the
+// element's signature aggregates and memory-write side table.
+func (e *element) install(s *Slot) {
+	lat := s.LatOr1()
+	e.rsig.AddSet(s.reads)
+	e.wsigLat[lat].AddSet(s.writes)
 	e.latMask |= 1 << lat
 	if s.IsMem || s.IsCopy {
 		for _, w := range s.writes {
 			if w.Kind == isa.LocMem {
-				e.memW = append(e.memW, memWrite{loc: w, lat: int16(lat), slot: int16(idx)})
+				e.memW = append(e.memW, memWrite{loc: w, lat: int16(lat)})
 			}
 		}
-	}
-}
-
-func (e *element) addCounters(s *Slot) {
-	memCopy := s.IsCopy && hasMemCopy(s)
-	if s.IsCondOrIndirectBranch() {
-		e.ctis++
-	}
-	if s.IsMem || memCopy {
-		e.mems++
-	}
-	if (s.IsStore && !s.MemRenamed) || memCopy {
-		e.stores++
-	}
-	if !s.IsCopy && s.IsMem && !s.IsStore {
-		e.loads++
-	}
-}
-
-func (e *element) subCounters(s *Slot) {
-	memCopy := s.IsCopy && hasMemCopy(s)
-	if s.IsCondOrIndirectBranch() {
-		e.ctis--
-	}
-	if s.IsMem || memCopy {
-		e.mems--
-	}
-	if (s.IsStore && !s.MemRenamed) || memCopy {
-		e.stores--
-	}
-	if !s.IsCopy && s.IsMem && !s.IsStore {
-		e.loads--
-	}
-}
-
-// remove undoes the installation of s at index idx: counters adjust
-// incrementally, the slot's memory writes leave the side table, and the
-// OR aggregates are rebuilt from the surviving per-slot signatures. The
-// branch-tag counter is deliberately NOT touched: it is cumulative over
-// the element's lifetime (paper §3.8), not an aggregate of the current
-// occupancy. The caller clears e.slots[idx] (or replaces it and calls add
-// afterwards).
-func (e *element) remove(s *Slot, idx int) {
-	e.occ--
-	e.occMask &^= 1 << idx
-	e.subCounters(s)
-	if (s.IsMem || s.IsCopy) && len(e.memW) > 0 {
-		kept := e.memW[:0]
-		for _, mw := range e.memW {
-			if int(mw.slot) != idx {
-				kept = append(kept, mw)
-			}
-		}
-		e.memW = kept
-	}
-	e.rebuildSigs()
-}
-
-// rebuildSigs recomputes the OR aggregates from the element-owned per-slot
-// signature arrays, walking only the occupied slots via the occupancy
-// mask.
-func (e *element) rebuildSigs() {
-	e.rsig.Reset()
-	lm := e.latMask
-	for lm != 0 {
-		l := bits.TrailingZeros64(lm)
-		lm &= lm - 1
-		e.wsigLat[l].Reset()
-	}
-	e.latMask = 0
-	m := e.occMask
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		lat := e.slotLat[i]
-		e.rsig.Or(&e.sigR[i])
-		e.wsigLat[lat].Or(&e.sigW[i])
-		e.latMask |= 1 << lat
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dtsvliw/internal/isa"
@@ -72,15 +73,17 @@ func TestMaskOverlapMatchesNaive(t *testing.T) {
 }
 
 // checkAggregates recomputes every element's cached signatures and
-// counters from its installed slots and compares them with the
-// incrementally maintained state.
+// counters from its slots and compares them with the incrementally
+// maintained state. Between Insert calls every occupied slot is
+// installed.
 func checkAggregates(t *testing.T, u *Scheduler, when string) {
 	t.Helper()
 	for ei, e := range u.elems {
 		var rsig isa.Sig
 		wsig := make([]isa.Sig, u.maxLat+1)
 		var latMask, occMask uint64
-		var occ, ctis, mems, stores, loads, memWrites int
+		var occ, ctis, mems, stores, loads int
+		var memW []memWrite
 		for i, s := range e.slots {
 			if s == nil {
 				continue
@@ -90,13 +93,7 @@ func checkAggregates(t *testing.T, u *Scheduler, when string) {
 			var sr, sw isa.Sig
 			sr.AddSet(s.reads)
 			sw.AddSet(s.writes)
-			if sr != e.sigR[i] || sw != e.sigW[i] {
-				t.Fatalf("%s: elem %d slot %d: stale per-slot signature", when, ei, i)
-			}
 			lat := s.LatOr1()
-			if int(e.slotLat[i]) != lat {
-				t.Fatalf("%s: elem %d slot %d: slotLat %d != %d", when, ei, i, e.slotLat[i], lat)
-			}
 			rsig.Or(&sr)
 			wsig[lat].Or(&sw)
 			latMask |= 1 << lat
@@ -116,7 +113,7 @@ func checkAggregates(t *testing.T, u *Scheduler, when string) {
 			if s.IsMem || s.IsCopy {
 				for _, w := range s.writes {
 					if w.Kind == isa.LocMem {
-						memWrites++
+						memW = append(memW, memWrite{loc: w, lat: int16(lat)})
 					}
 				}
 			}
@@ -141,18 +138,19 @@ func checkAggregates(t *testing.T, u *Scheduler, when string) {
 				t.Fatalf("%s: elem %d: wsigLat[%d] aggregate stale", when, ei, l)
 			}
 		}
-		if memWrites != len(e.memW) {
+		if len(memW) != len(e.memW) {
 			t.Fatalf("%s: elem %d: %d LocMem writes != %d side-table entries",
-				when, ei, memWrites, len(e.memW))
+				when, ei, len(memW), len(e.memW))
 		}
-		for _, mw := range e.memW {
-			s := e.slots[mw.slot]
-			if s == nil {
-				t.Fatalf("%s: elem %d: memW entry for empty slot %d", when, ei, mw.slot)
+		// The side table holds the same entries in install order.
+		left := slices.Clone(e.memW)
+		for _, mw := range memW {
+			i := slices.Index(left, mw)
+			if i < 0 {
+				t.Fatalf("%s: elem %d: LocMem write %v (lat %d) missing from the side table",
+					when, ei, mw.loc, mw.lat)
 			}
-			if int(mw.lat) != s.LatOr1() {
-				t.Fatalf("%s: elem %d: memW lat %d != slot lat %d", when, ei, mw.lat, s.LatOr1())
-			}
+			left = slices.Delete(left, i, i+1)
 		}
 	}
 }
