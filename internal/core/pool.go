@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/mem"
@@ -87,30 +87,33 @@ func (c *MachineContext) Recycle() {
 	}
 }
 
-// MachinePool hands out warm MachineContexts keyed by configuration. It
-// is NOT safe for concurrent use: parallel drivers keep one pool per
-// worker, which also keeps runs deterministic (a context's allocation
-// history never depends on sibling workers).
+// MachinePool hands out warm MachineContexts, one shelf of recycled
+// contexts per configuration. It is NOT safe for concurrent use: parallel
+// drivers keep one pool per worker, which also keeps runs deterministic
+// (a context's allocation history never depends on sibling workers).
 type MachinePool struct {
-	free map[string][]*MachineContext
+	shelves []shelf
 
 	// Hits counts Gets served by a recycled context, Misses those that
 	// built a fresh one (non-poolable configurations always miss).
 	Hits, Misses uint64
 }
 
-// NewMachinePool builds an empty pool.
-func NewMachinePool() *MachinePool {
-	return &MachinePool{free: make(map[string][]*MachineContext)}
+// shelf holds the recycled contexts of one configuration.
+type shelf struct {
+	cfg  Config
+	free []*MachineContext
 }
+
+// NewMachinePool builds an empty pool.
+func NewMachinePool() *MachinePool { return &MachinePool{} }
 
 // Get returns a context for cfg, recycling a shelved one when available.
 func (p *MachinePool) Get(cfg Config) (*MachineContext, error) {
-	key := poolKey(cfg)
-	if list := p.free[key]; len(list) > 0 {
-		c := list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[key] = list[:len(list)-1]
+	if s := p.shelf(&cfg); s != nil && len(s.free) > 0 {
+		c := s.free[len(s.free)-1]
+		s.free[len(s.free)-1] = nil
+		s.free = s.free[:len(s.free)-1]
 		p.Hits++
 		return c, nil
 	}
@@ -125,22 +128,49 @@ func (p *MachinePool) Put(c *MachineContext) {
 		return
 	}
 	c.Recycle()
-	key := poolKey(c.cfg)
-	p.free[key] = append(p.free[key], c)
+	s := p.shelf(&c.cfg)
+	if s == nil {
+		cfg := c.cfg
+		cfg.FUs = slices.Clone(cfg.FUs) // the shelf keeps its own key
+		p.shelves = append(p.shelves, shelf{cfg: cfg})
+		s = &p.shelves[len(p.shelves)-1]
+	}
+	s.free = append(s.free, c)
 }
 
-// poolKey fingerprints a configuration. Two configs with equal keys build
-// machines with identical geometry and behaviour, so their contexts are
-// interchangeable. The fingerprint is the printed struct with the two
-// pointer attachments replaced by their identities: printing %+v through
-// them would reflect into shared mutable state (the metrics registry's
-// maps race with concurrent publishers), and pointer *identity* is what
-// pooling needs anyway — a pooled machine keeps publishing to the
-// registry it resolved instruments from, so contexts are interchangeable
-// only within one registry.
-func poolKey(cfg Config) string {
-	k := cfg
-	k.Telemetry = nil
-	k.Metrics = nil
-	return fmt.Sprintf("%p|%p|%+v", cfg.Telemetry, cfg.Metrics, k)
+// shelf returns the shelf whose configuration equals cfg, or nil.
+func (p *MachinePool) shelf(cfg *Config) *shelf {
+	for i := range p.shelves {
+		if sameConfig(&p.shelves[i].cfg, cfg) {
+			return &p.shelves[i]
+		}
+	}
+	return nil
+}
+
+// sameConfig reports whether a and b build interchangeable machines:
+// every field is equal by value, FUs element by element, and the
+// Telemetry and Metrics attachments by identity. Identity is what pooling
+// needs: a pooled machine keeps publishing to the registry it resolved
+// instruments from, and comparing through the pointers would read shared
+// mutable state (the registry's maps race with concurrent publishers).
+// Go cannot compare a Config with == because of FUs, and a comparison
+// through reflect would move Get's argument to the heap, hence the field
+// list; TestMachinePoolSharesOnlyEqualConfigs changes every field, found
+// by reflection, and fails on one this list misses.
+func sameConfig(a, b *Config) bool {
+	return a.Width == b.Width && a.Height == b.Height && slices.Equal(a.FUs, b.FUs) &&
+		a.NWin == b.NWin && a.ICache == b.ICache && a.DCache == b.DCache &&
+		a.VCacheKB == b.VCacheKB && a.VCacheAssoc == b.VCacheAssoc &&
+		a.NextLIMissPenalty == b.NextLIMissPenalty &&
+		a.SwitchToVLIW == b.SwitchToVLIW && a.SwitchToPrimary == b.SwitchToPrimary &&
+		a.Pipeline == b.Pipeline && a.StoreScheme == b.StoreScheme &&
+		a.InterpretedEngine == b.InterpretedEngine && a.NoChain == b.NoChain &&
+		a.ExitPrediction == b.ExitPrediction && a.NoSourceForwarding == b.NoSourceForwarding &&
+		a.SchedStrategy == b.SchedStrategy && a.SchedNodeBudget == b.SchedNodeBudget &&
+		a.LoadLatency == b.LoadLatency && a.FPLatency == b.FPLatency &&
+		a.FPDivLatency == b.FPDivLatency &&
+		a.Telemetry == b.Telemetry && a.Metrics == b.Metrics &&
+		a.TestMode == b.TestMode && a.VerifyBlocks == b.VerifyBlocks && a.Fault == b.Fault &&
+		a.MaxInstrs == b.MaxInstrs && a.MaxCycles == b.MaxCycles && a.FastForward == b.FastForward
 }
