@@ -9,8 +9,8 @@ package core
 
 import (
 	"fmt"
-
 	"hash/fnv"
+	"slices"
 
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
@@ -175,20 +175,93 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("core: %s %v invalid (%s)", e.Field, e.Value, e.Reason)
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every refusal is a *ConfigError
+// naming the field and saying why.
 func (c Config) Validate() error {
-	for _, p := range [...]struct {
-		field string
-		v     int
-	}{
+	type field struct {
+		name string
+		v    int
+	}
+	for _, f := range [...]field{
 		{"SwitchToVLIW", c.SwitchToVLIW},
 		{"SwitchToPrimary", c.SwitchToPrimary},
 		{"NextLIMissPenalty", c.NextLIMissPenalty},
+		{"Pipeline.NotTakenBranchBubble", c.Pipeline.NotTakenBranchBubble},
+		{"Pipeline.LoadUseBubble", c.Pipeline.LoadUseBubble},
 	} {
-		if p.v < 0 {
-			// A negative penalty would wrap the unsigned cycle counters.
-			return &ConfigError{Field: p.field, Value: p.v, Reason: "negative cycle cost"}
+		if f.v < 0 {
+			// A negative cost would cut cycles, or wrap the unsigned
+			// cycle counters.
+			return &ConfigError{Field: f.name, Value: f.v, Reason: "negative cycle cost"}
 		}
+	}
+	for _, f := range [...]field{
+		{"LoadLatency", c.LoadLatency},
+		{"FPLatency", c.FPLatency},
+		{"FPDivLatency", c.FPDivLatency},
+	} {
+		if f.v < 0 {
+			return &ConfigError{Field: f.name, Value: f.v, Reason: "negative latency"}
+		}
+		if f.v > sched.LatencyLimit {
+			return &ConfigError{Field: f.name, Value: f.v,
+				Reason: fmt.Sprintf("the Scheduler Unit tracks latencies of at most %d cycles", sched.LatencyLimit)}
+		}
+	}
+	for _, f := range [...]field{
+		{"Pipeline.LoadLatency", c.Pipeline.LoadLatency},
+		{"Pipeline.FPLatency", c.Pipeline.FPLatency},
+		{"Pipeline.FPDivLatency", c.Pipeline.FPDivLatency},
+	} {
+		if f.v != 0 {
+			return &ConfigError{Field: f.name, Value: f.v,
+				Reason: "NewMachine sets the pipeline's latencies from LoadLatency, FPLatency and FPDivLatency"}
+		}
+	}
+	for _, f := range [...]field{
+		{"Width", c.Width},
+		{"Height", c.Height},
+		{"VCacheKB", c.VCacheKB},
+		{"VCacheAssoc", c.VCacheAssoc},
+	} {
+		if f.v <= 0 {
+			return &ConfigError{Field: f.name, Value: f.v, Reason: "must be positive"}
+		}
+	}
+	if c.Width > sched.WidthLimit {
+		return &ConfigError{Field: "Width", Value: c.Width,
+			Reason: fmt.Sprintf("the Scheduler Unit's slot masks hold %d slots", sched.WidthLimit)}
+	}
+	if c.Width > vliw.MaxBlockSlots/c.Height {
+		// Width*Height > MaxBlockSlots, without overflowing the product.
+		return &ConfigError{Field: "Width*Height", Value: fmt.Sprintf("%dx%d", c.Width, c.Height),
+			Reason: fmt.Sprintf("a block of more than %d slots cannot be lowered", vliw.MaxBlockSlots)}
+	}
+	if c.NWin < 2 || c.NWin > 32 {
+		return &ConfigError{Field: "NWin", Value: c.NWin,
+			Reason: "SPARC V7 has 2 to 32 register windows (a 5-bit CWP)"}
+	}
+	if c.FUs != nil {
+		if len(c.FUs) != c.Width {
+			return &ConfigError{Field: "FUs", Value: c.FUs,
+				Reason: fmt.Sprintf("%d classes for width %d", len(c.FUs), c.Width)}
+		}
+		for _, fu := range c.FUs {
+			if fu > isa.FUAny {
+				return &ConfigError{Field: "FUs", Value: c.FUs, Reason: fmt.Sprintf("no FU class %d", fu)}
+			}
+		}
+		if cl, ok := sched.UncoveredClass(c.FUs); ok {
+			return &ConfigError{Field: "FUs", Value: c.FUs,
+				Reason: fmt.Sprintf("no slot accepts %v instructions", cl)}
+		}
+	}
+	if c.SchedStrategy != "" && !slices.Contains(sched.StrategyNames(), c.SchedStrategy) {
+		return &ConfigError{Field: "SchedStrategy", Value: c.SchedStrategy,
+			Reason: fmt.Sprintf("no such strategy (registered: %v)", sched.StrategyNames())}
+	}
+	if c.StoreScheme > vliw.SchemeStoreList {
+		return &ConfigError{Field: "StoreScheme", Value: c.StoreScheme, Reason: "no such store scheme"}
 	}
 	if c.InterpretedEngine {
 		return &ConfigError{Field: "InterpretedEngine", Value: true,
@@ -196,23 +269,6 @@ func (c Config) Validate() error {
 	}
 	if !c.Fault.Valid() {
 		return &ConfigError{Field: "Fault", Value: c.Fault, Reason: "no such scheduler fault"}
-	}
-	if c.Width <= 0 || c.Height <= 0 {
-		return fmt.Errorf("core: block geometry %dx%d invalid", c.Width, c.Height)
-	}
-	if c.Width > vliw.MaxBlockSlots/c.Height {
-		// Width*Height > MaxBlockSlots, without overflowing the product.
-		return &ConfigError{Field: "Width*Height", Value: fmt.Sprintf("%dx%d", c.Width, c.Height),
-			Reason: fmt.Sprintf("a block of more than %d slots cannot be lowered", vliw.MaxBlockSlots)}
-	}
-	if c.NWin < 2 {
-		return fmt.Errorf("core: nwin %d invalid", c.NWin)
-	}
-	if c.VCacheKB <= 0 || c.VCacheAssoc <= 0 {
-		return fmt.Errorf("core: VLIW cache %dKB/%d-way invalid", c.VCacheKB, c.VCacheAssoc)
-	}
-	if c.FUs != nil && len(c.FUs) != c.Width {
-		return fmt.Errorf("core: %d FU classes for width %d", len(c.FUs), c.Width)
 	}
 	for _, cc := range [...]struct {
 		field string

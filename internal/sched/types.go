@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"dtsvliw/internal/isa"
 )
@@ -412,20 +413,26 @@ func (c Config) MaxLatency() int {
 	return m
 }
 
+// Implementation bounds of the Scheduler Unit. The occupancy and
+// FU-acceptance masks pack slot indices into one 64-bit word (the paper's
+// geometries stop at 16), and latency buckets are tracked in a 64-bit
+// nonempty mask.
+const (
+	WidthLimit   = 64
+	LatencyLimit = 63
+)
+
 // Validate checks that the configuration can schedule every instruction
 // class.
 func (c Config) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("sched: width %d / height %d invalid", c.Width, c.Height)
 	}
-	if c.Width > 64 {
-		// The occupancy and FU-acceptance masks pack slot indices into one
-		// 64-bit word; the paper's geometries stop at 16.
-		return fmt.Errorf("sched: width %d exceeds the 64-slot implementation bound", c.Width)
+	if c.Width > WidthLimit {
+		return fmt.Errorf("sched: width %d exceeds the %d-slot implementation bound", c.Width, WidthLimit)
 	}
-	if c.MaxLatency() > 63 {
-		// Latency buckets are tracked in a 64-bit nonempty mask.
-		return fmt.Errorf("sched: max latency %d exceeds the 63-cycle implementation bound", c.MaxLatency())
+	if c.MaxLatency() > LatencyLimit {
+		return fmt.Errorf("sched: max latency %d exceeds the %d-cycle implementation bound", c.MaxLatency(), LatencyLimit)
 	}
 	if c.NWin <= 0 {
 		return fmt.Errorf("sched: nwin %d invalid", c.NWin)
@@ -436,19 +443,24 @@ func (c Config) Validate() error {
 	if len(c.FUs) != c.Width {
 		return fmt.Errorf("sched: %d FU classes for width %d", len(c.FUs), c.Width)
 	}
-	for _, class := range []isa.FUClass{isa.FUInt, isa.FULoadStore, isa.FUFloat, isa.FUBranch} {
-		ok := false
-		for _, fu := range c.FUs {
-			if fu == isa.FUAny || fu == class {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("sched: no slot accepts %v instructions", class)
-		}
+	if class, ok := UncoveredClass(c.FUs); ok {
+		return fmt.Errorf("sched: no slot accepts %v instructions", class)
 	}
 	return nil
+}
+
+// UncoveredClass returns an instruction class that no slot of the FU mix
+// fus accepts, if there is one. A nil mix accepts every class.
+func UncoveredClass(fus []isa.FUClass) (isa.FUClass, bool) {
+	if fus == nil || slices.Contains(fus, isa.FUAny) {
+		return 0, false
+	}
+	for _, class := range [...]isa.FUClass{isa.FUInt, isa.FULoadStore, isa.FUFloat, isa.FUBranch} {
+		if !slices.Contains(fus, class) {
+			return class, true
+		}
+	}
+	return 0, false
 }
 
 // slotAccepts reports whether slot index i can hold an instruction of
