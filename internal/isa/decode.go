@@ -265,6 +265,9 @@ func Encode(in Inst) (uint32, error) {
 	case OpSETHI:
 		return uint32(in.Rd)<<25 | 4<<22 | uint32(in.Imm)&0x3FFFFF, nil
 	case OpBICC, OpFBFCC:
+		if in.Imm < -(1<<21) || in.Imm >= 1<<21 {
+			return 0, fmt.Errorf("isa: disp22 out of range: %d", in.Imm)
+		}
 		var op2 uint32 = 2
 		if in.Op == OpFBFCC {
 			op2 = 6

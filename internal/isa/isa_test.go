@@ -85,6 +85,24 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsDisp22Overflow: a branch displacement that does not
+// fit its 22-bit field is an error, not a silently masked branch
+// somewhere else.
+func TestEncodeRejectsDisp22Overflow(t *testing.T) {
+	for _, op := range []Op{OpBICC, OpFBFCC} {
+		for _, disp := range []int32{-1<<21 - 1, 1 << 21, 1 << 22} {
+			if w, err := Encode(Inst{Op: op, Cond: CondA, Imm: disp}); err == nil {
+				t.Errorf("%v disp %d encoded as %#08x, want an error", op, disp, w)
+			}
+		}
+		for _, disp := range []int32{-1 << 21, 1<<21 - 1} {
+			if _, err := Encode(Inst{Op: op, Cond: CondA, Imm: disp}); err != nil {
+				t.Errorf("%v disp %d: %v", op, disp, err)
+			}
+		}
+	}
+}
+
 // TestDecodeRejectsGarbage ensures undecodable words error rather than
 // aliasing to a wrong instruction class silently.
 func TestDecodeRejectsGarbage(t *testing.T) {
