@@ -14,6 +14,7 @@ package progen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -117,15 +118,15 @@ func ShapeParams(s Shape, seed int64) Params {
 type gen struct {
 	rng     *rand.Rand
 	p       Params
-	b       strings.Builder
+	b       []byte // program text
 	label   int
-	funcs   []string // generated function labels
-	funcSrc strings.Builder
+	funcSrc []byte // function bodies, appended after the main program
 }
 
 // Generate produces the assembly source of a random terminating program.
 func Generate(p Params) string {
-	g := &gen{rng: rand.New(rand.NewSource(p.Seed)), p: p}
+	g := &gen{rng: rand.New(rand.NewSource(p.Seed)), p: p,
+		b: make([]byte, 0, 8<<10), funcSrc: make([]byte, 0, 2<<10)}
 	return g.program()
 }
 
@@ -137,30 +138,135 @@ var pool = []string{"%g1", "%g2", "%g3", "%g4", "%o0", "%o1", "%o2", "%o3", "%o4
 
 func (g *gen) reg() string { return pool[g.rng.Intn(len(pool))] }
 
-func (g *gen) newLabel(prefix string) string {
-	g.label++
-	return fmt.Sprintf("%s_%d", prefix, g.label)
+// label names a generated label: prefix_n.
+type label struct {
+	prefix string
+	n      int
 }
 
-func (g *gen) emit(format string, args ...interface{}) {
-	fmt.Fprintf(&g.b, "\t"+format+"\n", args...)
+func (g *gen) newLabel(prefix string) label {
+	g.label++
+	return label{prefix, g.label}
 }
+
+func (l label) appendTo(b []byte) []byte {
+	b = append(b, l.prefix...)
+	b = append(b, '_')
+	return strconv.AppendInt(b, int64(l.n), 10)
+}
+
+// define appends the line that defines l.
+func (g *gen) define(l label) { g.b = append(l.appendTo(g.b), ":\n"...) }
+
+// emit appends one instruction line with no variable part.
+func (g *gen) emit(text string) {
+	g.b = append(g.b, '\t')
+	g.b = append(g.b, text...)
+	g.b = append(g.b, '\n')
+}
+
+// ins starts an instruction line with mnemonic mn; its operands follow
+// through the returned line, closed by end.
+func (g *gen) ins(mn string) line {
+	g.b = append(g.b, '\t')
+	g.b = append(g.b, mn...)
+	return line{g: g}
+}
+
+// line appends the operands of one instruction, separated by commas.
+type line struct {
+	g *gen
+	n int // operands so far
+}
+
+func (l line) next() line {
+	if l.n == 0 {
+		l.g.b = append(l.g.b, ' ')
+	} else {
+		l.g.b = append(l.g.b, ", "...)
+	}
+	l.n++
+	return l
+}
+
+// str appends a register, label or literal operand.
+func (l line) str(s string) line {
+	l = l.next()
+	l.g.b = append(l.g.b, s...)
+	return l
+}
+
+// num appends a decimal operand.
+func (l line) num(v int) line {
+	l = l.next()
+	l.g.b = strconv.AppendInt(l.g.b, int64(v), 10)
+	return l
+}
+
+// hex appends v as fmt's %#x would.
+func (l line) hex(v uint32) line {
+	l = l.next()
+	l.g.b = append(l.g.b, "0x"...)
+	l.g.b = strconv.AppendUint(l.g.b, uint64(v), 16)
+	return l
+}
+
+// numbered appends a register name such as %f3: prefix then n.
+func (l line) numbered(prefix string, n int) line {
+	l = l.next()
+	l.g.b = append(l.g.b, prefix...)
+	l.g.b = strconv.AppendInt(l.g.b, int64(n), 10)
+	return l
+}
+
+func (l line) freg(n int) line { return l.numbered("%f", n) }
+
+func (l line) label(lb label) line {
+	l = l.next()
+	l.g.b = lb.appendTo(l.g.b)
+	return l
+}
+
+// mem appends the memory operand [base+index].
+func (l line) mem(base, index string) line {
+	l = l.next()
+	l.g.b = append(l.g.b, '[')
+	l.g.b = append(l.g.b, base...)
+	l.g.b = append(l.g.b, '+')
+	l.g.b = append(l.g.b, index...)
+	l.g.b = append(l.g.b, ']')
+	return l
+}
+
+// memOff appends the memory operand [base+off].
+func (l line) memOff(base string, off int) line {
+	l = l.next()
+	l.g.b = append(l.g.b, '[')
+	l.g.b = append(l.g.b, base...)
+	l.g.b = append(l.g.b, '+')
+	l.g.b = strconv.AppendInt(l.g.b, int64(off), 10)
+	l.g.b = append(l.g.b, ']')
+	return l
+}
+
+// end closes the line.
+func (l line) end() { l.g.b = append(l.g.b, '\n') }
 
 func (g *gen) program() string {
-	g.b.WriteString("\t.data 0x40000\nbuf:\t.space 256\nfbuf:")
+	g.b = append(g.b, "\t.data 0x40000\nbuf:\t.space 256\nfbuf:"...)
 	for i := 0; i < 16; i++ {
-		fmt.Fprintf(&g.b, "\t.word %#x\n", g.rng.Uint32()&0x3FFFFFFF|0x3F000000)
+		g.ins(".word").hex(g.rng.Uint32()&0x3FFFFFFF | 0x3F000000).end()
 	}
-	g.b.WriteString("\t.text 0x1000\nstart:\n")
+	g.b = append(g.b, "\t.text 0x1000\nstart:\n"...)
 	// Seed registers with deterministic junk.
 	for _, r := range pool {
-		g.emit("set %d, %s", g.rng.Int31n(1<<20), r)
+		g.ins("set").num(int(g.rng.Int31n(1 << 20))).str(r).end()
 	}
-	g.emit("set buf, %%g6")
+	g.emit("set buf, %g6")
 	if g.p.FP {
-		g.emit("set fbuf, %%g7")
+		g.emit("set fbuf, %g7")
 		for i := 0; i < 8; i += 2 {
-			g.emit("ldf [%%g7+%d], %%f%d", 4*i, i)
+			g.ins("ldf").memOff("%g7", 4*i).freg(i).end()
 		}
 	}
 	// Pre-generate callable functions so calls have targets.
@@ -173,13 +279,13 @@ func (g *gen) program() string {
 		g.item(0)
 	}
 	// Checksum: fold the register pool into %o0 and exit.
-	g.emit("mov 0, %%o0")
+	g.emit("mov 0, %o0")
 	for _, r := range pool[:8] {
-		g.emit("xor %%o0, %s, %%o0", r)
+		g.ins("xor").str("%o0").str(r).str("%o0").end()
 	}
 	g.emit("ta 0")
-	g.b.WriteString(g.funcSrc.String())
-	return g.b.String()
+	g.b = append(g.b, g.funcSrc...)
+	return string(g.b)
 }
 
 // item emits one random statement at the given nesting depth, with the
@@ -210,13 +316,12 @@ func (g *gen) mixedItem(depth int) {
 	case roll < 80 && depth < g.p.MaxDepth:
 		g.loop(depth)
 	case roll < 86 && g.p.Calls && depth < g.p.MaxDepth:
-		g.emit("call fn_%d", g.rng.Intn(3))
-		g.emit("nop")
+		g.call(3)
 	case roll < 90 && g.p.FP:
 		g.fpOp()
 	case roll < 93 && g.p.Traps:
-		g.emit("and %s, 63, %%o0", g.reg())
-		g.emit("add %%o0, 48, %%o0")
+		g.ins("and").str(g.reg()).num(63).str("%o0").end()
+		g.emit("add %o0, 48, %o0")
 		g.emit("ta 1")
 	case roll < 96:
 		g.emit("nop")
@@ -238,8 +343,7 @@ func (g *gen) branchyItem(depth int) {
 	case roll < 70 && depth < g.p.MaxDepth:
 		g.loop(depth)
 	case roll < 78 && g.p.Calls && depth < g.p.MaxDepth:
-		g.emit("call fn_%d", g.rng.Intn(3))
-		g.emit("nop")
+		g.call(3)
 	case roll < 95:
 		g.alu()
 	default:
@@ -289,12 +393,19 @@ func (g *gen) multicycleItem(depth int) {
 	}
 }
 
+// call emits a call to one of the first n functions.
+func (g *gen) call(n int) {
+	g.ins("call").label(label{"fn", g.rng.Intn(n)}).end()
+	g.emit("nop")
+}
+
+var aluOps = []string{"add", "sub", "and", "or", "xor", "andn", "orn", "xnor",
+	"addcc", "subcc", "andcc", "orcc", "xorcc", "sll", "srl", "sra",
+	"addx", "subx"}
+
 // alu emits a random integer ALU instruction.
 func (g *gen) alu() {
-	ops := []string{"add", "sub", "and", "or", "xor", "andn", "orn", "xnor",
-		"addcc", "subcc", "andcc", "orcc", "xorcc", "sll", "srl", "sra",
-		"addx", "subx"}
-	op := ops[g.rng.Intn(len(ops))]
+	op := aluOps[g.rng.Intn(len(aluOps))]
 	rd := g.reg()
 	rs1 := g.reg()
 	if g.rng.Intn(2) == 0 {
@@ -302,11 +413,16 @@ func (g *gen) alu() {
 		if strings.HasPrefix(op, "s") && (op[1] == 'l' || op[1] == 'r') {
 			imm = g.rng.Int31n(32)
 		}
-		g.emit("%s %s, %d, %s", op, rs1, imm, rd)
+		g.ins(op).str(rs1).num(int(imm)).str(rd).end()
 	} else {
-		g.emit("%s %s, %s, %s", op, rs1, g.reg(), rd)
+		g.ins(op).str(rs1).str(g.reg()).str(rd).end()
 	}
 }
+
+var memSizes = []struct {
+	ld, st string
+	mask   int
+}{{"ld", "st", 0xFC}, {"ldub", "stb", 0xFF}, {"lduh", "sth", 0xFE}, {"ldsb", "stb", 0xFF}, {"ldsh", "sth", 0xFE}}
 
 // memOp emits a load or store confined to buf, with data-dependent
 // addressing so schedule-time and run-time addresses can differ. The
@@ -314,70 +430,71 @@ func (g *gen) alu() {
 // operations can be reordered by the scheduler (the precondition for
 // runtime aliasing).
 func (g *gen) memOp() {
-	sizes := []struct {
-		ld, st string
-		mask   int
-	}{{"ld", "st", 0xFC}, {"ldub", "stb", 0xFF}, {"lduh", "sth", 0xFE}, {"ldsb", "stb", 0xFF}, {"ldsh", "sth", 0xFE}}
-	sz := sizes[g.rng.Intn(len(sizes))]
+	sz := memSizes[g.rng.Intn(len(memSizes))]
 	ra := g.reg()
 	if g.rng.Intn(3) == 0 {
 		// Fixed offset: collides with data-dependent addresses sometimes.
-		g.emit("mov %d, %s", int(g.rng.Int31n(64))&sz.mask, ra)
+		g.ins("mov").num(int(g.rng.Int31n(64)) & sz.mask).str(ra).end()
 	} else {
-		g.emit("and %s, %#x, %s", g.reg(), sz.mask, ra)
+		g.ins("and").str(g.reg()).hex(uint32(sz.mask)).str(ra).end()
 	}
 	if g.rng.Intn(2) == 0 {
-		g.emit("%s [%%g6+%s], %s", sz.ld, ra, g.reg())
+		g.ins(sz.ld).mem("%g6", ra).str(g.reg()).end()
 	} else {
-		g.emit("%s %s, [%%g6+%s]", sz.st, g.reg(), ra)
+		g.ins(sz.st).str(g.reg()).mem("%g6", ra).end()
 	}
 }
+
+// branches are the conditional branches condSkip and ccBranchPair draw
+// from; fbranches the floating-point ones.
+var (
+	branches  = []string{"be", "bne", "bg", "ble", "bge", "bl", "bgu", "bleu", "bcc", "bcs", "bpos", "bneg"}
+	fbranches = []string{"fbe", "fbne", "fbl", "fbg", "fble", "fbge"}
+	fpOps     = []string{"fadds", "fsubs", "fmuls"}
+)
 
 // condSkip emits a compare and a conditional forward branch over a few
 // instructions.
 func (g *gen) condSkip(depth int) {
-	conds := []string{"e", "ne", "g", "le", "ge", "l", "gu", "leu", "cc", "cs", "pos", "neg"}
 	lbl := g.newLabel("skip")
-	g.emit("cmp %s, %s", g.reg(), g.reg())
-	g.emit("b%s %s", conds[g.rng.Intn(len(conds))], lbl)
+	g.ins("cmp").str(g.reg()).str(g.reg()).end()
+	g.ins(branches[g.rng.Intn(len(branches))]).label(lbl).end()
 	n := 1 + g.rng.Intn(3)
 	for i := 0; i < n; i++ {
 		g.alu()
 	}
-	g.b.WriteString(lbl + ":\n")
+	g.define(lbl)
 }
 
 // loop emits a counted loop using the per-depth counter register.
 func (g *gen) loop(depth int) {
-	ctr := fmt.Sprintf("%%l%d", 4+depth)
+	ctr := 4 + depth // %l4 upwards
 	lbl := g.newLabel("loop")
 	iters := 1 + g.rng.Intn(6)
-	g.emit("mov %d, %s", iters, ctr)
-	g.b.WriteString(lbl + ":\n")
+	g.ins("mov").num(iters).numbered("%l", ctr).end()
+	g.define(lbl)
 	n := 1 + g.rng.Intn(4)
 	for i := 0; i < n; i++ {
 		g.item(depth + 1)
 	}
-	g.emit("subcc %s, 1, %s", ctr, ctr)
-	g.emit("bg %s", lbl)
+	g.ins("subcc").numbered("%l", ctr).num(1).numbered("%l", ctr).end()
+	g.ins("bg").label(lbl).end()
 }
 
 // fpOp emits floating-point arithmetic over %f0..%f7 plus an fcc branch.
 func (g *gen) fpOp() {
-	ops := []string{"fadds", "fsubs", "fmuls"}
 	f := func() int { return g.rng.Intn(8) }
-	g.emit("%s %%f%d, %%f%d, %%f%d", ops[g.rng.Intn(len(ops))], f(), f(), f())
+	g.ins(fpOps[g.rng.Intn(len(fpOps))]).freg(f()).freg(f()).freg(f()).end()
 	if g.rng.Intn(3) == 0 {
 		lbl := g.newLabel("fskip")
-		g.emit("fcmps %%f%d, %%f%d", f(), f())
-		fconds := []string{"e", "ne", "l", "g", "le", "ge"}
-		g.emit("fb%s %s", fconds[g.rng.Intn(len(fconds))], lbl)
+		g.ins("fcmps").freg(f()).freg(f()).end()
+		g.ins(fbranches[g.rng.Intn(len(fbranches))]).label(lbl).end()
 		g.alu()
-		g.b.WriteString(lbl + ":\n")
+		g.define(lbl)
 	}
 	if g.rng.Intn(4) == 0 {
-		g.emit("fstoi %%f%d, %%f%d", f(), f())
-		g.emit("fitos %%f%d, %%f%d", f(), f())
+		g.ins("fstoi").freg(f()).freg(f()).end()
+		g.ins("fitos").freg(f()).freg(f()).end()
 	}
 }
 
@@ -385,17 +502,16 @@ func (g *gen) fpOp() {
 // consuming the same condition codes, so blocks carry several branches and
 // the VLIW Engine's tag system must annul correctly on either deviation.
 func (g *gen) ccBranchPair() {
-	conds := []string{"e", "ne", "g", "le", "ge", "l", "gu", "leu", "cc", "cs", "pos", "neg"}
-	g.emit("cmp %s, %s", g.reg(), g.reg())
+	g.ins("cmp").str(g.reg()).str(g.reg()).end()
 	l1 := g.newLabel("bp")
-	g.emit("b%s %s", conds[g.rng.Intn(len(conds))], l1)
+	g.ins(branches[g.rng.Intn(len(branches))]).label(l1).end()
 	g.alu()
-	g.b.WriteString(l1 + ":\n")
+	g.define(l1)
 	l2 := g.newLabel("bp")
-	g.emit("b%s %s", conds[g.rng.Intn(len(conds))], l2)
+	g.ins(branches[g.rng.Intn(len(branches))]).label(l2).end()
 	g.alu()
 	g.alu()
-	g.b.WriteString(l2 + ":\n")
+	g.define(l2)
 }
 
 // aliasPair emits a store through a data-dependent pointer next to a load
@@ -404,18 +520,18 @@ func (g *gen) ccBranchPair() {
 // two collide only on some paths — the paper's §3.10 aliasing hazard.
 func (g *gen) aliasPair() {
 	ra := g.reg()
-	g.emit("and %s, 0xFC, %s", g.reg(), ra)
+	g.ins("and").str(g.reg()).str("0xFC").str(ra).end()
 	fixed := 4 * g.rng.Intn(64)
 	switch g.rng.Intn(3) {
 	case 0:
-		g.emit("st %s, [%%g6+%s]", g.reg(), ra)
-		g.emit("ld [%%g6+%d], %s", fixed, g.reg())
+		g.ins("st").str(g.reg()).mem("%g6", ra).end()
+		g.ins("ld").memOff("%g6", fixed).str(g.reg()).end()
 	case 1:
-		g.emit("st %s, [%%g6+%d]", g.reg(), fixed)
-		g.emit("ld [%%g6+%s], %s", ra, g.reg())
+		g.ins("st").str(g.reg()).memOff("%g6", fixed).end()
+		g.ins("ld").mem("%g6", ra).str(g.reg()).end()
 	default:
-		g.emit("st %s, [%%g6+%s]", g.reg(), ra)
-		g.emit("st %s, [%%g6+%d]", g.reg(), fixed)
+		g.ins("st").str(g.reg()).mem("%g6", ra).end()
+		g.ins("st").str(g.reg()).memOff("%g6", fixed).end()
 	}
 }
 
@@ -424,10 +540,10 @@ func (g *gen) aliasPair() {
 // comparisons of the load/store lists are range checks, not equality).
 func (g *gen) overlapMem() {
 	base := 4 * g.rng.Intn(8)
-	g.emit("st %s, [%%g6+%d]", g.reg(), base)
-	g.emit("stb %s, [%%g6+%d]", g.reg(), base+g.rng.Intn(4))
-	g.emit("ld [%%g6+%d], %s", base, g.reg())
-	g.emit("ldsh [%%g6+%d], %s", base+2*g.rng.Intn(2), g.reg())
+	g.ins("st").str(g.reg()).memOff("%g6", base).end()
+	g.ins("stb").str(g.reg()).memOff("%g6", base+g.rng.Intn(4)).end()
+	g.ins("ld").memOff("%g6", base).str(g.reg()).end()
+	g.ins("ldsh").memOff("%g6", base+2*g.rng.Intn(2)).str(g.reg()).end()
 }
 
 // loadUse emits a load immediately consumed by ALU instructions, placing
@@ -435,55 +551,53 @@ func (g *gen) overlapMem() {
 // configurations.
 func (g *gen) loadUse() {
 	ra := g.reg()
-	g.emit("and %s, 0xFC, %s", g.reg(), ra)
+	g.ins("and").str(g.reg()).str("0xFC").str(ra).end()
 	rd := g.reg()
-	g.emit("ld [%%g6+%s], %s", ra, rd)
-	g.emit("add %s, %s, %s", rd, g.reg(), g.reg())
+	g.ins("ld").mem("%g6", ra).str(rd).end()
+	g.ins("add").str(rd).str(g.reg()).str(g.reg()).end()
 	if g.rng.Intn(2) == 0 {
-		g.emit("xorcc %s, %s, %s", rd, g.reg(), g.reg())
+		g.ins("xorcc").str(rd).str(g.reg()).str(g.reg()).end()
 	}
 }
 
 // fpChain emits a dependent floating-point chain, occasionally ending in a
 // division or a compare, so multicycle FP latencies stack up on one value.
 func (g *gen) fpChain() {
-	ops := []string{"fadds", "fsubs", "fmuls"}
 	f := func() int { return g.rng.Intn(8) }
 	d := f()
-	g.emit("%s %%f%d, %%f%d, %%f%d", ops[g.rng.Intn(len(ops))], f(), f(), d)
-	g.emit("%s %%f%d, %%f%d, %%f%d", ops[g.rng.Intn(len(ops))], d, f(), d)
+	g.ins(fpOps[g.rng.Intn(len(fpOps))]).freg(f()).freg(f()).freg(d).end()
+	g.ins(fpOps[g.rng.Intn(len(fpOps))]).freg(d).freg(f()).freg(d).end()
 	if g.rng.Intn(3) == 0 {
-		g.emit("fdivs %%f%d, %%f%d, %%f%d", f(), d, f())
+		g.ins("fdivs").freg(f()).freg(d).freg(f()).end()
 	}
 	if g.rng.Intn(3) == 0 {
 		lbl := g.newLabel("fchain")
-		g.emit("fcmps %%f%d, %%f%d", d, f())
-		fconds := []string{"e", "ne", "l", "g", "le", "ge"}
-		g.emit("fb%s %s", fconds[g.rng.Intn(len(fconds))], lbl)
+		g.ins("fcmps").freg(d).freg(f()).end()
+		g.ins(fbranches[g.rng.Intn(len(fbranches))]).label(lbl).end()
 		g.alu()
-		g.b.WriteString(lbl + ":\n")
+		g.define(lbl)
 	}
 }
 
 // mulStep emits a short multiply-step sequence exercising the Y register.
 func (g *gen) mulStep() {
-	g.emit("wr %s, 0, %%y", g.reg())
-	g.emit("andcc %%g0, 0, %%g0")
+	g.ins("wr").str(g.reg()).num(0).str("%y").end()
+	g.emit("andcc %g0, 0, %g0")
 	rd := g.reg()
 	for i := 0; i < 2+g.rng.Intn(3); i++ {
-		g.emit("mulscc %s, %s, %s", rd, g.reg(), rd)
+		g.ins("mulscc").str(rd).str(g.reg()).str(rd).end()
 	}
-	g.emit("rd %%y, %s", g.reg())
+	g.ins("rd").str("%y").str(g.reg()).end()
 }
 
-// genFunc emits one callable function with a random body. Functions use a
-// fresh register window, may call lower-numbered functions, and return
-// through %i7.
+// genFunc emits one callable function with a random body into funcSrc.
+// Functions use a fresh register window, may call lower-numbered
+// functions, and return through %i7.
 func (g *gen) genFunc(idx int) {
-	old := g.b
-	g.b = strings.Builder{}
-	fmt.Fprintf(&g.b, "fn_%d:\n", idx)
-	g.emit("save %%sp, -96, %%sp")
+	main := g.b
+	g.b = g.funcSrc
+	g.define(label{"fn", idx})
+	g.emit("save %sp, -96, %sp")
 	n := 2 + g.rng.Intn(5)
 	for i := 0; i < n; i++ {
 		roll := g.rng.Intn(10)
@@ -493,14 +607,13 @@ func (g *gen) genFunc(idx int) {
 		case roll < 7 && g.p.Mem:
 			g.memOp()
 		case roll < 8 && idx > 0:
-			g.emit("call fn_%d", g.rng.Intn(idx))
-			g.emit("nop")
+			g.call(idx)
 		default:
 			g.condSkip(g.p.MaxDepth)
 		}
 	}
-	g.emit("restore %%o0, 0, %%o0")
+	g.emit("restore %o0, 0, %o0")
 	g.emit("retl")
-	g.funcSrc.WriteString(g.b.String())
-	g.b = old
+	g.funcSrc = g.b
+	g.b = main
 }
