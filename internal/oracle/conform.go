@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"dtsvliw/internal/asm"
 	"dtsvliw/internal/core"
 	"dtsvliw/internal/metrics"
 	"dtsvliw/internal/progcheck"
@@ -219,7 +220,7 @@ type sweepRunner struct {
 	o       SweepOptions
 	shapes  []progen.Shape
 	configs []NamedConfig
-	diffRun func(string, core.Config) (*Result, error)
+	diffRun func(*asm.Program, core.Config) (*Result, error)
 
 	// Metrics plumbing (nil when the process-wide switch is off): reg is
 	// threaded into every machine config so core-layer counters land in
@@ -240,10 +241,10 @@ func newSweepRunner(o SweepOptions, shapes []progen.Shape, configs []NamedConfig
 		r.wp = sm.workerPrograms.With(workerLabel(worker))
 	}
 	if o.NoReuse {
-		r.diffRun = RunDiff
+		r.diffRun = RunDiffProgram
 	} else {
 		r.sc = NewSweepContext()
-		r.diffRun = r.sc.RunDiff
+		r.diffRun = r.sc.RunDiffProgram
 	}
 	return r
 }
@@ -270,7 +271,14 @@ func (r *sweepRunner) runCase(i int) caseResult {
 	nc.Cfg.FastForward = r.o.FastForward
 	nc.Cfg.Metrics = r.reg
 	src := progen.Generate(progen.ShapeParams(shape, seed))
-	if err := progcheck.Certify(src); err != nil {
+	// One assembly serves certification and the differential run.
+	p, err := asm.Assemble(src)
+	if err != nil {
+		err = fmt.Errorf("progcheck: assemble: %w", err) // as progcheck.Certify reports it
+	} else {
+		err = progcheck.CertifyProgram(p, src)
+	}
+	if err != nil {
 		// A structurally malformed generated program would make every
 		// engine diverge from nothing in particular: reject it before any
 		// engine runs it, and report the generator bug as its own failure.
@@ -278,7 +286,7 @@ func (r *sweepRunner) runCase(i int) caseResult {
 			Source: src, OrigLines: countLines(src), Lines: countLines(src), Err: err}}
 	}
 
-	res, err := r.diffRun(src, nc.Cfg)
+	res, err := r.diffRun(p, nc.Cfg)
 	if err == nil {
 		return caseResult{instret: res.Instret, cycles: res.Cycles}
 	}

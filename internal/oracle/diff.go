@@ -27,27 +27,31 @@ type Result struct {
 	Cycles   uint64 // DTSVLIW cycles
 }
 
-// RunDiff assembles source and runs it on the full DTSVLIW machine under
-// cfg with a lockstep test machine attached (core.TestMachine over its
-// own copy of the program): at every commit checkpoint the test machine
-// retires the instructions the machine committed and compares PC, every
-// architectural register (integer windows, FP, icc, fcc, Y, CWP), all
-// journaled memory locations and the trap output stream; at halt it also
-// compares the exit code and the whole memory image.
+// RunDiff assembles source and runs it with RunDiffProgram.
+func RunDiff(source string, cfg core.Config) (*Result, error) {
+	p, err := asm.Assemble(source)
+	if err != nil {
+		return nil, &ProgramError{Stage: "assemble", Err: err}
+	}
+	return RunDiffProgram(p, cfg)
+}
+
+// RunDiffProgram runs an assembled program on the full DTSVLIW machine
+// under cfg with a lockstep test machine attached (core.TestMachine over
+// its own copy of the program): at every commit checkpoint the test
+// machine retires the instructions the machine committed and compares
+// PC, every architectural register (integer windows, FP, icc, fcc, Y,
+// CWP), all journaled memory locations and the trap output stream; at
+// halt it also compares the exit code and the whole memory image.
 //
 // A *core.MismatchError means the machine is wrong; a *ProgramError means
 // the program itself is faulty (it also misbehaves sequentially), which
 // the conformance driver treats as a generator bug rather than a machine
 // bug.
-func RunDiff(source string, cfg core.Config) (*Result, error) {
+func RunDiffProgram(p *asm.Program, cfg core.Config) (*Result, error) {
 	cfg = normalizeDiffConfig(cfg)
 
-	// One assembly serves both machines; the program is loaded into two
-	// independent memories.
-	p, err := asm.Assemble(source)
-	if err != nil {
-		return nil, &ProgramError{Stage: "assemble", Err: err}
-	}
+	// The program is loaded into two independent memories.
 	refSt := arch.NewState(cfg.NWin, mem.NewMemory())
 	refSt.LoadProgram(p)
 
@@ -75,8 +79,8 @@ func normalizeDiffConfig(cfg core.Config) core.Config {
 }
 
 // runDiffOn runs a prepared machine in lockstep with a test machine over
-// the same program. It is the shared core of RunDiff and the pooled
-// SweepContext.RunDiff.
+// the same program. It is the shared core of RunDiffProgram and the
+// pooled SweepContext.RunDiffProgram.
 func runDiffOn(m *core.Machine, tm *core.TestMachine) (*Result, error) {
 	m.Lockstep(tm)
 	if err := m.Run(); err != nil {

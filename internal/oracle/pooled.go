@@ -48,14 +48,19 @@ func (sc *SweepContext) refState(nwin int) *arch.State {
 	return st
 }
 
-// RunDiff is RunDiff executing on borrowed pooled state: identical
-// comparison, identical results, amortised setup cost.
+// RunDiff assembles source and runs it with sc.RunDiffProgram.
 func (sc *SweepContext) RunDiff(source string, cfg core.Config) (*Result, error) {
-	cfg = normalizeDiffConfig(cfg)
 	p, err := asm.Assemble(source)
 	if err != nil {
 		return nil, &ProgramError{Stage: "assemble", Err: err}
 	}
+	return sc.RunDiffProgram(p, cfg)
+}
+
+// RunDiffProgram is RunDiffProgram executing on borrowed pooled state:
+// identical comparison, identical results, amortised setup cost.
+func (sc *SweepContext) RunDiffProgram(p *asm.Program, cfg core.Config) (*Result, error) {
+	cfg = normalizeDiffConfig(cfg)
 	refSt := sc.refState(cfg.NWin)
 	refSt.LoadProgram(p)
 

@@ -83,23 +83,38 @@ func Analyze(p *asm.Program, source string, o Options) *Result {
 
 // Check assembles the source and runs every pass over it.
 func Check(source string, o Options) (*Result, error) {
-	p, err := asm.Assemble(source)
+	p, err := assemble(source)
 	if err != nil {
-		return nil, fmt.Errorf("progcheck: assemble: %w", err)
+		return nil, err
 	}
 	return Analyze(p, source, o), nil
 }
 
-// Certify checks the source and fails on any unwaived hard diagnostic:
-// the gate generated programs pass before the differential oracle or an
-// experiment is allowed to execute them. Advisory diagnostics never fail
-// certification (generated code trips them benignly).
+// Certify assembles the source and certifies the program
+// (CertifyProgram).
 func Certify(source string) error {
-	r, err := Check(source, Options{})
+	p, err := assemble(source)
 	if err != nil {
 		return err
 	}
-	if hard := r.Unwaived(true); len(hard) > 0 {
+	return CertifyProgram(p, source)
+}
+
+func assemble(source string) (*asm.Program, error) {
+	p, err := asm.Assemble(source)
+	if err != nil {
+		return nil, fmt.Errorf("progcheck: assemble: %w", err)
+	}
+	return p, nil
+}
+
+// CertifyProgram fails on any unwaived hard diagnostic of an assembled
+// program: the gate generated programs pass before the differential
+// oracle or an experiment is allowed to execute them. Advisory
+// diagnostics never fail certification (generated code trips them
+// benignly). The source is consulted only for waiver comments.
+func CertifyProgram(p *asm.Program, source string) error {
+	if hard := Analyze(p, source, Options{}).Unwaived(true); len(hard) > 0 {
 		msgs := make([]string, len(hard))
 		for i := range hard {
 			msgs[i] = hard[i].String()
