@@ -7,7 +7,8 @@
 //
 // It has two layers:
 //
-//   - a lock-step differential runner (RunDiff): it executes one program
+//   - a lock-step differential runner (RunDiffProgram, or RunDiff for
+//     source text): it executes one program
 //     on the full DTSVLIW machine with the machine's one lockstep checker,
 //     core.TestMachine, attached through Machine.Lockstep. The test
 //     machine is a plain sequential interpreter over its own copy of the
