@@ -42,7 +42,22 @@ func goldenConfigs() []NamedConfig {
 		}
 		out = append(out, nc)
 	}
-	return out
+	return append(out, multicycleNWin32())
+}
+
+// multicycleNWin32 is the multicycle machine with 32 register windows:
+// 520 physical integer registers, past the 320 that isa.Sig encodes
+// exactly, so the scheduler's dependency checks take their overflow
+// fallback (SigOver) on real traces. It is built here rather than in
+// DefaultConfigs, whose rotation the sweeps and the benchmark share.
+func multicycleNWin32() NamedConfig {
+	nc, ok := ConfigByName("multicycle")
+	if !ok {
+		panic("golden config missing: multicycle")
+	}
+	nc.Name = "multicycle-nwin32"
+	nc.Cfg.NWin = 32
+	return nc
 }
 
 // hashBlocks builds the machine for cfg over the given assembly source
