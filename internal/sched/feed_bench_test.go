@@ -48,6 +48,13 @@ func shapeConfig(shape progen.Shape) Config {
 // Unit, so benchmark iterations measure scheduler cost alone.
 func recordTrace(tb testing.TB, shape progen.Shape, seed int64, maxInstr int) []feedEvent {
 	tb.Helper()
+	return recordTraceNWin(tb, shape, seed, maxInstr, 8)
+}
+
+// recordTraceNWin is recordTrace on a machine with nwin register windows;
+// the scheduler replaying it must be configured with the same NWin.
+func recordTraceNWin(tb testing.TB, shape progen.Shape, seed int64, maxInstr, nwin int) []feedEvent {
+	tb.Helper()
 	src := progen.Generate(progen.ShapeParams(shape, seed))
 	p, err := asm.Assemble(src)
 	if err != nil {
@@ -56,7 +63,7 @@ func recordTrace(tb testing.TB, shape progen.Shape, seed int64, maxInstr int) []
 	m := mem.NewMemory()
 	p.Load(m)
 	m.Map(0x7E000, 0x2000)
-	st := arch.NewState(8, m)
+	st := arch.NewState(nwin, m)
 	st.PC = p.Entry
 	st.SetReg(14, 0x7FF00)
 	st.SetTextRange(p.TextBase, p.TextSize)

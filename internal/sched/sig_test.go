@@ -272,3 +272,101 @@ func TestDependencyChecksZeroAlloc(t *testing.T) {
 		t.Fatalf("insertion-path steady state allocated %.1f times per run", allocs)
 	}
 }
+
+// inFlightWriter is the per-slot definition the dependency checks
+// implement: whether a slot other than cand, installed in an element j
+// with latency lat for which keep(j, lat) holds, writes a location of
+// locs. It scans the whole list, so it also checks each check's window.
+func inFlightWriter(u *Scheduler, cand *Slot, locs []isa.Loc, keep func(j, lat int) bool) bool {
+	for j, e := range u.elems {
+		for _, w := range e.slots {
+			if w != nil && w != cand && keep(j, w.LatOr1()) && overlapAny(locs, w.writes) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestHorizonChecksMatchDefinition replays real traces and, after every
+// insertion, asks each dependency check about every element for
+// candidates shaped like the tail element's slots, comparing the
+// signature-based scan with the per-slot definition of its rule. Every
+// shape runs with unit and with multicycle latencies (three cycles or
+// more, so every check's window is nonempty), at 8 and at 32 register
+// windows: at 32 the physical registers pass the exact signature
+// encoding, so the scan's overflow fallback decides some of the answers.
+func TestHorizonChecksMatchDefinition(t *testing.T) {
+	overflowed := 0
+	for _, shape := range progen.Shapes() {
+		for _, multi := range []bool{false, true} {
+			for _, nwin := range []int{8, 32} {
+				cfg := feedConfig()
+				cfg.NWin = nwin
+				if multi {
+					cfg.LoadLatency, cfg.FPLatency, cfg.FPDivLatency = 3, 3, 8
+				}
+				for seed := int64(1); seed <= 3; seed++ {
+					u, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ev := range recordTraceNWin(t, shape, seed, 3_000, nwin) {
+						if ev.flush {
+							u.Flush(ev.c.Addr, ev.c.Seq)
+							continue
+						}
+						if _, err := u.Insert(ev.c); err != nil {
+							t.Fatal(err)
+						}
+						for _, s := range u.elems[len(u.elems)-1].slots {
+							if s != nil {
+								overflowed += checkHorizon(t, u, &Slot{Lat: s.Lat, reads: s.reads, writes: s.writes})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if overflowed == 0 {
+		t.Error("no candidate signature overflowed the exact encoding")
+	}
+}
+
+// checkHorizon compares the four dependency checks for cand against
+// their definitions at every element of the list. It returns 1 if cand's
+// signatures overflowed the exact encoding.
+func checkHorizon(t *testing.T, u *Scheduler, cand *Slot) int {
+	t.Helper()
+	u.candR.Reset()
+	u.candR.AddSet(cand.reads)
+	u.candW.Reset()
+	u.candW.AddSet(cand.writes)
+	cl := cand.LatOr1()
+	for tgt := range u.elems {
+		checks := []struct {
+			name      string
+			got, want bool
+		}{
+			{"trueDepBlocked", u.trueDepBlocked(cand, tgt),
+				inFlightWriter(u, cand, cand.reads, func(j, lat int) bool { return j <= tgt && j+lat > tgt })},
+			{"wawBlocked", u.wawBlocked(cand, tgt),
+				inFlightWriter(u, cand, cand.writes, func(j, lat int) bool { return j == tgt || j < tgt && j+lat > tgt+cl })},
+			{"wawCopyUnsafe", u.wawCopyUnsafe(cand, tgt),
+				inFlightWriter(u, cand, cand.writes, func(j, lat int) bool { return j < tgt && j+lat-1 > tgt })},
+			{"horizonOutputConflicts", len(u.horizonOutputConflicts(cand, tgt)) > 0,
+				inFlightWriter(u, cand, cand.writes, func(j, lat int) bool { return j <= tgt && j+lat > tgt })},
+		}
+		for _, c := range checks {
+			if c.got != c.want {
+				t.Fatalf("%s(element %d of %d) = %v, definition %v; cand reads %v writes %v lat %d\n%s",
+					c.name, tgt, len(u.elems), c.got, c.want, cand.reads, cand.writes, cl, u.Dump())
+			}
+		}
+	}
+	if (u.candR.Flags|u.candW.Flags)&isa.SigOver != 0 {
+		return 1
+	}
+	return 0
+}
