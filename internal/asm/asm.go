@@ -33,9 +33,10 @@
 // table of the source line of every instruction word it holds, which
 // Program.LineOf searches.
 //
-// Sections may neither overlap nor run past 0xffffffff. A call or branch
-// target must lie a multiple of 4 bytes from the instruction, and a
-// branch target within the signed 22-bit word displacement.
+// Sections may neither overlap, nor run past 0xffffffff, nor grow past
+// 16 MiB. A call or branch target must lie a multiple of 4 bytes from
+// the instruction, and a branch target within the signed 22-bit word
+// displacement.
 package asm
 
 import (
@@ -433,9 +434,14 @@ func (a *assembler) directive(lineNo int, m *mnemonic, rest string) error {
 	return nil // dIgnore: accepted, ignored
 }
 
+// maxSectionBytes bounds each section of an assembled image. Workload
+// and generated programs are tens of KB, while .space, .org and .align
+// can ask for gigabytes of padding in a few bytes of source.
+const maxSectionBytes = 16 << 20
+
 // reserve checks, in pass 1, that n more bytes fit the current section:
-// it may neither run past the top of the 32-bit address space nor reach
-// into the other section's bytes.
+// it may neither run past the top of the 32-bit address space, nor grow
+// past maxSectionBytes, nor reach into the other section's bytes.
 func (a *assembler) reserve(lineNo int, n uint64) error {
 	if a.pass != 1 || n == 0 {
 		return nil
@@ -444,6 +450,10 @@ func (a *assembler) reserve(lineNo int, n uint64) error {
 	end := uint64(s.pc) + n
 	if end > math.MaxUint32 {
 		return a.errf(lineNo, "%s section wraps past address 0xffffffff", s.name)
+	}
+	if size := end - uint64(s.base); size > maxSectionBytes {
+		return a.errf(lineNo, "%s section would grow to %d bytes, past the %d-byte limit",
+			s.name, size, maxSectionBytes)
 	}
 	o := &a.secs[secText]
 	if s == o {

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -207,6 +208,7 @@ var ErrorCases = []struct {
 	{"\tnop\n\tnop\n\tnop\n\t.data 0x1004\n\t.word 1\n", "data section [0x1004, 0x1008) overlaps text section [0x1000, 0x100c)"},
 	{"\t.text 0xFFFFFFF8\n\tnop\n\tnop\n\tnop\n\tnop\n", "text section wraps past address 0xffffffff"},
 	{"\t.space end-start\nstart:\tnop\nend:\n", `.space reads "end" before its definition`},
+	{"\t.data 0\n\t.space 0x3f092a35\n", "data section would grow to 1057565237 bytes, past the 16777216-byte limit"},
 }
 
 func TestErrors(t *testing.T) {
@@ -215,6 +217,23 @@ func TestErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.Want) {
 			t.Errorf("source %q: error %v, want contains %q", c.Src, err, c.Want)
 		}
+	}
+}
+
+// TestSectionSizeLimit: a section may hold exactly maxSectionBytes, and
+// the line that reserves one byte more is refused with its line number.
+func TestSectionSizeLimit(t *testing.T) {
+	src := fmt.Sprintf("\t.data 0\n\t.space %d\n", maxSectionBytes)
+	p, err := Assemble(src)
+	if err != nil {
+		t.Fatalf("section of exactly %d bytes refused: %v", maxSectionBytes, err)
+	}
+	if n := len(p.Sections[len(p.Sections)-1].Bytes); n != maxSectionBytes {
+		t.Fatalf("data section holds %d bytes, want %d", n, maxSectionBytes)
+	}
+	_, err = Assemble(src + "\t.byte 1\n")
+	if aerr, ok := err.(*Error); !ok || aerr.Line != 3 || !strings.Contains(aerr.Msg, "past the 16777216-byte limit") {
+		t.Fatalf("one byte past the limit: error %v, want the limit on line 3", err)
 	}
 }
 
