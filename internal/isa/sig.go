@@ -6,8 +6,7 @@ package isa
 // every installed slot in parallel hardware) run as a handful of 64-bit
 // word operations instead of pairwise Loc scans.
 //
-// The encoding is exact for every location the simulator produces in
-// practice:
+// The encoding is exact for:
 //
 //   - integer physical registers 0..319 (NumPhysRegs(nwin) for nwin ≤ 19;
 //     the experiments use nwin = 16 → 264 registers), one bit each;
@@ -16,6 +15,13 @@ package isa
 //   - renaming registers: class 0 (integer) indices 0..63 in one word,
 //     classes 1..4 (fp, flag, mem, y) indices 0..15 packed 16 bits per
 //     class in a second word.
+//
+// Real traces do step outside it. Forwarded renaming registers past the
+// packed indices overflow about 1% of the scheduler's true-dependence
+// checks on generated programs at 16 windows (1.4% on xlisp; none
+// without source forwarding), and every integer register past 319
+// overflows: at 32 windows 3–7% of the dependency checks fall back to
+// the naive scan.
 //
 // Two summary flags make the signature safe for everything else:
 //
