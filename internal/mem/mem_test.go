@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -65,21 +67,33 @@ func TestMemoryCrossPage(t *testing.T) {
 	}
 }
 
+// TestMapTopOfAddressSpace: a range that ends at or past the top of the
+// 32-bit address space maps up to the last page and does not wrap to
+// page 0.
+func TestMapTopOfAddressSpace(t *testing.T) {
+	for _, r := range []struct{ addr, size uint32 }{
+		{0xFFFFF000, pageSize},
+		{0xFFFFFFF0, 0x20},
+		{0xFFFFE010, 0x2000},
+	} {
+		m := NewMemory()
+		m.Map(r.addr, r.size)
+		if !m.Mapped(0xFFFFFFFF) || !m.Mapped(r.addr) || m.Mapped(0) {
+			t.Errorf("Map(%#x, %#x): last page mapped %v, first %v, page 0 %v; want true, true, false",
+				r.addr, r.size, m.Mapped(0xFFFFFFFF), m.Mapped(r.addr), m.Mapped(0))
+		}
+	}
+}
+
 func TestSnapshotEqualFirstDiff(t *testing.T) {
 	m := NewMemory()
 	m.LoadBytes(0x2000, []byte{1, 2, 3, 4})
 	c := m.Snapshot()
-	if !m.Equal(c) {
-		t.Fatal("snapshot not equal")
-	}
-	if _, diff := m.FirstDiff(c); diff {
-		t.Fatal("FirstDiff on equal memories")
+	if addr, diff := m.FirstDiff(c); diff {
+		t.Fatalf("snapshot not equal: FirstDiff = %#x", addr)
 	}
 	if err := c.SetByte(0x2002, 9); err != nil {
 		t.Fatal(err)
-	}
-	if m.Equal(c) {
-		t.Fatal("diff not detected")
 	}
 	addr, diff := m.FirstDiff(c)
 	if !diff || addr != 0x2002 {
@@ -88,8 +102,118 @@ func TestSnapshotEqualFirstDiff(t *testing.T) {
 	// Zero page vs unmapped page compare equal.
 	z := NewMemory()
 	z.Map(0x5000, 16)
-	if !z.Equal(NewMemory()) {
-		t.Fatal("zero page should equal unmapped")
+	if addr, diff := z.FirstDiff(NewMemory()); diff {
+		t.Fatalf("zero page should equal unmapped: FirstDiff = %#x", addr)
+	}
+	if addr, diff := NewMemory().FirstDiff(z); diff {
+		t.Fatalf("unmapped should equal zero page: FirstDiff = %#x", addr)
+	}
+}
+
+// refFirstDiff is the byte-at-a-time definition of FirstDiff: every byte
+// of every page mapped on either side, in address order, with unmapped
+// bytes reading zero.
+func refFirstDiff(a, b *Memory) (uint32, bool) {
+	var pns []uint32
+	for _, m := range []*Memory{a, b} {
+		for pn := range m.pages {
+			pns = append(pns, pn)
+		}
+	}
+	slices.Sort(pns)
+	for _, pn := range slices.Compact(pns) {
+		for i := uint32(0); i < pageSize; i++ {
+			addr := pn<<pageBits | i
+			if byteOrZero(a, addr) != byteOrZero(b, addr) {
+				return addr, true
+			}
+		}
+	}
+	return 0, false
+}
+
+func byteOrZero(m *Memory, addr uint32) byte {
+	b, err := m.ByteAt(addr)
+	if err != nil {
+		return 0 // unmapped
+	}
+	return b
+}
+
+// TestFirstDiffMatchesByteReference holds FirstDiff to the byte-at-a-time
+// reference over random page sets: pages mapped on both sides, equal or
+// not; pages mapped on one side only, zero or not; differences at page
+// offsets 0, 4095 and in between; and several differing pages, where the
+// lowest address must win. Both argument orders are checked.
+func TestFirstDiffMatchesByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	offsets := func() uint32 {
+		switch rng.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			return pageSize - 1
+		}
+		return 1 + uint32(rng.Intn(pageSize-2))
+	}
+	set := func(m *Memory, addr uint32, v byte) {
+		if err := m.SetByte(addr, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	differing := 0
+	for trial := 0; trial < 300; trial++ {
+		a, b := NewMemory(), NewMemory()
+		// Page numbers from a small range, so pages collide and the
+		// lowest differing page is often not the first one visited, plus
+		// the top of the address space.
+		for n := rng.Intn(10); n >= 0; n-- {
+			pn := uint32(rng.Intn(24))
+			if rng.Intn(8) == 0 {
+				pn = 0xFFFFF - uint32(rng.Intn(2))
+			}
+			addr := pn << pageBits
+			fill := byte(rng.Intn(256))
+			switch kind := rng.Intn(6); kind {
+			case 0, 1: // both sides, equal contents, then perhaps differing bytes
+				for _, m := range []*Memory{a, b} {
+					m.Map(addr, pageSize)
+					for i := uint32(0); i < pageSize; i += 97 {
+						set(m, addr+i, fill^byte(i))
+					}
+				}
+				if kind == 1 {
+					for k := rng.Intn(3); k >= 0; k-- {
+						off := offsets()
+						set(b, addr+off, byteOrZero(b, addr+off)^byte(1+rng.Intn(255)))
+					}
+				}
+			case 2, 3, 4, 5: // one side only, zero or with nonzero bytes
+				m := a
+				if kind%2 == 1 {
+					m = b
+				}
+				m.Map(addr, pageSize)
+				if kind >= 4 {
+					for k := rng.Intn(3); k >= 0; k-- {
+						set(m, addr+offsets(), 1+byte(rng.Intn(255)))
+					}
+				}
+			}
+		}
+		want, wantOK := refFirstDiff(a, b)
+		if wantOK {
+			differing++
+		}
+		for _, p := range [][2]*Memory{{a, b}, {b, a}} {
+			got, gotOK := p[0].FirstDiff(p[1])
+			if got != want || gotOK != wantOK {
+				t.Fatalf("trial %d: FirstDiff = %#x, %v; reference %#x, %v", trial, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	if differing < 100 || differing > 290 {
+		t.Fatalf("%d of 300 trials differ; the generator should give a mix", differing)
 	}
 }
 

@@ -104,13 +104,12 @@ func (m *Memory) translate(addr uint32) *[pageSize]byte {
 	return p
 }
 
-// Map ensures [addr, addr+size) is allocated (zero-filled).
+// Map ensures [addr, addr+size) is allocated (zero-filled). A range that
+// reaches past the top of the address space stops there.
 func (m *Memory) Map(addr, size uint32) {
-	for a := addr &^ (pageSize - 1); a < addr+size; a += pageSize {
-		m.page(a, true)
-		if a > 0xFFFFFFFF-pageSize {
-			break
-		}
+	end := uint64(addr) + uint64(size)
+	for a := uint64(addr &^ (pageSize - 1)); a < end && a <= 0xFFFFFFFF; a += pageSize {
+		m.page(uint32(a), true)
 	}
 }
 
@@ -243,54 +242,48 @@ func (m *Memory) Snapshot() *Memory {
 	return c
 }
 
-// Equal reports whether two memories have identical contents. Unmapped
-// pages compare equal to zero-filled pages.
-func (m *Memory) Equal(o *Memory) bool {
-	return m.diffAgainst(o) && o.diffAgainst(m)
-}
+// zeroPage is what an unmapped page compares as.
+var zeroPage [pageSize]byte
 
-func (m *Memory) diffAgainst(o *Memory) bool {
+// FirstDiff returns the lowest address at which the two memories differ,
+// for diagnostics; ok is false if they are identical. An unmapped page
+// compares equal to a zero-filled one. A page equal on both sides costs
+// one whole-page comparison; bytes are scanned only inside a page that
+// differs.
+func (m *Memory) FirstDiff(o *Memory) (addr uint32, ok bool) {
+	var best uint32
+	// Pages mapped in m, against o's page or the zero page.
 	for pn, p := range m.pages {
 		op := o.pages[pn]
 		if op == nil {
-			for _, b := range p {
-				if b != 0 {
-					return false
-				}
-			}
+			op = &zeroPage
+		}
+		if a, d := pageDiff(pn, p, op); d && (!ok || a < best) {
+			best, ok = a, true
+		}
+	}
+	// Pages mapped in o only, against the zero page.
+	for pn, op := range o.pages {
+		if m.pages[pn] != nil {
 			continue
 		}
-		if *p != *op {
-			return false
+		if a, d := pageDiff(pn, &zeroPage, op); d && (!ok || a < best) {
+			best, ok = a, true
 		}
 	}
-	return true
+	return best, ok
 }
 
-// FirstDiff returns the lowest address at which the two memories differ,
-// for diagnostics. ok is false if they are identical.
-func (m *Memory) FirstDiff(o *Memory) (addr uint32, ok bool) {
-	best := uint32(0xFFFFFFFF)
-	found := false
-	check := func(a, b *Memory) {
-		for pn, p := range a.pages {
-			op := b.pages[pn]
-			for i := 0; i < pageSize; i++ {
-				var ob byte
-				if op != nil {
-					ob = op[i]
-				}
-				if p[i] != ob {
-					ad := pn<<pageBits | uint32(i)
-					if !found || ad < best {
-						best, found = ad, true
-					}
-					break
-				}
-			}
+// pageDiff returns the address of the first byte at which pages p and q,
+// both standing at page number pn, differ.
+func pageDiff(pn uint32, p, q *[pageSize]byte) (uint32, bool) {
+	if *p == *q {
+		return 0, false
+	}
+	for i := range p {
+		if p[i] != q[i] {
+			return pn<<pageBits | uint32(i), true
 		}
 	}
-	check(m, o)
-	check(o, m)
-	return best, found
+	return 0, false
 }
