@@ -77,13 +77,6 @@ type Machine struct {
 	effReads  []isa.Loc //resetcheck:allow scratch, truncated at each use
 	effWrites []isa.Loc //resetcheck:allow scratch, truncated at each use
 
-	// whereMemo caches the per-PC checkpoint descriptions of the Primary
-	// Processor fast path ("primary pc=..."), which would otherwise be
-	// formatted once per instruction whenever the test machine or a
-	// CheckpointHook observes them. An entry is a pure function of the PC,
-	// so the memo survives Reset and stays valid across pooled reuse.
-	whereMemo map[uint32]string //resetcheck:allow pure function of the PC, deliberately kept warm
-
 	// tel is the telemetry collector (nil when disabled; every hook site
 	// is nil-guarded). telCols is a scratch buffer for per-column slot
 	// occupancy at block-save time.
@@ -114,11 +107,10 @@ type Machine struct {
 	// the machine — after each Primary Processor instruction, at every
 	// block boundary and trace exit in VLIW mode, and after an exception
 	// rollback — with the number of sequential instructions newly covered
-	// since the previous checkpoint, the machine's current PC, and a
-	// description of the checkpoint. It runs after the test machine, if
-	// one is attached, has checked the checkpoint. A non-nil return aborts
-	// the run with that error.
-	CheckpointHook func(advance uint64, pc uint32, where string) error
+	// since the previous checkpoint and the machine's current PC. It runs
+	// after the test machine, if one is attached, has checked the
+	// checkpoint. A non-nil return aborts the run with that error.
+	CheckpointHook func(advance uint64, pc uint32) error
 
 	Stats Stats
 }
@@ -436,7 +428,7 @@ func (m *Machine) fastForward() error {
 	}
 	m.seq += done
 	m.Stats.FastForwarded = done
-	return m.notifyCheckpoint(done, m.St.PC, "fast-forward")
+	return m.notifyCheckpoint(done, m.St.PC, site{kind: siteFastForward})
 }
 
 func (m *Machine) harvestStats() {
@@ -561,26 +553,7 @@ func (m *Machine) stepPrimary() error {
 		}
 	}
 
-	if m.test == nil && m.CheckpointHook == nil {
-		// Skip the checkpoint description lookup on the per-instruction
-		// fast path when nothing observes it.
-		return nil
-	}
-	return m.checkpoint(1, m.St.PC, m.primaryWhere(pc))
-}
-
-// primaryWhere returns the memoized checkpoint description of a Primary
-// Processor step at pc.
-func (m *Machine) primaryWhere(pc uint32) string {
-	if w, ok := m.whereMemo[pc]; ok {
-		return w
-	}
-	if m.whereMemo == nil {
-		m.whereMemo = make(map[uint32]string)
-	}
-	w := fmt.Sprintf("primary pc=%#08x", pc)
-	m.whereMemo[pc] = w
-	return w
+	return m.notifyCheckpoint(1, m.St.PC, site{kind: sitePrimary, pc: pc})
 }
 
 // chainLookup resolves the successor block at a block transition: first
@@ -690,13 +663,8 @@ func (m *Machine) runVLIW() error {
 			}
 			m.switchToPrimary(blk.Tag, &cycles)
 			m.addCycles(cycles, true)
-			if m.test == nil && m.CheckpointHook == nil {
-				// Nothing observes the checkpoint, so its description is
-				// never formatted.
-				return nil
-			}
 			// The rollback must land exactly on the test machine's state.
-			return m.checkpoint(0, blk.Tag, fmt.Sprintf("rollback of block %#08x (%v)", blk.Tag, res.Err))
+			return m.notifyCheckpoint(0, blk.Tag, site{kind: siteRollback, pc: blk.Tag, err: res.Err})
 		}
 
 		switch {
@@ -728,7 +696,7 @@ func (m *Machine) runVLIW() error {
 			if err := m.endBlockDrain(); err != nil {
 				return err
 			}
-			if err := m.notifyCheckpoint(res.ExitAdvance, res.NextPC, "trace exit"); err != nil {
+			if err := m.notifyCheckpoint(res.ExitAdvance, res.NextPC, site{kind: siteTraceExit}); err != nil {
 				return err
 			}
 			if ent, line, ok := m.chainLookup(res.NextPC, m.St.CWP()); ok {
@@ -755,7 +723,7 @@ func (m *Machine) runVLIW() error {
 			if err := m.endBlockDrain(); err != nil {
 				return err
 			}
-			if err := m.notifyCheckpoint(advance, next, "block end"); err != nil {
+			if err := m.notifyCheckpoint(advance, next, site{kind: siteBlockEnd}); err != nil {
 				return err
 			}
 			if ent, line, ok := m.chainLookup(next, m.St.CWP()); ok {
@@ -809,10 +777,10 @@ func (m *Machine) switchToPrimary(pc uint32, cycles *int) {
 // the CheckpointHook: advance sequential instructions were committed since
 // the previous checkpoint, and pc is the SPARC address sequential
 // execution has reached (m.St.PC is stale while the VLIW Engine is
-// executing, so callers pass it explicitly). It inlines to a nil test
-// when nothing observes the run; callers whose description costs a
-// format or lookup make that test themselves and call checkpoint.
-func (m *Machine) notifyCheckpoint(advance uint64, pc uint32, where string) error {
+// executing, so callers pass it explicitly). where describes the
+// checkpoint for a MismatchError and is formatted only there. It inlines
+// to a nil test when nothing observes the run.
+func (m *Machine) notifyCheckpoint(advance uint64, pc uint32, where site) error {
 	if m.test == nil && m.CheckpointHook == nil {
 		return nil
 	}
@@ -820,14 +788,14 @@ func (m *Machine) notifyCheckpoint(advance uint64, pc uint32, where string) erro
 }
 
 // checkpoint runs the test machine's comparison, then the CheckpointHook.
-func (m *Machine) checkpoint(advance uint64, pc uint32, where string) error {
+func (m *Machine) checkpoint(advance uint64, pc uint32, where site) error {
 	if m.test != nil {
 		if err := m.test.check(m, advance, pc, where); err != nil {
 			return err
 		}
 	}
 	if m.CheckpointHook != nil {
-		return m.CheckpointHook(advance, pc, where)
+		return m.CheckpointHook(advance, pc)
 	}
 	return nil
 }

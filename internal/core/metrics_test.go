@@ -244,7 +244,7 @@ func TestMachineMetricsStaleness(t *testing.T) {
 			m := workloadMachine(t, w, cfg)
 			published := reg.Counter("dtsvliw_machine_cycles_total", "")
 			var worst uint64
-			m.CheckpointHook = func(uint64, uint32, string) error {
+			m.CheckpointHook = func(uint64, uint32) error {
 				worst = max(worst, m.Stats.Cycles-published.Load())
 				return nil
 			}

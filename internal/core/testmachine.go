@@ -100,14 +100,53 @@ func (e *MismatchError) Error() string {
 		e.Where, e.Seq, e.Diff, e.Context)
 }
 
-func (t *TestMachine) mismatch(where, diff string) *MismatchError {
-	return &MismatchError{Where: where, Diff: diff, Seq: t.n, Context: t.Context()}
+// siteKind names the kind of commit checkpoint.
+type siteKind uint8
+
+const (
+	sitePrimary     siteKind = iota // after one Primary Processor instruction
+	siteFastForward                 // after the fast-forwarded prefix
+	siteTraceExit                   // a branch left a block's recorded trace
+	siteBlockEnd                    // a block ran to its last long instruction
+	siteRollback                    // an exception rolled a block back
+	siteHalt                        // the machine halted
+)
+
+// site describes a commit checkpoint. Checkpoints pass it by value and
+// the test machine formats it only into a MismatchError, so a checkpoint
+// that finds the machines equal formats nothing.
+type site struct {
+	kind siteKind
+	pc   uint32 // sitePrimary: the instruction's address; siteRollback: the block's tag
+	err  error  // siteRollback: the exception
+}
+
+func (w site) String() string {
+	switch w.kind {
+	case sitePrimary:
+		return fmt.Sprintf("primary pc=%#08x", w.pc)
+	case siteFastForward:
+		return "fast-forward"
+	case siteTraceExit:
+		return "trace exit"
+	case siteBlockEnd:
+		return "block end"
+	case siteRollback:
+		return fmt.Sprintf("rollback of block %#08x (%v)", w.pc, w.err)
+	}
+	return "halt"
+}
+
+func (t *TestMachine) mismatch(where site, diff string) *MismatchError {
+	return &MismatchError{Where: where.String(), Diff: diff, Seq: t.n, Context: t.Context()}
 }
 
 // check advances the test machine by the advance instructions m committed
 // since the previous checkpoint and compares the two at a checkpoint where
-// sequential execution has reached pc.
-func (t *TestMachine) check(m *Machine, advance uint64, pc uint32, where string) error {
+// sequential execution has reached pc. On equal states it compares the
+// registers in bulk, reads each journaled store on both sides and
+// formats nothing.
+func (t *TestMachine) check(m *Machine, advance uint64, pc uint32, where site) error {
 	for i := uint64(0); i < advance; i++ {
 		if err := t.Step(); err != nil {
 			return t.mismatch(where, err.Error())
@@ -156,7 +195,7 @@ func (t *TestMachine) compareJournals(m *Machine) string {
 // machine must have halted too, with equal exit code, registers, output
 // and full memory image.
 func (t *TestMachine) final(m *Machine) error {
-	const where = "halt"
+	where := site{kind: siteHalt}
 	if !t.St.Halted {
 		return t.mismatch(where, fmt.Sprintf("machine halted but the test machine is still at PC %#08x", t.St.PC))
 	}

@@ -95,6 +95,66 @@ func TestTestModeCatchesDroppedCopies(t *testing.T) {
 	}
 }
 
+// TestLockstepCheckpointZeroAlloc: a lock-step checkpoint that finds the
+// machines equal allocates nothing, at every kind of site. Each Primary
+// step is at an address not seen before, and each one stores, so the
+// store journals are compared too. The halt comparison, which compares
+// the full memory image, allocates nothing either.
+func TestLockstepCheckpointZeroAlloc(t *testing.T) {
+	const runs = 50
+	src := "\tmov 1, %l0\n" +
+		strings.Repeat("\tst %l0, [%sp+64]\n\tadd %l0, 3, %l0\n", 3*runs) +
+		"\tmov %l0, %o0\n\tta 0\n"
+	st := buildState(t, src, 8)
+	m, err := NewMachine(IdealConfig(4, 4), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Lockstep(NewTestMachine(st.Clone()))
+	// step retires one instruction on the machine's state and reports
+	// it at the checkpoint where describes.
+	step := func(where func(pc uint32) site) {
+		pc := m.St.PC
+		if err := m.St.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.notifyCheckpoint(1, m.St.PC, where(pc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rollbackErr := errors.New("injected exception")
+	sites := []struct {
+		name string
+		run  func()
+	}{
+		{"primary", func() { step(func(pc uint32) site { return site{kind: sitePrimary, pc: pc} }) }},
+		{"fast-forward", func() { step(func(uint32) site { return site{kind: siteFastForward} }) }},
+		{"trace exit", func() { step(func(uint32) site { return site{kind: siteTraceExit} }) }},
+		{"block end", func() { step(func(uint32) site { return site{kind: siteBlockEnd} }) }},
+		{"rollback", func() {
+			err := m.notifyCheckpoint(0, m.St.PC, site{kind: siteRollback, pc: m.St.PC, err: rollbackErr})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, s := range sites {
+		if allocs := testing.AllocsPerRun(runs, s.run); allocs != 0 {
+			t.Errorf("%s checkpoint on equal states allocates %.1f times, want 0", s.name, allocs)
+		}
+	}
+	for !m.St.Halted {
+		step(func(uint32) site { return site{kind: sitePrimary} })
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.test.final(m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("halt comparison on equal states allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestTestMachineContext: the test machine keeps a bounded disassembled
 // window with the latest instruction marked.
 func TestTestMachineContext(t *testing.T) {
