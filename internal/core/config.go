@@ -267,6 +267,13 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "InterpretedEngine", Value: true,
 			Reason: "the interpreted VLIW Engine was removed; every block runs lowered"}
 	}
+	if c.Telemetry != nil {
+		if n := c.Telemetry.RingSize; n < 0 || n > telemetry.MaxRingSize {
+			return &ConfigError{Field: "Telemetry.RingSize", Value: n,
+				Reason: fmt.Sprintf("the event ring holds at most %d events; 0 selects the default %d",
+					telemetry.MaxRingSize, telemetry.DefaultRingSize)}
+		}
+	}
 	if !c.Fault.Valid() {
 		return &ConfigError{Field: "Fault", Value: c.Fault, Reason: "no such scheduler fault"}
 	}

@@ -10,6 +10,7 @@ import (
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
 	"dtsvliw/internal/sched"
+	"dtsvliw/internal/telemetry"
 	"dtsvliw/internal/vliw"
 )
 
@@ -309,6 +310,13 @@ func TestConfigValidate(t *testing.T) {
 		{"icache-line-not-power-of-two", func(c *Config) { *c = FeasibleConfig(); c.ICache.LineBytes = 48 }, false, "ICache"},
 		{"dcache-zero-assoc", func(c *Config) { *c = FeasibleConfig(); c.DCache.Assoc = 0 }, false, "DCache"},
 		{"unknown-fault", func(c *Config) { c.Fault = sched.FaultLatencyViolation + 1 }, false, "Fault"},
+		// Ring sizes are only validated here, never built: a collector
+		// of 1<<62+1 events would never finish rounding its size up.
+		{"default-telemetry-ring", func(c *Config) { c.Telemetry = &telemetry.Config{} }, true, ""},
+		{"largest-telemetry-ring", func(c *Config) { c.Telemetry = &telemetry.Config{RingSize: telemetry.MaxRingSize} }, true, ""},
+		{"negative-telemetry-ring", func(c *Config) { c.Telemetry = &telemetry.Config{RingSize: -1} }, false, "Telemetry.RingSize"},
+		{"telemetry-ring-above-bound", func(c *Config) { c.Telemetry = &telemetry.Config{RingSize: telemetry.MaxRingSize + 1} }, false, "Telemetry.RingSize"},
+		{"telemetry-ring-past-rounding", func(c *Config) { c.Telemetry = &telemetry.Config{RingSize: 1<<62 + 1} }, false, "Telemetry.RingSize"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

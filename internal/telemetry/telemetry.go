@@ -128,8 +128,8 @@ type Event struct {
 // Config sizes a Collector.
 type Config struct {
 	// RingSize bounds the event trace ring (rounded up to a power of
-	// two; 0 = DefaultRingSize). When the ring wraps, the oldest events
-	// are overwritten and counted as dropped.
+	// two; 0 = DefaultRingSize; at most MaxRingSize). When the ring
+	// wraps, the oldest events are overwritten and counted as dropped.
 	RingSize int
 }
 
@@ -140,6 +140,12 @@ type Config struct {
 // bound. Long timeline exports should raise RingSize explicitly
 // (dtsvliw -trace-ring) and pay that cost knowingly.
 const DefaultRingSize = 1 << 13
+
+// MaxRingSize is the largest ring a collector is built with: 16Mi events
+// (384 MiB). core.Config.Validate refuses larger and negative sizes;
+// NewCollector does not check, and its power-of-two rounding never ends
+// above 1<<62.
+const MaxRingSize = 1 << 24
 
 // Collector accumulates one run's telemetry. It is not safe for
 // concurrent use: the DTSVLIW machine is single-threaded and every hook
