@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"dtsvliw"
 	"dtsvliw/internal/introspect"
@@ -47,10 +48,12 @@ func main() {
 	} else {
 		cfg = dtsvliw.Ideal(*width, *height)
 	}
-	if *vcacheKB > 0 {
+	// Zero keeps the configuration's default; any other value, negative
+	// ones included, is the machine configuration's to accept or refuse.
+	if *vcacheKB != 0 {
 		cfg.VCacheKB = *vcacheKB
 	}
-	if *vcacheAssoc > 0 {
+	if *vcacheAssoc != 0 {
 		cfg.VCacheAssoc = *vcacheAssoc
 	}
 	cfg.MaxInstrs = *max
@@ -162,7 +165,13 @@ func main() {
 	}
 }
 
+// fatal prints err under the program's name and exits 1. Errors from the
+// dtsvliw package already start with that name, so it is not repeated.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dtsvliw:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "dtsvliw: ") {
+		msg = "dtsvliw: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

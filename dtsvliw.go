@@ -92,11 +92,13 @@ type Config struct {
 	// means any instruction may occupy any slot.
 	FUs []FU
 
-	NWin int // register windows (default 16)
+	NWin int // register windows (0 = the default 16)
 
 	ICache CacheSpec
 	DCache CacheSpec
 
+	// VCacheKB and VCacheAssoc size the VLIW Cache (0 = the default
+	// 3072 KB, 4-way).
 	VCacheKB    int
 	VCacheAssoc int
 
@@ -141,7 +143,8 @@ type Config struct {
 	// nothing for the instrumentation.
 	Telemetry bool
 	// TelemetryRingSize bounds the event trace ring (0 = 8k events,
-	// sized to stay cache-resident; raise for long timeline exports).
+	// sized to stay cache-resident; raise for long timeline exports, up
+	// to 16Mi events).
 	TelemetryRingSize int
 
 	// TestMode runs the sequential test machine in lockstep, validating
@@ -152,17 +155,21 @@ type Config struct {
 	MaxCycles uint64
 }
 
+// toInternal translates the configuration and validates the result, so
+// a refused value never sizes anything. Zero NWin, VCacheKB and
+// VCacheAssoc keep the default; every other value, negative ones
+// included, is forwarded for core.Config.Validate to judge.
 func (c Config) toInternal() (core.Config, error) {
 	base := core.IdealConfig(c.Width, c.Height)
-	if c.NWin > 0 {
+	if c.NWin != 0 {
 		base.NWin = c.NWin
 	}
 	base.ICache = c.ICache.toInternal()
 	base.DCache = c.DCache.toInternal()
-	if c.VCacheKB > 0 {
+	if c.VCacheKB != 0 {
 		base.VCacheKB = c.VCacheKB
 	}
-	if c.VCacheAssoc > 0 {
+	if c.VCacheAssoc != 0 {
 		base.VCacheAssoc = c.VCacheAssoc
 	}
 	base.NextLIMissPenalty = c.NextLIMissPenalty
@@ -194,7 +201,7 @@ func (c Config) toInternal() (core.Config, error) {
 			base.FUs[i] = cl
 		}
 	}
-	return base, nil
+	return base, base.Validate()
 }
 
 // Fingerprint returns a short stable digest of the configuration

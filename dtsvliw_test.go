@@ -144,6 +144,41 @@ func TestBadConfigs(t *testing.T) {
 	}
 }
 
+// TestConfigForwardsNonzeroSettings: zero NWin, VCacheKB and VCacheAssoc
+// keep the defaults, and any other value reaches core.Config.Validate, so
+// a negative one is refused as a ConfigError instead of silently becoming
+// the default. So is a telemetry ring the collector cannot be built with.
+func TestConfigForwardsNonzeroSettings(t *testing.T) {
+	zero := Ideal(4, 4)
+	zero.NWin, zero.VCacheKB, zero.VCacheAssoc = 0, 0, 0
+	if got, want := zero.Fingerprint(), Ideal(4, 4).Fingerprint(); got == "" || got != want {
+		t.Fatalf("zero settings: fingerprint %q, want the defaults' %q", got, want)
+	}
+	if _, err := NewSystemFromWorkload(zero, "compress"); err != nil {
+		t.Fatalf("zero settings refused: %v", err)
+	}
+	cases := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"NWin", func(c *Config) { c.NWin = -1 }},
+		{"VCacheKB", func(c *Config) { c.VCacheKB = -1 }},
+		{"VCacheAssoc", func(c *Config) { c.VCacheAssoc = -4 }},
+		{"Telemetry.RingSize", func(c *Config) { c.Telemetry, c.TelemetryRingSize = true, -1 }},
+	}
+	for _, c := range cases {
+		cfg := Ideal(4, 4)
+		c.mutate(&cfg)
+		var ce *core.ConfigError
+		if _, err := NewSystemFromWorkload(cfg, "compress"); !errors.As(err, &ce) || ce.Field != c.field {
+			t.Errorf("%s: got %v, want a ConfigError on %s", c.field, err, c.field)
+		}
+		if fp := cfg.Fingerprint(); fp != "" {
+			t.Errorf("%s: refused configuration has fingerprint %q", c.field, fp)
+		}
+	}
+}
+
 // TestExtensionKnobs drives the paper-§5 extensions through the facade.
 func TestExtensionKnobs(t *testing.T) {
 	cfg := Ideal(6, 6)
