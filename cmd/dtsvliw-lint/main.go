@@ -35,6 +35,10 @@ var defaultTargets = []string{
 	// pooled machine contexts are held to the same standard.
 	"dtsvliw/internal/oracle",
 	"dtsvliw/internal/core",
+	// The one ordered worker pool behind the sweep, the experiments and
+	// blockcheck: its merge order is what makes their output identical
+	// for any worker count.
+	"dtsvliw/internal/par",
 	// Metrics snapshots/dumps are diffed byte-for-byte in tests, and the
 	// introspection server renders them; both must stay deterministic
 	// (introspect's uptime stamp carries a determinism:allow).

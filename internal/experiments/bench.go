@@ -9,6 +9,7 @@ import (
 	"dtsvliw/internal/core"
 	"dtsvliw/internal/metrics"
 	"dtsvliw/internal/oracle"
+	"dtsvliw/internal/par"
 	"dtsvliw/internal/workloads"
 )
 
@@ -96,7 +97,7 @@ func benchSweepVariants() []struct {
 	}{
 		{"serial-noreuse", 1, true},
 		{"serial-pooled", 1, false},
-		{"parallel", runtime.GOMAXPROCS(0), false},
+		{"parallel", par.Workers(0, benchSweepN), false},
 	}
 }
 
@@ -160,7 +161,7 @@ func GateSweepEntries(entries []SweepEntry) error {
 	}
 	noreuse, okN := rows["serial-noreuse"]
 	pooled, okP := rows["serial-pooled"]
-	par, okPar := rows["parallel"]
+	parallel, okPar := rows["parallel"]
 	if !okN || !okP || !okPar {
 		return fmt.Errorf("sweep gate: missing sweep rows (have %d)", len(rows))
 	}
@@ -169,16 +170,16 @@ func GateSweepEntries(entries []SweepEntry) error {
 		bad = append(bad, fmt.Sprintf(
 			"pooled %.0f p/s < 1.05x noreuse %.0f p/s", pooled.ProgramsPerSec, noreuse.ProgramsPerSec))
 	}
-	if par.Workers >= 2 && runtime.NumCPU() >= 2 {
-		if par.ProgramsPerSec < 1.3*pooled.ProgramsPerSec {
+	if parallel.Workers >= 2 && runtime.NumCPU() >= 2 {
+		if parallel.ProgramsPerSec < 1.3*pooled.ProgramsPerSec {
 			bad = append(bad, fmt.Sprintf(
 				"parallel (%d workers) %.0f p/s < 1.3x pooled %.0f p/s",
-				par.Workers, par.ProgramsPerSec, pooled.ProgramsPerSec))
+				parallel.Workers, parallel.ProgramsPerSec, pooled.ProgramsPerSec))
 		}
-	} else if par.ProgramsPerSec < 0.9*pooled.ProgramsPerSec {
+	} else if parallel.ProgramsPerSec < 0.9*pooled.ProgramsPerSec {
 		bad = append(bad, fmt.Sprintf(
 			"parallel (%d workers, 1 CPU) %.0f p/s < 0.9x pooled %.0f p/s",
-			par.Workers, par.ProgramsPerSec, pooled.ProgramsPerSec))
+			parallel.Workers, parallel.ProgramsPerSec, pooled.ProgramsPerSec))
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("sweep gate failed:\n  %s", strings.Join(bad, "\n  "))

@@ -13,6 +13,7 @@ import (
 	"dtsvliw/internal/dif"
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
+	"dtsvliw/internal/par"
 	"dtsvliw/internal/stats"
 	"dtsvliw/internal/telemetry"
 	"dtsvliw/internal/vliw"
@@ -28,9 +29,10 @@ type Options struct {
 	// TestMode enables the lockstep test machine during experiments
 	// (slower; every experiment is also covered by tests).
 	TestMode bool
-	// Workers sets the simulation worker-pool size: 0 uses one worker per
-	// CPU, 1 runs serially. Output is identical either way (see
-	// parallel.go).
+	// Workers sets the simulation worker-pool size, resolved by
+	// par.Workers: 0 uses one worker per CPU, 1 runs serially. Every run
+	// is independent and deterministic and results are merged in job
+	// order, so output is identical either way.
 	Workers int
 	// Telemetry attaches a telemetry collector to every machine run (the
 	// profile runner and the telemetry overhead gate use this).
@@ -75,6 +77,24 @@ func RunOne(w *workloads.Workload, cfg core.Config, o Options) (*core.Machine, e
 	return m, nil
 }
 
+// grid runs every workload on every configuration over the worker pool
+// and returns the finished machines by workload: grid(o, cfgs...)[wi][ci]
+// ran workloads.All()[wi] on cfgs[ci].
+func grid(o Options, cfgs ...core.Config) ([][]*core.Machine, error) {
+	ws := workloads.All()
+	ms, err := par.Map(o.Workers, len(ws)*len(cfgs), func(i int) (*core.Machine, error) {
+		return RunOne(ws[i/len(cfgs)], cfgs[i%len(cfgs)], o)
+	})
+	if err != nil {
+		return nil, err
+	}
+	byW := make([][]*core.Machine, len(ws))
+	for wi := range byW {
+		byW[wi] = ms[wi*len(cfgs) : (wi+1)*len(cfgs)]
+	}
+	return byW, nil
+}
+
 // Fig5Geometries are the width-by-height block geometries of Figure 5, in
 // the paper's legend order (instructions per long instruction, long
 // instructions per block).
@@ -89,24 +109,19 @@ func Fig5(o Options) (*stats.Table, error) {
 		Title:   "Figure 5: IPC vs block size and geometry (perfect caches, 3072-KB VLIW Cache)",
 		Columns: []string{"benchmark"},
 	}
+	var cfgs []core.Config
 	for _, g := range Fig5Geometries {
 		t.Columns = append(t.Columns, fmt.Sprintf("%dx%d", g[0], g[1]))
+		cfgs = append(cfgs, core.IdealConfig(g[0], g[1]))
 	}
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws)*len(Fig5Geometries))
-	for _, w := range ws {
-		for _, g := range Fig5Geometries {
-			jobs = append(jobs, runJob{w, core.IdealConfig(g[0], g[1])})
-		}
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
+	for wi, w := range workloads.All() {
 		row := []interface{}{w.Name}
 		for gi, g := range Fig5Geometries {
-			m := ms[wi*len(Fig5Geometries)+gi]
+			m := ms[wi][gi]
 			row = append(row, m.Stats.IPC())
 			o.note("fig5 %s %dx%d: IPC %.2f", w.Name, g[0], g[1], m.Stats.IPC())
 		}
@@ -125,26 +140,21 @@ func Fig6(o Options) (*stats.Table, error) {
 		Title:   "Figure 6: IPC vs VLIW Cache size (8x8 blocks, 4-way)",
 		Columns: []string{"benchmark"},
 	}
+	var cfgs []core.Config
 	for _, s := range Fig6Sizes {
 		t.Columns = append(t.Columns, fmt.Sprintf("%dKB", s))
+		cfg := core.IdealConfig(8, 8)
+		cfg.VCacheKB = s
+		cfgs = append(cfgs, cfg)
 	}
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws)*len(Fig6Sizes))
-	for _, w := range ws {
-		for _, s := range Fig6Sizes {
-			cfg := core.IdealConfig(8, 8)
-			cfg.VCacheKB = s
-			jobs = append(jobs, runJob{w, cfg})
-		}
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
+	for wi, w := range workloads.All() {
 		row := []interface{}{w.Name}
 		for si, s := range Fig6Sizes {
-			m := ms[wi*len(Fig6Sizes)+si]
+			m := ms[wi][si]
 			row = append(row, m.Stats.IPC())
 			o.note("fig6 %s %dKB: IPC %.2f", w.Name, s, m.Stats.IPC())
 		}
@@ -167,34 +177,26 @@ func Fig7(o Options) (*stats.Table, error) {
 		Title:   "Figure 7: IPC vs VLIW Cache associativity (8x8 blocks)",
 		Columns: []string{"benchmark"},
 	}
+	var cfgs []core.Config
 	for _, s := range Fig7Sizes {
 		for _, a := range Fig7Assocs {
 			t.Columns = append(t.Columns, fmt.Sprintf("%dKB/%d-way", s, a))
+			cfg := core.IdealConfig(8, 8)
+			cfg.VCacheKB = s
+			cfg.VCacheAssoc = a
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	ws := workloads.All()
-	perW := len(Fig7Sizes) * len(Fig7Assocs)
-	jobs := make([]runJob, 0, len(ws)*perW)
-	for _, w := range ws {
-		for _, s := range Fig7Sizes {
-			for _, a := range Fig7Assocs {
-				cfg := core.IdealConfig(8, 8)
-				cfg.VCacheKB = s
-				cfg.VCacheAssoc = a
-				jobs = append(jobs, runJob{w, cfg})
-			}
-		}
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
+	for wi, w := range workloads.All() {
 		row := []interface{}{w.Name}
-		i := wi * perW
+		i := 0
 		for _, s := range Fig7Sizes {
 			for _, a := range Fig7Assocs {
-				m := ms[i]
+				m := ms[wi][i]
 				i++
 				row = append(row, m.Stats.IPC())
 				o.note("fig7 %s %dKB/%d: IPC %.2f", w.Name, s, a, m.Stats.IPC())
@@ -234,22 +236,14 @@ func Fig8(o Options) (*stats.Table, error) {
 			"ladder: feasible -> no next-LI penalty -> perfect D$ -> perfect I$ -> homogeneous FUs",
 		},
 	}
-	cfgs := fig8Configs()
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws)*len(cfgs))
-	for _, w := range ws {
-		for _, cfg := range cfgs {
-			jobs = append(jobs, runJob{w, cfg})
-		}
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, fig8Configs()...)
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
-		ipcs := make([]float64, len(cfgs))
-		for i := range cfgs {
-			ipcs[i] = ms[wi*len(cfgs)+i].Stats.IPC()
+	for wi, w := range workloads.All() {
+		ipcs := make([]float64, len(ms[wi]))
+		for i, m := range ms[wi] {
+			ipcs[i] = m.Stats.IPC()
 			o.note("fig8 %s cfg%d: IPC %.2f", w.Name, i, ipcs[i])
 		}
 		t.AddRow(w.Name, ipcs[0], ipcs[1], ipcs[2], ipcs[3], ipcs[4],
@@ -272,18 +266,12 @@ func Table3(o Options) (*stats.Table, error) {
 	}
 	var sumIPC, sumVLIW float64
 	n := 0
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws))
-	for _, w := range ws {
-		jobs = append(jobs, runJob{w, core.FeasibleConfig()})
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, core.FeasibleConfig())
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
-		m := ms[wi]
-		s := &m.Stats
+	for wi, w := range workloads.All() {
+		s := &ms[wi][0].Stats
 		t.AddRow(w.Name, s.IPC(),
 			s.Sched.MaxRenames[0], s.Sched.MaxRenames[1], s.Sched.MaxRenames[2],
 			s.Sched.MaxRenames[3],
@@ -331,7 +319,8 @@ func Fig9(o Options) (*stats.Table, error) {
 	}
 	ws := workloads.All()
 	type pair struct{ dts, dif float64 }
-	res, err := mapPar(o.workers(), ws, func(w *workloads.Workload) (pair, error) {
+	res, err := par.Map(o.Workers, len(ws), func(i int) (pair, error) {
+		w := ws[i]
 		m, err := RunOne(w, fig9DTSVLIWConfig(), o)
 		if err != nil {
 			return pair{}, err
@@ -438,36 +427,24 @@ func Extensions(o Options) (*stats.Table, error) {
 			"loads=Ncy: multicycle extension (companion HPCN'99 study)",
 		},
 	}
-	variants := []func(*core.Config){
-		func(c *core.Config) {},
-		func(c *core.Config) { c.ExitPrediction = true },
-		func(c *core.Config) { c.StoreScheme = vliw.SchemeStoreList },
-		func(c *core.Config) { c.LoadLatency = 2 },
-		func(c *core.Config) { c.LoadLatency = 4 },
-	}
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws)*len(variants))
-	for _, w := range ws {
-		for _, v := range variants {
-			cfg := core.IdealConfig(8, 8)
-			v(&cfg)
-			jobs = append(jobs, runJob{w, cfg})
-		}
-	}
-	ms, err := runAll(o, jobs)
+	base := core.IdealConfig(8, 8)
+	exitPred, storeList, load2, load4 := base, base, base, base
+	exitPred.ExitPrediction = true
+	storeList.StoreScheme = vliw.SchemeStoreList
+	load2.LoadLatency = 2
+	load4.LoadLatency = 4
+	ms, err := grid(o, base, exitPred, storeList, load2, load4)
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
+	for wi, w := range workloads.All() {
 		row := []interface{}{w.Name}
-		for i := range variants {
-			m := ms[wi*len(variants)+i]
+		for i, m := range ms[wi] {
 			row = append(row, m.Stats.IPC())
 			o.note("ext %s variant %d: IPC %.2f", w.Name, i, m.Stats.IPC())
 		}
-		// Exit-predictor outcomes from the +exit-pred run (variant 1),
-		// previously measured but dropped from the table.
-		ps := &ms[wi*len(variants)+1].Stats
+		// Exit-predictor outcomes from the +exit-pred run (variant 1).
+		ps := &ms[wi][1].Stats
 		row = append(row,
 			fmt.Sprintf("%.1f%%", 100*ps.ExitPredAccuracy()),
 			ps.ExitPredHits, ps.ExitPredMisses)

@@ -36,23 +36,3 @@ func TestParallelMatchesSerial(t *testing.T) {
 		})
 	}
 }
-
-// TestMapParOrder: results land at their item's index and the lowest-index
-// error wins, independent of completion order.
-func TestMapParOrder(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	res, err := mapPar(8, items, func(i int) (int, error) {
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r != i*i {
-			t.Fatalf("result %d landed at index %d", r, i)
-		}
-	}
-}

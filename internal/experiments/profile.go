@@ -27,17 +27,12 @@ func Profile(o Options) (*stats.Table, error) {
 			"recon: per-block cycle totals vs Stats.VLIWCycles (must be ok, exact)",
 		},
 	}
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws))
-	for _, w := range ws {
-		jobs = append(jobs, runJob{w, core.FeasibleConfig()})
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, core.FeasibleConfig())
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
-		m := ms[wi]
+	for wi, w := range workloads.All() {
+		m := ms[wi][0]
 		tel := m.Telemetry()
 		if tel == nil {
 			return nil, fmt.Errorf("profile %s: machine has no telemetry collector", w.Name)
@@ -66,18 +61,13 @@ func Profile(o Options) (*stats.Table, error) {
 // tables).
 func ProfileDumps(o Options, topN int) (string, error) {
 	o.Telemetry = true
-	ws := workloads.All()
-	jobs := make([]runJob, 0, len(ws))
-	for _, w := range ws {
-		jobs = append(jobs, runJob{w, core.FeasibleConfig()})
-	}
-	ms, err := runAll(o, jobs)
+	ms, err := grid(o, core.FeasibleConfig())
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	for wi, w := range ws {
-		tel := ms[wi].Telemetry()
+	for wi, w := range workloads.All() {
+		tel := ms[wi][0].Telemetry()
 		if tel == nil {
 			return "", fmt.Errorf("profile %s: machine has no telemetry collector", w.Name)
 		}

@@ -55,27 +55,22 @@ func SchedGapRows(o SchedGapOptions) ([]SchedGapRow, error) {
 	if len(geoms) == 0 {
 		geoms = SchedGapGeometries
 	}
-	ws := workloads.All()
-	jobs := make([]runJob, 0, 2*len(ws)*len(geoms))
-	for _, w := range ws {
-		for _, g := range geoms {
-			fcfs := core.IdealConfig(g[0], g[1])
-			opt := core.IdealConfig(g[0], g[1])
-			opt.SchedStrategy = "optimal"
-			opt.VerifyBlocks = true
-			jobs = append(jobs, runJob{w, fcfs}, runJob{w, opt})
-		}
+	// Each geometry contributes an FCFS and an optimal configuration.
+	var cfgs []core.Config
+	for _, g := range geoms {
+		opt := core.IdealConfig(g[0], g[1])
+		opt.SchedStrategy = "optimal"
+		opt.VerifyBlocks = true
+		cfgs = append(cfgs, core.IdealConfig(g[0], g[1]), opt)
 	}
-	ms, err := runAll(o.Options, jobs)
+	ms, err := grid(o.Options, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SchedGapRow, 0, len(jobs)/2)
-	i := 0
-	for _, w := range ws {
-		for _, g := range geoms {
-			fs, os := &ms[i].Stats, &ms[i+1].Stats
-			i += 2
+	rows := make([]SchedGapRow, 0, len(ms)*len(geoms))
+	for wi, w := range workloads.All() {
+		for gi, g := range geoms {
+			fs, os := &ms[wi][2*gi].Stats, &ms[wi][2*gi+1].Stats
 			row := SchedGapRow{
 				Workload: w.Name, Width: g[0], Height: g[1],
 				FCFSIPC:     fs.IPC(),
