@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -54,18 +55,30 @@ type diag struct {
 }
 
 func main() {
-	workload := flag.String("workload", "", "workload name, or \"all\"")
-	file := flag.String("file", "", "assembly source file to check")
-	geoms := flag.String("geoms", "4x4,8x8,16x16", "comma-separated block geometries (WxH) for the static bound")
-	nwin := flag.Int("nwin", 8, "register windows assumed by the window-depth pass")
-	progenN := flag.Int("progen", 0, "certify N generated programs per shape instead of checking sources")
-	seed := flag.Int64("seed", 1, "base seed for -progen")
-	asJSON := flag.Bool("json", false, "emit reports and bound rows as JSON")
-	quiet := flag.Bool("q", false, "suppress per-diagnostic output; print summaries only")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: it parses args, checks, and returns the exit
+// status (0 clean, 1 on an unwaived diagnostic or a failed
+// certification, 2 on a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dtsvliw-progcheck", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "", "workload name, or \"all\"")
+	file := fs.String("file", "", "assembly source file to check")
+	geoms := fs.String("geoms", "4x4,8x8,16x16", "comma-separated block geometries (WxH) for the static bound")
+	nwin := fs.Int("nwin", 8, "register windows assumed by the window-depth pass")
+	progenN := fs.Int("progen", 0, "certify N generated programs per shape instead of checking sources")
+	seed := fs.Int64("seed", 1, "base seed for -progen")
+	asJSON := fs.Bool("json", false, "emit reports and bound rows as JSON")
+	quiet := fs.Bool("q", false, "suppress per-diagnostic output; print summaries only")
+	fs.Parse(args) // ExitOnError: -h exits 0, a malformed flag exits 2
+	if *progenN < 0 {
+		fmt.Fprintf(stderr, "dtsvliw-progcheck: -progen must be >= 0, got %d\n", *progenN)
+		return 2
+	}
 	if *progenN > 0 {
-		os.Exit(certifyGenerated(*progenN, *seed))
+		return certifyGenerated(stdout, stderr, *progenN, *seed)
 	}
 
 	type target struct{ name, source string }
@@ -74,8 +87,8 @@ func main() {
 	case *file != "":
 		b, err := os.ReadFile(*file)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtsvliw-progcheck:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "dtsvliw-progcheck:", err)
+			return 2
 		}
 		targets = append(targets, target{*file, string(b)})
 	case *workload == "all" || *workload == "":
@@ -85,17 +98,17 @@ func main() {
 	default:
 		w, ok := workloads.ByName(*workload)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "dtsvliw-progcheck: unknown workload %q (have %s)\n",
+			fmt.Fprintf(stderr, "dtsvliw-progcheck: unknown workload %q (have %s)\n",
 				*workload, strings.Join(workloads.Names(), ", "))
-			os.Exit(2)
+			return 2
 		}
 		targets = append(targets, target{w.Name, w.Source})
 	}
 
 	gs, err := parseGeoms(*geoms)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtsvliw-progcheck:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dtsvliw-progcheck:", err)
+		return 2
 	}
 
 	var reports []report
@@ -104,8 +117,8 @@ func main() {
 	for _, t := range targets {
 		r, err := progcheck.Check(t.source, progcheck.Options{NWin: *nwin})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtsvliw-progcheck: %s: %v\n", t.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dtsvliw-progcheck: %s: %v\n", t.name, err)
+			return 1
 		}
 		rep := report{Program: t.name, Blocks: len(r.CFG.Blocks), Loops: len(r.CFG.Loops),
 			Unwaived: len(r.Unwaived(false))}
@@ -120,10 +133,10 @@ func main() {
 		}
 		if !*asJSON {
 			if *quiet {
-				fmt.Printf("%s: %d blocks, %d loops, %d diagnostics (%d unwaived)\n",
+				fmt.Fprintf(stdout, "%s: %d blocks, %d loops, %d diagnostics (%d unwaived)\n",
 					rep.Program, rep.Blocks, rep.Loops, len(rep.Diags), rep.Unwaived)
 			} else {
-				fmt.Print(r.Report(t.name))
+				fmt.Fprint(stdout, r.Report(t.name))
 			}
 		}
 	}
@@ -135,49 +148,50 @@ func main() {
 		}{reports, bounds}
 		b, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtsvliw-progcheck:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dtsvliw-progcheck:", err)
+			return 1
 		}
-		fmt.Printf("%s\n", b)
+		fmt.Fprintf(stdout, "%s\n", b)
 	} else {
-		fmt.Printf("\n%-10s", "program")
+		fmt.Fprintf(stdout, "\n%-10s", "program")
 		for _, g := range gs {
-			fmt.Printf("  %7s", fmt.Sprintf("%dx%d", g[0], g[1]))
+			fmt.Fprintf(stdout, "  %7s", fmt.Sprintf("%dx%d", g[0], g[1]))
 		}
-		fmt.Println("  (static IPC upper bound)")
+		fmt.Fprintln(stdout, "  (static IPC upper bound)")
 		i := 0
 		for _, rep := range reports {
-			fmt.Printf("%-10s", rep.Program)
+			fmt.Fprintf(stdout, "%-10s", rep.Program)
 			for range gs {
-				fmt.Printf("  %7s", progcheck.FormatIPC(bounds[i].IPC))
+				fmt.Fprintf(stdout, "  %7s", progcheck.FormatIPC(bounds[i].IPC))
 				i++
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 
 	if unwaived > 0 {
-		fmt.Fprintf(os.Stderr, "dtsvliw-progcheck: %d unwaived diagnostic(s)\n", unwaived)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dtsvliw-progcheck: %d unwaived diagnostic(s)\n", unwaived)
+		return 1
 	}
+	return 0
 }
 
 // certifyGenerated runs the hard-kind certification sweep over generated
 // programs, mirroring what the differential oracle does before every run.
-func certifyGenerated(n int, seed int64) int {
+func certifyGenerated(stdout, stderr io.Writer, n int, seed int64) int {
 	checked := 0
 	for _, shape := range progen.Shapes() {
 		for i := 0; i < n; i++ {
 			s := seed + int64(i)
 			src := progen.Generate(progen.ShapeParams(shape, s))
 			if err := progcheck.Certify(src); err != nil {
-				fmt.Fprintf(os.Stderr, "dtsvliw-progcheck: shape %v seed %d: %v\n", shape, s, err)
+				fmt.Fprintf(stderr, "dtsvliw-progcheck: shape %v seed %d: %v\n", shape, s, err)
 				return 1
 			}
 			checked++
 		}
 	}
-	fmt.Printf("certified %d generated programs (hard kinds clean)\n", checked)
+	fmt.Fprintf(stdout, "certified %d generated programs (hard kinds clean)\n", checked)
 	return 0
 }
 

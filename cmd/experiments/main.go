@@ -2,7 +2,7 @@
 // reproduced DTSVLIW. With no flags it runs every experiment in the
 // paper's order and prints the result tables, fanning independent
 // simulations out over all CPUs (-par 1 forces serial mode; output is
-// identical either way).
+// identical either way; a negative -par is a usage error).
 //
 // Usage:
 //
@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -44,172 +45,172 @@ import (
 )
 
 func main() {
-	run := flag.String("run", strings.Join(experiments.Order, ","),
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the requested experiments or
+// gate, and returns the exit status (0 clean, 1 on a failed run or gate,
+// 2 on a usage error).
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", strings.Join(experiments.Order, ","),
 		"comma-separated experiments: "+strings.Join(experiments.Order, ", "))
-	max := flag.Uint64("max", 0, "cap sequential instructions per run (0 = to completion)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	verbose := flag.Bool("v", false, "print per-run progress")
-	test := flag.Bool("testmode", false, "run with the lockstep test machine (slow)")
-	par := flag.Int("par", 0, "simulation workers (0 = one per CPU, 1 = serial)")
-	benchOverheadGate := flag.Float64("bench-overhead-gate", 0,
+	max := fs.Uint64("max", 0, "cap sequential instructions per run (0 = to completion)")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	verbose := fs.Bool("v", false, "print per-run progress")
+	test := fs.Bool("testmode", false, "run with the lockstep test machine (slow)")
+	workers := fs.Int("par", 0, "simulation workers (0 = one per CPU, 1 = serial)")
+	benchOverheadGate := fs.Float64("bench-overhead-gate", 0,
 		"measure machine rows telemetry-off vs -on with interleaved reps; fail past this percent ns/instr overhead (skips -run)")
-	profile := flag.Bool("profile", false,
+	profile := fs.Bool("profile", false,
 		"print per-workload telemetry profile/histogram dumps after the tables")
-	profileTop := flag.Int("profile-top", 5, "with -profile: hot blocks listed per workload")
-	sweepGate := flag.Bool("sweep-gate", false,
+	profileTop := fs.Int("profile-top", 5, "with -profile: hot blocks listed per workload")
+	sweepGate := fs.Bool("sweep-gate", false,
 		"measure the oracle sweep-throughput rows and enforce the pooled/parallel speedup contract (skips -run)")
-	benchMetricsGate := flag.Float64("bench-metrics-gate", 0,
+	benchMetricsGate := fs.Float64("bench-metrics-gate", 0,
 		"measure machine rows metrics-off vs -on with interleaved reps; fail past this percent ns/instr overhead (skips -run)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of the run")
-	flag.Parse()
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path on exit")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of the run")
+	fs.Parse(args) // ExitOnError: -h exits 0, a malformed flag exits 2
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "experiments: -par must be >= 0 (0 = one per CPU), got %d\n", *workers)
+		return 2
+	}
 
 	if *metricsAddr != "" {
 		srv, err := introspect.Serve(*metricsAddr, introspect.Options{
 			Program: "experiments",
-			Args:    os.Args[1:],
+			Args:    args,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics-addr: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "metrics-addr: %v\n", err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "experiments: introspection on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "experiments: introspection on http://%s\n", srv.Addr())
 	}
 
-	var cpuFile *os.File
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		cpuFile = f
-	}
-
-	o := experiments.Options{MaxInstrs: *max, TestMode: *test, Workers: *par}
-	if *verbose {
-		o.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-
-	// exit routes every failure through the deferred profile writers
-	// (os.Exit inside main would skip them).
-	code := 0
-	exit := func(c int) { code = c }
-	defer func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if *memProfile != "" {
+	if *memProfile != "" {
+		// Written on every return, failures included, after the CPU
+		// profile stops.
+		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				code = 1
+				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				code = 1
 			}
 			f.Close()
+		}()
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
-		os.Exit(code)
-	}()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+
+	o := experiments.Options{MaxInstrs: *max, TestMode: *test, Workers: *workers}
+	if *verbose {
+		o.Progress = func(s string) { fmt.Fprintln(stderr, s) }
+	}
 
 	if *sweepGate {
 		entries, err := experiments.BenchSweep(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep-gate: %v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "sweep-gate: %v\n", err)
+			return 1
 		}
 		for _, e := range entries {
-			fmt.Printf("sweep %-16s %d workers  %8.0f programs/sec  %6.1f ns/instr  %6.3f allocs/instr\n",
+			fmt.Fprintf(stdout, "sweep %-16s %d workers  %8.0f programs/sec  %6.1f ns/instr  %6.3f allocs/instr\n",
 				e.Config, e.Workers, e.ProgramsPerSec, e.NsPerInstr, e.AllocsPerInstr)
 		}
 		if err := experiments.GateSweepEntries(entries); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 1
 		}
-		fmt.Fprintln(os.Stderr, "sweep gate passed (pooled >= 1.05x noreuse; parallel scaling checked when CPUs allow)")
-		return
+		fmt.Fprintln(stderr, "sweep gate passed (pooled >= 1.05x noreuse; parallel scaling checked when CPUs allow)")
+		return 0
 	}
 
 	if *benchMetricsGate > 0 {
 		deltas, err := experiments.BenchMetricsOverhead(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-metrics-gate: %v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "bench-metrics-gate: %v\n", err)
+			return 1
 		}
-		fmt.Print(experiments.FormatBenchDiff(deltas))
+		fmt.Fprint(stdout, experiments.FormatBenchDiff(deltas))
 		// Gate on the mean across rows, not per row: the publisher's cost is
 		// uniform, so a real regression moves every row, while single rows
 		// bounce past 2% on run-to-run noise alone.
 		if err := experiments.GateBenchMean(deltas, *benchMetricsGate); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "metrics overhead gate passed (threshold %+.1f%% mean ns/instr on machine entries)\n",
+		fmt.Fprintf(stderr, "metrics overhead gate passed (threshold %+.1f%% mean ns/instr on machine entries)\n",
 			*benchMetricsGate)
-		return
+		return 0
 	}
 
 	if *benchOverheadGate > 0 {
 		deltas, err := experiments.BenchTelemetryOverhead(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-overhead-gate: %v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "bench-overhead-gate: %v\n", err)
+			return 1
 		}
-		fmt.Print(experiments.FormatBenchDiff(deltas))
+		fmt.Fprint(stdout, experiments.FormatBenchDiff(deltas))
 		if err := experiments.GateBenchDiff(deltas, *benchOverheadGate); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "telemetry overhead gate passed (threshold %+.1f%% ns/instr on machine entries)\n",
+		fmt.Fprintf(stderr, "telemetry overhead gate passed (threshold %+.1f%% ns/instr on machine entries)\n",
 			*benchOverheadGate)
-		return
+		return 0
 	}
 
-	for _, name := range strings.Split(*run, ",") {
+	for _, name := range strings.Split(*runList, ",") {
 		name = strings.TrimSpace(name)
 		r, ok := experiments.Runner[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have: %s)\n",
+			fmt.Fprintf(stderr, "unknown experiment %q (have: %s)\n",
 				name, strings.Join(experiments.Order, ", "))
-			exit(2)
-			return
+			return 2
 		}
 		t, err := r(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			return 1
 		}
 		if *csv {
-			fmt.Print(t.CSV())
+			fmt.Fprint(stdout, t.CSV())
 		} else {
-			fmt.Println(t)
+			fmt.Fprintln(stdout, t)
 		}
 	}
 
 	if *profile {
 		dump, err := experiments.ProfileDumps(o, *profileTop)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-			exit(1)
-			return
+			fmt.Fprintf(stderr, "profile: %v\n", err)
+			return 1
 		}
-		fmt.Print(dump)
+		fmt.Fprint(stdout, dump)
 	}
+	return 0
 }
