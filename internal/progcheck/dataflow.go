@@ -318,20 +318,6 @@ func (d *depthRange) widen(o depthRange, cap int) bool {
 	return changed
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // windowDepth tracks SAVE/RESTORE nesting along every path. With nwin
 // windows, depth nwin-1 is the last usable level: one more SAVE wraps the
 // circular window file onto live registers. A RESTORE at depth zero wraps

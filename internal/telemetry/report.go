@@ -76,10 +76,3 @@ func (c *Collector) Summary() string {
 	return fmt.Sprintf("telemetry: %d events recorded (%d retained, %d dropped), %d blocks profiled, %d VLIW cycles attributed, %d orphan",
 		c.Recorded(), uint64(len(c.Events())), c.Dropped(), len(c.profiles), c.TotalBlockCycles(), c.orphan)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
