@@ -160,7 +160,7 @@ func (s *State) FetchDecode(addr uint32) (isa.Inst, error) {
 	return in, nil
 }
 
-// isa.Env implementation ---------------------------------------------------
+// Register, flag and memory accessors ---------------------------------------
 
 // ReadReg reads physical integer register idx (%g0 reads as zero).
 func (s *State) ReadReg(idx uint16) uint32 {
@@ -268,7 +268,7 @@ func (s *State) StepOutcome() (isa.Inst, isa.Outcome, error) {
 	if err != nil {
 		return in, isa.Outcome{}, err
 	}
-	out, err := isa.Exec(&in, s.PC, s, s.NWin)
+	out, err := s.exec(&in, s.PC)
 	if err != nil {
 		return in, out, fmt.Errorf("arch: %v executing %q at %#08x", err, in.Disasm(s.PC), s.PC)
 	}

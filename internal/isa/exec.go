@@ -5,31 +5,6 @@ import (
 	"math"
 )
 
-// Env is the storage environment an instruction executes against. The
-// sequential reference machine implements it directly over architectural
-// state; the VLIW Engine implements it with renaming-register redirection
-// and tag-gated commit. Integer registers are addressed physically
-// (window-resolved); reads of physical register 0 must return 0 and writes
-// to it must be discarded.
-type Env interface {
-	ReadReg(idx uint16) uint32
-	WriteReg(idx uint16, v uint32)
-	ReadF(idx uint8) uint32
-	WriteF(idx uint8, v uint32)
-	ICC() uint8
-	SetICC(uint8)
-	FCC() uint8
-	SetFCC(uint8)
-	Y() uint32
-	SetY(uint32)
-	CWP() uint8
-	SetCWP(uint8)
-	// Load returns size bytes at addr, zero-extended into a uint32
-	// (size 1, 2 or 4; doubleword accesses issue two calls).
-	Load(addr uint32, size uint8) (uint32, error)
-	Store(addr uint32, v uint32, size uint8) error
-}
-
 // Outcome reports the control-flow and memory effects of one executed
 // instruction.
 type Outcome struct {
@@ -55,7 +30,8 @@ func (e *AlignmentError) Error() string {
 
 // AddICC computes the integer condition codes produced by an addition of
 // a and b with result r. Exported so the VLIW Engine's lowered executor
-// shares one definition of the flag semantics with Exec.
+// shares one definition of the flag semantics with the sequential
+// interpreter (arch).
 func AddICC(a, b, r uint32, carry bool) uint8 {
 	var icc uint8
 	if r&0x80000000 != 0 {
@@ -105,264 +81,6 @@ func LogicICC(r uint32) uint8 {
 	return icc
 }
 
-// Exec executes one instruction located at addr against env. nwin is the
-// number of register windows (needed to resolve window-relative register
-// specifiers). It returns the instruction's outcome; architectural updates
-// happen through env.
-func Exec(in *Inst, addr uint32, env Env, nwin int) (Outcome, error) {
-	out := Outcome{NextPC: addr + 4}
-	cwp := env.CWP()
-	rr := func(r uint8) uint32 { return env.ReadReg(PhysReg(cwp, r, nwin)) }
-	wr := func(r uint8, v uint32) { env.WriteReg(PhysReg(cwp, r, nwin), v) }
-	op2 := func() uint32 {
-		if in.UseImm {
-			return uint32(in.Imm)
-		}
-		return rr(in.Rs2)
-	}
-
-	switch in.Op {
-	case OpSETHI:
-		wr(in.Rd, uint32(in.Imm)<<10)
-
-	case OpADD, OpADDCC:
-		a, b := rr(in.Rs1), op2()
-		r := a + b
-		wr(in.Rd, r)
-		if in.Op == OpADDCC {
-			env.SetICC(AddICC(a, b, r, r < a))
-		}
-
-	case OpADDX, OpADDXCC:
-		a, b := rr(in.Rs1), op2()
-		var c uint32
-		if env.ICC()&ICCC != 0 {
-			c = 1
-		}
-		r := a + b + c
-		wr(in.Rd, r)
-		if in.Op == OpADDXCC {
-			carry := uint64(a)+uint64(b)+uint64(c) > 0xFFFFFFFF
-			env.SetICC(AddICC(a, b, r, carry))
-		}
-
-	case OpSUB, OpSUBCC:
-		a, b := rr(in.Rs1), op2()
-		r := a - b
-		wr(in.Rd, r)
-		if in.Op == OpSUBCC {
-			env.SetICC(SubICC(a, b, r, a < b))
-		}
-
-	case OpSUBX, OpSUBXCC:
-		a, b := rr(in.Rs1), op2()
-		var c uint32
-		if env.ICC()&ICCC != 0 {
-			c = 1
-		}
-		r := a - b - c
-		wr(in.Rd, r)
-		if in.Op == OpSUBXCC {
-			borrow := uint64(a) < uint64(b)+uint64(c)
-			env.SetICC(SubICC(a, b, r, borrow))
-		}
-
-	case OpAND, OpANDCC:
-		r := rr(in.Rs1) & op2()
-		wr(in.Rd, r)
-		if in.Op == OpANDCC {
-			env.SetICC(LogicICC(r))
-		}
-	case OpANDN, OpANDNCC:
-		r := rr(in.Rs1) &^ op2()
-		wr(in.Rd, r)
-		if in.Op == OpANDNCC {
-			env.SetICC(LogicICC(r))
-		}
-	case OpOR, OpORCC:
-		r := rr(in.Rs1) | op2()
-		wr(in.Rd, r)
-		if in.Op == OpORCC {
-			env.SetICC(LogicICC(r))
-		}
-	case OpORN, OpORNCC:
-		r := rr(in.Rs1) | ^op2()
-		wr(in.Rd, r)
-		if in.Op == OpORNCC {
-			env.SetICC(LogicICC(r))
-		}
-	case OpXOR, OpXORCC:
-		r := rr(in.Rs1) ^ op2()
-		wr(in.Rd, r)
-		if in.Op == OpXORCC {
-			env.SetICC(LogicICC(r))
-		}
-	case OpXNOR, OpXNORCC:
-		r := rr(in.Rs1) ^ ^op2()
-		wr(in.Rd, r)
-		if in.Op == OpXNORCC {
-			env.SetICC(LogicICC(r))
-		}
-
-	case OpSLL:
-		wr(in.Rd, rr(in.Rs1)<<(op2()&31))
-	case OpSRL:
-		wr(in.Rd, rr(in.Rs1)>>(op2()&31))
-	case OpSRA:
-		wr(in.Rd, uint32(int32(rr(in.Rs1))>>(op2()&31)))
-
-	case OpMULSCC:
-		// SPARC multiply step (the V7 substitute for integer multiply).
-		a := rr(in.Rs1)
-		icc := env.ICC()
-		nxv := (icc&ICCN != 0) != (icc&ICCV != 0)
-		o1 := a >> 1
-		if nxv {
-			o1 |= 0x80000000
-		}
-		var o2 uint32
-		if env.Y()&1 != 0 {
-			o2 = op2()
-		}
-		r := o1 + o2
-		env.SetY(env.Y()>>1 | a<<31)
-		wr(in.Rd, r)
-		env.SetICC(AddICC(o1, o2, r, r < o1))
-
-	case OpRDY:
-		wr(in.Rd, env.Y())
-	case OpWRY:
-		env.SetY(rr(in.Rs1) ^ op2()) // SPARC WRY xors rs1 with operand 2
-
-	case OpSAVE:
-		v := rr(in.Rs1) + op2()
-		ncwp := SaveCWP(cwp, nwin)
-		env.SetCWP(ncwp)
-		if p := PhysReg(ncwp, in.Rd, nwin); p != 0 {
-			env.WriteReg(p, v)
-		}
-
-	case OpRESTORE:
-		v := rr(in.Rs1) + op2()
-		ncwp := RestoreCWP(cwp, nwin)
-		env.SetCWP(ncwp)
-		if p := PhysReg(ncwp, in.Rd, nwin); p != 0 {
-			env.WriteReg(p, v)
-		}
-
-	case OpCALL:
-		wr(15, addr)
-		out.IsCTI = true
-		out.Taken = true
-		out.Target = in.BranchTarget(addr)
-		out.NextPC = out.Target
-
-	case OpJMPL:
-		t := rr(in.Rs1) + op2()
-		if t&3 != 0 {
-			return out, &AlignmentError{Addr: t, Size: 4}
-		}
-		wr(in.Rd, addr)
-		out.IsCTI = true
-		out.Taken = true
-		out.Target = t
-		out.NextPC = t
-
-	case OpBICC:
-		out.IsCTI = in.Cond != CondN
-		out.Target = in.BranchTarget(addr)
-		if EvalICC(in.Cond, env.ICC()) {
-			out.Taken = true
-			out.NextPC = out.Target
-		}
-
-	case OpFBFCC:
-		out.IsCTI = in.Cond != CondN
-		out.Target = in.BranchTarget(addr)
-		if EvalFCC(in.Cond, env.FCC()) {
-			out.Taken = true
-			out.NextPC = out.Target
-		}
-
-	case OpTICC:
-		if EvalICC(in.Cond, env.ICC()) {
-			out.Trap = true
-			out.TrapNum = uint8((rr(in.Rs1) + op2()) & 0x7F)
-		}
-
-	case OpLD, OpLDUB, OpLDSB, OpLDUH, OpLDSH, OpLDD,
-		OpST, OpSTB, OpSTH, OpSTD, OpLDSTUB, OpSWAP,
-		OpLDF, OpLDDF, OpSTF, OpSTDF:
-		return execMem(in, addr, env, nwin, out)
-
-	case OpFMOVS:
-		env.WriteF(in.Rd, env.ReadF(in.Rs2))
-	case OpFNEGS:
-		env.WriteF(in.Rd, env.ReadF(in.Rs2)^0x80000000)
-	case OpFABSS:
-		env.WriteF(in.Rd, env.ReadF(in.Rs2)&^0x80000000)
-
-	case OpFITOS:
-		env.WriteF(in.Rd, math.Float32bits(float32(int32(env.ReadF(in.Rs2)))))
-	case OpFSTOI:
-		f := math.Float32frombits(env.ReadF(in.Rs2))
-		env.WriteF(in.Rd, uint32(int32(f)))
-	case OpFITOD:
-		writeD(env, in.Rd, float64(int32(env.ReadF(in.Rs2))))
-	case OpFDTOI:
-		env.WriteF(in.Rd, uint32(int32(readD(env, in.Rs2))))
-	case OpFSTOD:
-		writeD(env, in.Rd, float64(math.Float32frombits(env.ReadF(in.Rs2))))
-	case OpFDTOS:
-		env.WriteF(in.Rd, math.Float32bits(float32(readD(env, in.Rs2))))
-
-	case OpFADDS, OpFSUBS, OpFMULS, OpFDIVS:
-		a := math.Float32frombits(env.ReadF(in.Rs1))
-		b := math.Float32frombits(env.ReadF(in.Rs2))
-		var r float32
-		switch in.Op {
-		case OpFADDS:
-			r = a + b
-		case OpFSUBS:
-			r = a - b
-		case OpFMULS:
-			r = a * b
-		default:
-			r = a / b
-		}
-		env.WriteF(in.Rd, math.Float32bits(r))
-
-	case OpFADDD, OpFSUBD, OpFMULD, OpFDIVD:
-		a, b := readD(env, in.Rs1), readD(env, in.Rs2)
-		var r float64
-		switch in.Op {
-		case OpFADDD:
-			r = a + b
-		case OpFSUBD:
-			r = a - b
-		case OpFMULD:
-			r = a * b
-		default:
-			r = a / b
-		}
-		writeD(env, in.Rd, r)
-
-	case OpFCMPS:
-		a := math.Float32frombits(env.ReadF(in.Rs1))
-		b := math.Float32frombits(env.ReadF(in.Rs2))
-		env.SetFCC(CmpFCC(float64(a), float64(b)))
-	case OpFCMPD:
-		env.SetFCC(CmpFCC(readD(env, in.Rs1), readD(env, in.Rs2)))
-
-	case OpUNIMP:
-		return out, fmt.Errorf("isa: unimplemented instruction at %#08x", addr)
-
-	default:
-		return out, fmt.Errorf("isa: cannot execute %v at %#08x", in.Op, addr)
-	}
-	return out, nil
-}
-
 // CmpFCC computes the floating-point condition code of comparing a to b.
 func CmpFCC(a, b float64) uint8 {
 	switch {
@@ -375,156 +93,4 @@ func CmpFCC(a, b float64) uint8 {
 	default:
 		return FCCE
 	}
-}
-
-// readD reads a double from the even/odd FP register pair (even register
-// holds the most-significant word, big-endian SPARC convention).
-func readD(env Env, r uint8) float64 {
-	hi := uint64(env.ReadF(r &^ 1))
-	lo := uint64(env.ReadF(r | 1))
-	return math.Float64frombits(hi<<32 | lo)
-}
-
-func writeD(env Env, r uint8, v float64) {
-	bits := math.Float64bits(v)
-	env.WriteF(r&^1, uint32(bits>>32))
-	env.WriteF(r|1, uint32(bits))
-}
-
-func execMem(in *Inst, addr uint32, env Env, nwin int, out Outcome) (Outcome, error) {
-	cwp := env.CWP()
-	rr := func(r uint8) uint32 { return env.ReadReg(PhysReg(cwp, r, nwin)) }
-	wr := func(r uint8, v uint32) { env.WriteReg(PhysReg(cwp, r, nwin), v) }
-	ea := rr(in.Rs1)
-	if in.UseImm {
-		ea += uint32(in.Imm)
-	} else {
-		ea += rr(in.Rs2)
-	}
-	out.EA = ea
-	out.HasEA = true
-
-	size := in.MemSize()
-	var alignment uint32
-	switch size {
-	case 2:
-		alignment = 1
-	case 4:
-		alignment = 3
-	case 8:
-		alignment = 7
-	}
-	if ea&alignment != 0 {
-		return out, &AlignmentError{Addr: ea, Size: size}
-	}
-
-	switch in.Op {
-	case OpLD:
-		v, err := env.Load(ea, 4)
-		if err != nil {
-			return out, err
-		}
-		wr(in.Rd, v)
-	case OpLDUB:
-		v, err := env.Load(ea, 1)
-		if err != nil {
-			return out, err
-		}
-		wr(in.Rd, v)
-	case OpLDSB:
-		v, err := env.Load(ea, 1)
-		if err != nil {
-			return out, err
-		}
-		wr(in.Rd, uint32(int32(int8(v))))
-	case OpLDUH:
-		v, err := env.Load(ea, 2)
-		if err != nil {
-			return out, err
-		}
-		wr(in.Rd, v)
-	case OpLDSH:
-		v, err := env.Load(ea, 2)
-		if err != nil {
-			return out, err
-		}
-		wr(in.Rd, uint32(int32(int16(v))))
-	case OpLDD:
-		v0, err := env.Load(ea, 4)
-		if err != nil {
-			return out, err
-		}
-		v1, err := env.Load(ea+4, 4)
-		if err != nil {
-			return out, err
-		}
-		wr(in.Rd&^1, v0)
-		wr(in.Rd|1, v1)
-	case OpST:
-		if err := env.Store(ea, rr(in.Rd), 4); err != nil {
-			return out, err
-		}
-	case OpSTB:
-		if err := env.Store(ea, rr(in.Rd), 1); err != nil {
-			return out, err
-		}
-	case OpSTH:
-		if err := env.Store(ea, rr(in.Rd), 2); err != nil {
-			return out, err
-		}
-	case OpSTD:
-		if err := env.Store(ea, rr(in.Rd&^1), 4); err != nil {
-			return out, err
-		}
-		if err := env.Store(ea+4, rr(in.Rd|1), 4); err != nil {
-			return out, err
-		}
-	case OpLDSTUB:
-		v, err := env.Load(ea, 1)
-		if err != nil {
-			return out, err
-		}
-		if err := env.Store(ea, 0xFF, 1); err != nil {
-			return out, err
-		}
-		wr(in.Rd, v)
-	case OpSWAP:
-		v, err := env.Load(ea, 4)
-		if err != nil {
-			return out, err
-		}
-		if err := env.Store(ea, rr(in.Rd), 4); err != nil {
-			return out, err
-		}
-		wr(in.Rd, v)
-	case OpLDF:
-		v, err := env.Load(ea, 4)
-		if err != nil {
-			return out, err
-		}
-		env.WriteF(in.Rd, v)
-	case OpLDDF:
-		v0, err := env.Load(ea, 4)
-		if err != nil {
-			return out, err
-		}
-		v1, err := env.Load(ea+4, 4)
-		if err != nil {
-			return out, err
-		}
-		env.WriteF(in.Rd&^1, v0)
-		env.WriteF(in.Rd|1, v1)
-	case OpSTF:
-		if err := env.Store(ea, env.ReadF(in.Rd), 4); err != nil {
-			return out, err
-		}
-	case OpSTDF:
-		if err := env.Store(ea, env.ReadF(in.Rd&^1), 4); err != nil {
-			return out, err
-		}
-		if err := env.Store(ea+4, env.ReadF(in.Rd|1), 4); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

@@ -56,8 +56,9 @@ type lcopy struct {
 }
 
 // lop is one lowered slot. Operand meaning depends on op; the handle
-// assignment mirrors isa.Exec's env-call order so the buffered effects
-// are emitted in the order the sequential interpreter performs them. The
+// assignment mirrors the order of arch.State.exec's register, flag and
+// memory accesses, so the buffered effects are emitted in the order the
+// sequential interpreter performs them. The
 // variable-length lists live in the block's flat arrays and are
 // addressed by [lo, hi) ranges, which keeps a lop small and comparable
 // with ==.
@@ -434,7 +435,8 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		}
 		op.c = int32(ncwp)
 		op.d1 = lo.wlh(s, isa.LocCWP)
-		// Rd resolves in the new window (isa.Exec writes after SetCWP).
+		// Rd resolves in the new window (arch.State.exec writes after
+		// SetCWP).
 		op.d0 = lo.whPhys(s, isa.PhysReg(ncwp, in.Rd, lo.nwin))
 
 	case isa.OpCALL:
@@ -447,8 +449,8 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		op.d0 = lo.wh(s, in.Rd)
 
 	case isa.OpBICC, isa.OpFBFCC:
-		// Resolved in phase 1; no phase-2 effects (matches isa.Exec, which
-		// only evaluates the condition).
+		// Resolved in phase 1; no phase-2 effects (matches
+		// arch.State.exec, which only evaluates the condition).
 
 	case isa.OpLD, isa.OpLDUB, isa.OpLDSB, isa.OpLDUH, isa.OpLDSH:
 		op.a = lo.rh(s, in.Rs1)

@@ -174,8 +174,8 @@ func (e *Engine) execLoweredCopy(op *lop, line int) error {
 }
 
 // execLoweredOp executes one lowered slot, buffering its effects with the
-// given due line. Effect order within a slot matches isa.Exec's env-call
-// order exactly.
+// given due line. Effect order within a slot matches the order of
+// arch.State.exec's register, flag and memory accesses exactly.
 func (e *Engine) execLoweredOp(op *lop, due int) error {
 	switch op.op {
 	case isa.OpSETHI:
@@ -415,7 +415,8 @@ func (e *Engine) recordMem(op *lop, ea uint32) {
 // execLoweredLoad executes one lowered load: effective address,
 // alignment check, then reads through loadMem (honouring the
 // data-store-list overlay). On any error nothing has been emitted
-// (matching isa.Exec, whose memory errors all precede the first write).
+// (matching arch.State.exec, whose memory errors all precede the first
+// write).
 func (e *Engine) execLoweredLoad(op *lop, due int) error {
 	ea, err := e.effAddr(op)
 	if err != nil {
