@@ -67,10 +67,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dtsvliw-blockcheck:", err)
 		return 1
 	}
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "dtsvliw-blockcheck:", err)
+		return 2
+	}
 
 	configList, err := oracle.ParseConfigs(*configs)
 	if err != nil {
-		return fail(err)
+		return usage(err)
 	}
 
 	var runs []program
@@ -82,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *workload != "":
 		w, ok := workloads.ByName(*workload)
 		if !ok {
-			return fail(fmt.Errorf("unknown workload %q (have: %s)", *workload, strings.Join(workloads.Names(), ", ")))
+			return usage(fmt.Errorf("unknown workload %q (have: %s)", *workload, strings.Join(workloads.Names(), ", ")))
 		}
 		runs = append(runs, program{name: w.Name, workload: w})
 	case *file != "":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,5 +20,31 @@ func TestNegativeParIsUsageError(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("%v: printed a report:\n%s", args, stdout.String())
+	}
+}
+
+// TestUnknownNameIsUsageError: a mistyped -configs or -workload name
+// exits 2 with the valid names, as in the other commands, before any
+// program is checked; an unreadable -file is a failed run and exits 1.
+func TestUnknownNameIsUsageError(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-workload", "all", "-configs", "bogus"}, 2, `unknown config "bogus" (have: ideal-4x4,`},
+		{[]string{"-workload", "bogus"}, 2, `unknown workload "bogus" (have: compress,`},
+		{[]string{"-file", filepath.Join(t.TempDir(), "missing.s")}, 1, "missing.s"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != c.code {
+			t.Errorf("%v: exit %d, want %d", c.args, code, c.code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: stderr %q does not say %q", c.args, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed a report:\n%s", c.args, stdout.String())
+		}
 	}
 }

@@ -11,12 +11,13 @@ import (
 // MachineContext that has run a program once must rerun it at under one
 // allocation per ten simulated instructions. Scheduler blocks, slot
 // arenas and lowered forms are all recycled through Reset, so a leak on
-// the block write path (Insert, Lower, Save) that allocates per
-// scheduled instruction fails here. A leak of a few allocations per
-// block lands near the bound; the scheduler and lowering guards catch
-// those exactly. What a warm rerun still allocates is storage the VLIW
-// Cache displaced or invalidated mid-run, which goes to the garbage
-// collector.
+// the block write path (Insert, Save, and Lower at a block's first
+// entry) that allocates per scheduled instruction fails here. A leak of
+// a few allocations per block lands near the bound; the scheduler and
+// lowering guards catch those exactly. What a warm rerun still allocates
+// is storage the VLIW Cache displaced or invalidated mid-run, and the
+// lowered form of a hit block whose line the probe hit's save replaced,
+// all of which go to the garbage collector.
 func TestWarmRerunAllocBound(t *testing.T) {
 	configs := []struct {
 		name string

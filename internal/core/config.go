@@ -57,9 +57,10 @@ type Config struct {
 	StoreScheme vliw.StoreScheme
 
 	// InterpretedEngine must be false, and Validate refuses true: the
-	// VLIW Engine executes only the lowered form saved with each VLIW
-	// Cache line (DESIGN.md §11). The field remains only because the
-	// benchmark module (bench/replay.go) reads it.
+	// VLIW Engine executes only the lowered form each VLIW Cache line
+	// records at its block's first entry (DESIGN.md §11). The field
+	// remains only because the benchmark module (bench/replay.go) reads
+	// it.
 	InterpretedEngine bool
 
 	// NoChain disables direct block chaining (DESIGN.md §16): the VLIW

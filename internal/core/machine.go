@@ -95,7 +95,7 @@ type Machine struct {
 	stopAt uint64
 
 	// lowFree holds lowered-block storage drained from the VLIW Cache by
-	// Reset; saveBlock lowers into it before allocating, the way the
+	// Reset; lower takes storage from it before allocating, the way the
 	// scheduler reuses drained blocks.
 	lowFree []*vliw.LoweredBlock
 
@@ -241,11 +241,12 @@ func (e *BlockVerifyError) Error() string {
 	return fmt.Sprintf("core: block failed legality verification: %s", e.Report)
 }
 
-// LoweringError reports a saved block that vliw.LowerInto refused: it
-// holds a non-schedulable operation or an unallocated renaming register,
-// or it is too large for the lowered form. The VLIW Engine executes only
-// lowered blocks, so the run cannot continue; a correct Scheduler Unit
-// under a validated Config never produces one.
+// LoweringError reports a block that vliw.LowerInto refused when the VLIW
+// Engine first entered it (or when VerifyBlocks saved it): it holds a
+// non-schedulable operation or an unallocated renaming register, or it is
+// too large for the lowered form. The VLIW Engine executes only lowered
+// blocks, so the run cannot continue; a correct Scheduler Unit under a
+// validated Config never produces one.
 type LoweringError struct {
 	Tag      uint32
 	NumLIs   int
@@ -260,11 +261,10 @@ func (e *LoweringError) Error() string {
 // saveBlock sends a finished block to the VLIW Cache, modelling the
 // one-long-instruction-per-cycle drain (paper §3.2): a new flush issued
 // while the previous block is still draining stalls the Primary
-// Processor. The block is lowered once here — the software analogue of
-// storing decoded instructions in the cache line (paper §3.4) — and a
-// block that does not lower fails the run with a LoweringError. Under
-// VerifyBlocks the block must pass static legality verification before
-// it is cached.
+// Processor. The block is cached unlowered; beginBlock lowers it on its
+// first entry. Under VerifyBlocks the block must pass static legality
+// verification, which checks the lowered form, before it is cached, so
+// it is lowered here and cached with that form.
 func (m *Machine) saveBlock(b *sched.Block) error {
 	if b == nil {
 		return nil
@@ -274,11 +274,12 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 		m.addCycles(m.drain, false)
 	}
 	m.drain = b.NumLIs
-	low := m.lower(b)
-	if low == nil {
-		return &LoweringError{Tag: b.Tag, NumLIs: b.NumLIs, ValidOps: b.ValidOps}
-	}
+	var low *vliw.LoweredBlock
 	if m.cfg.VerifyBlocks {
+		var err error
+		if low, err = m.lower(b); err != nil {
+			return err
+		}
 		if rep := blockcheck.Verify(b, low, m.sch.Config()); !rep.Ok() {
 			return &BlockVerifyError{Report: rep}
 		}
@@ -314,10 +315,12 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 	return nil
 }
 
-// lower lowers b into recycled storage when Reset left some, and into
-// fresh storage otherwise. Storage a failed lowering leaves unused goes
-// back on the free list.
-func (m *Machine) lower(b *sched.Block) *vliw.LoweredBlock {
+// lower lowers b — the software analogue of the decoded instructions a
+// VLIW Cache line holds (paper §3.4) — into recycled storage when Reset
+// left some, and into fresh storage otherwise. A block that does not
+// lower returns a LoweringError, and the storage goes back on the free
+// list.
+func (m *Machine) lower(b *sched.Block) (*vliw.LoweredBlock, error) {
 	var dst *vliw.LoweredBlock
 	if n := len(m.lowFree); n > 0 {
 		dst = m.lowFree[n-1]
@@ -328,12 +331,25 @@ func (m *Machine) lower(b *sched.Block) *vliw.LoweredBlock {
 	low := vliw.LowerInto(dst, b, m.cfg.NWin)
 	if low == nil {
 		m.lowFree = append(m.lowFree, dst)
+		return nil, &LoweringError{Tag: b.Tag, NumLIs: b.NumLIs, ValidOps: b.ValidOps}
 	}
-	return low
+	return low, nil
 }
 
-// beginBlock enters a VLIW Cache entry on the engine.
-func (m *Machine) beginBlock(ent vcache.Entry) {
+// beginBlock starts the engine on ent, the entry a lookup found in line.
+// It is the only place the engine enters a block. A block's first entry
+// lowers it and records the lowered form on the line, so a block that
+// never runs is never lowered; one that does not lower fails the run
+// with a LoweringError.
+func (m *Machine) beginBlock(ent vcache.Entry, line int32) error {
+	if ent.Low == nil {
+		low, err := m.lower(ent.Blk)
+		if err != nil {
+			return err
+		}
+		ent.Low = low
+		m.vc.SetLowered(line, ent.Blk, low)
+	}
 	if m.tel != nil {
 		if ent.Prof != nil {
 			m.tel.EnterBlockProf(ent.Prof, ent.Blk.NumLIs)
@@ -342,6 +358,7 @@ func (m *Machine) beginBlock(ent vcache.Entry) {
 		}
 	}
 	m.eng.BeginLowered(ent.Low)
+	return nil
 }
 
 // Run executes until the program halts, MaxInstrs sequential instructions
@@ -491,7 +508,9 @@ func (m *Machine) stepPrimary() error {
 			}
 			// beginBlock before the switch-cycle charge, so telemetry
 			// attributes every VLIW-mode cycle to a current block.
-			m.beginBlock(ent)
+			if err := m.beginBlock(ent, hitLine); err != nil {
+				return err
+			}
 			m.addCycles(m.cfg.SwitchToVLIW, true)
 			return nil
 		}
@@ -700,7 +719,9 @@ func (m *Machine) runVLIW() error {
 				return err
 			}
 			if ent, line, ok := m.chainLookup(res.NextPC, m.St.CWP()); ok {
-				m.beginBlock(ent)
+				if err := m.beginBlock(ent, line); err != nil {
+					return err
+				}
 				m.vpc = sched.LongAddr{Addr: res.NextPC, Line: 0}
 				m.curLine = line
 				m.addCycles(cycles, true)
@@ -728,7 +749,9 @@ func (m *Machine) runVLIW() error {
 			}
 			if ent, line, ok := m.chainLookup(next, m.St.CWP()); ok {
 				cycles += m.cfg.NextLIMissPenalty
-				m.beginBlock(ent)
+				if err := m.beginBlock(ent, line); err != nil {
+					return err
+				}
 				m.vpc = sched.LongAddr{Addr: next, Line: 0}
 				m.curLine = line
 				m.addCycles(cycles, true)
@@ -814,7 +837,9 @@ func (m *Machine) checkpoint(advance uint64, pc uint32, where site) error {
 func (m *Machine) Reset() {
 	m.vc.Drain(func(ent vcache.Entry) {
 		m.sch.RecycleBlock(ent.Blk)
-		m.lowFree = append(m.lowFree, ent.Low) // saveBlock never caches a nil Low
+		if ent.Low != nil { // nil for a block never entered
+			m.lowFree = append(m.lowFree, ent.Low)
+		}
 	})
 	m.sch.Reset()
 	m.eng.Reset()

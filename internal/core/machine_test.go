@@ -345,24 +345,54 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSaveBlockRefusesUnlowerableBlock: lowering is total, so a block
-// that vliw.LowerInto refuses (here a hand-built LDSTUB, which the
-// Scheduler Unit never places) fails the save with a LoweringError
-// instead of reaching the VLIW Cache.
-func TestSaveBlockRefusesUnlowerableBlock(t *testing.T) {
-	m, err := NewMachine(IdealConfig(4, 4), buildState(t, sumLoop, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+// unlowerableBlock hand-builds a one-slot LDSTUB block tagged tag, which
+// the Scheduler Unit never places and vliw.LowerInto refuses.
+func unlowerableBlock(tag uint32) *sched.Block {
 	s := &sched.Slot{Inst: isa.Inst{Op: isa.OpLDSTUB, Rd: 2, Rs1: 6, UseImm: true},
-		Addr: 0x1000, IsMem: true, MemSize: 1}
-	b := &sched.Block{Tag: 0x1000, LIs: [][]*sched.Slot{{s}}, NumLIs: 1, ValidOps: 1}
-	err = m.saveBlock(b)
-	var le *LoweringError
-	if !errors.As(err, &le) || le.Tag != 0x1000 {
-		t.Fatalf("saveBlock returned %v, want a LoweringError for block 0x1000", err)
+		Addr: tag, IsMem: true, MemSize: 1}
+	return &sched.Block{Tag: tag, LIs: [][]*sched.Slot{{s}}, NumLIs: 1, ValidOps: 1}
+}
+
+// TestSaveBlockRefusesUnlowerableBlock: lowering is total, so a block
+// that vliw.LowerInto refuses fails the run with a LoweringError. The
+// machine lowers a block on its first entry, so without VerifyBlocks the
+// save caches the block and the run fails when the VLIW Engine first
+// enters it, at the program's entry PC. VerifyBlocks lowers at save, so
+// there the save refuses the block and it never reaches the VLIW Cache.
+func TestSaveBlockRefusesUnlowerableBlock(t *testing.T) {
+	wantLoweringError := func(t *testing.T, what string, err error) {
+		t.Helper()
+		var le *LoweringError
+		if !errors.As(err, &le) || le.Tag != 0x1000 {
+			t.Fatalf("%s returned %v, want a LoweringError for block 0x1000", what, err)
+		}
 	}
-	if _, hit := m.vc.Lookup(0x1000, 0); hit || m.Stats.BlocksSaved != 0 {
-		t.Fatal("an unlowerable block reached the VLIW Cache")
-	}
+	t.Run("first-entry", func(t *testing.T) {
+		m, err := NewMachine(IdealConfig(4, 4), buildState(t, sumLoop, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.saveBlock(unlowerableBlock(0x1000)); err != nil {
+			t.Fatalf("saveBlock returned %v; without VerifyBlocks a block is lowered at entry", err)
+		}
+		if _, hit := m.vc.Probe(0x1000, 0); !hit {
+			t.Fatal("the saved block is not in the VLIW Cache")
+		}
+		wantLoweringError(t, "Run", m.Run())
+		if m.eng.Stats.BlocksEntered != 0 {
+			t.Fatal("the VLIW Engine entered an unlowerable block")
+		}
+	})
+	t.Run("verify-blocks", func(t *testing.T) {
+		cfg := IdealConfig(4, 4)
+		cfg.VerifyBlocks = true
+		m, err := NewMachine(cfg, buildState(t, sumLoop, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLoweringError(t, "saveBlock", m.saveBlock(unlowerableBlock(0x1000)))
+		if _, hit := m.vc.Lookup(0x1000, 0); hit || m.Stats.BlocksSaved != 0 {
+			t.Fatal("an unlowerable block reached the VLIW Cache")
+		}
+	})
 }

@@ -143,3 +143,35 @@ func TestInvalidateLoweredAccounting(t *testing.T) {
 		t.Fatal("save after invalidate did not install the new payload")
 	}
 }
+
+// TestSetLoweredNeedsTheSameBlock: a block saved unlowered gets its
+// lowered form on its line through SetLowered, but only while the line
+// still holds that block: once a re-schedule of the same tag has
+// replaced it, the form is not recorded.
+func TestSetLoweredNeedsTheSameBlock(t *testing.T) {
+	c, err := New(cfg(96, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, low := lblk(t, 0x4000, 0, 0x4004)
+	c.Save(b, nil)
+	ent, line, ok := c.LookupLine(0x4000, 0)
+	if !ok || ent.Blk != b || ent.Low != nil {
+		t.Fatalf("unlowered save round trip: %+v", ent)
+	}
+	c.SetLowered(line, b, low)
+	if ent, _ := c.Probe(0x4000, 0); ent.Low != low {
+		t.Fatal("SetLowered did not record the form on the block's line")
+	}
+
+	b2, low2 := lblk(t, 0x4000, 0, 0x4008)
+	c.Save(b2, nil) // same tag: replaces the line in place
+	c.SetLowered(line, b, low)
+	if ent, _ := c.Probe(0x4000, 0); ent.Blk != b2 || ent.Low != nil {
+		t.Fatal("SetLowered recorded a replaced block's form on its successor's line")
+	}
+	c.SetLowered(line, b2, low2)
+	if ent, _ := c.Probe(0x4000, 0); ent.Low != low2 {
+		t.Fatal("SetLowered did not record the successor's own form")
+	}
+}

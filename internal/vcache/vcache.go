@@ -137,10 +137,11 @@ type line struct {
 
 // Entry is one cache line's payload: the scheduled block and its
 // decode-once lowered form, which the VLIW Engine executes (the software
-// analogue of the paper's decoded-instruction line, §3.4). The machine
-// always saves a lowered form; Low is nil only where a caller saves
-// blocks it never executes. Prof is the
-// block's telemetry profile, resolved once at save time so the
+// analogue of the paper's decoded-instruction line, §3.4). Low is nil
+// until the block is first entered: the machine lowers it then and
+// records the form with SetLowered, so a block evicted before it ever
+// runs is never lowered (save-time verification lowers earlier). Prof
+// is the block's telemetry profile, resolved once at save time so the
 // per-entry hook needs no map lookup; nil when telemetry is off.
 type Entry struct {
 	Blk  *sched.Block
@@ -330,8 +331,9 @@ func (c *Cache) unlink(v int32) {
 	}
 }
 
-// Save stores a block and its (possibly nil) lowered form, replacing the
-// LRU way of its set (or an existing block with the same tag).
+// Save stores a block and its lowered form, nil when the block has not
+// been lowered yet, replacing the LRU way of its set (or an existing
+// block with the same tag).
 func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) {
 	c.Stores++
 	c.clock++
@@ -375,6 +377,16 @@ func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) {
 	*vl = line{valid: true, tag: b.Tag, cwp: b.EntryCWP,
 		ent: ent, lru: c.clock,
 		edges: vl.edges[:0], inRefs: vl.inRefs[:0]}
+}
+
+// SetLowered records low as the lowered form of the block in line, if
+// the line still holds b. The machine lowers a block when it enters it,
+// and a save between the probe hit and the entry may have replaced the
+// line; then low is not recorded.
+func (c *Cache) SetLowered(line int32, b *sched.Block, low *vliw.LoweredBlock) {
+	if l := &c.lines[line]; l.valid && l.ent.Blk == b {
+		l.ent.Low = low
+	}
 }
 
 // Invalidate drops the block tagged (addr, cwp) (paper §3.11: aliasing

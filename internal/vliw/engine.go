@@ -157,8 +157,8 @@ type Stats struct {
 }
 
 // Engine executes blocks of long instructions in their lowered form: the
-// decode-once micro-op form Lower produces when a block is saved into the
-// VLIW Cache (DESIGN.md §11), the software analogue of the paper's
+// decode-once micro-op form Lower produces when a VLIW Cache block is
+// first entered (DESIGN.md §11), the software analogue of the paper's
 // decoded-instruction cache line.
 type Engine struct {
 	st   *arch.State          //resetcheck:allow shared architectural state, the caller's to reset (see Reset doc)

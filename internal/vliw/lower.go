@@ -7,16 +7,17 @@ import (
 	"dtsvliw/internal/sched"
 )
 
-// Block lowering (DESIGN.md §11): when a finished block is saved into the
-// VLIW Cache it is lowered once into a flat micro-op form, the software
-// analogue of the paper's decoded-instruction cache line (§3.4, Table 1).
-// Every operand is pre-resolved to a handle — an architectural register
-// index or a flattened renaming-register number — so the engine's hot loop
-// dispatches on a dense op code and never re-walks sched.Slot rename
-// lists. The lowered form is the only one the engine executes. Lower
-// returns nil for a block it cannot represent, which a correct scheduler
-// never produces under a geometry of at most MaxBlockSlots slots; the
-// machine reports such a block as an error.
+// Block lowering (DESIGN.md §11): when the VLIW Engine first enters a
+// block from the VLIW Cache, the block is lowered once into a flat
+// micro-op form, the software analogue of the paper's decoded-instruction
+// cache line (§3.4, Table 1), and the form stays on the line for later
+// entries. Every operand is pre-resolved to a handle — an architectural
+// register index or a flattened renaming-register number — so the
+// engine's hot loop dispatches on a dense op code and never re-walks
+// sched.Slot rename lists. The lowered form is the only one the engine
+// executes. Lower returns nil for a block it cannot represent, which a
+// correct scheduler never produces under a geometry of at most
+// MaxBlockSlots slots; the machine reports such a block as an error.
 
 // Operand handles. A handle ≥ 0 is an architectural index into the file
 // the operand position implies (integer registers are physical,
