@@ -186,6 +186,17 @@ func indirectRoots(p *asm.Program, textBase, textEnd uint32) []uint32 {
 // basic blocks, branch edges, reachability from the entry and indirect
 // roots, immediate dominators and natural loops.
 func BuildCFG(p *asm.Program) *CFG {
+	c := buildGraph(p)
+	c.computeDominators()
+	c.findLoops()
+	return c
+}
+
+// buildGraph is BuildCFG without dominators and loops: it decodes the
+// text section, cuts it into blocks, links their edges and marks what the
+// roots reach. Every Idom is -1 and Loops is nil; the structural pass
+// reads no more than this.
+func buildGraph(p *asm.Program) *CFG {
 	c := &CFG{Prog: p, TextBase: p.TextBase, TextEnd: p.TextBase + p.TextSize}
 	var text []byte
 	for _, s := range p.Sections {
@@ -224,7 +235,7 @@ func BuildCFG(p *asm.Program) *CFG {
 			leader[(r-c.TextBase)/4] = true
 		}
 	}
-	var scratch []uint32
+	var buf [2]uint32 // succAddrs yields at most two addresses
 	for i := 0; i < n; i++ {
 		addr := c.TextBase + uint32(4*i)
 		in := &c.Insts[i]
@@ -237,15 +248,22 @@ func BuildCFG(p *asm.Program) *CFG {
 				callPad[i+1] = true
 			}
 		}
-		scratch = succAddrs(in, c.Ok[i], addr, scratch[:0])
-		for _, s := range scratch {
+		for _, s := range succAddrs(in, c.Ok[i], addr, buf[:0]) {
 			if c.inText(s) {
 				leader[(s-c.TextBase)/4] = true
 			}
 		}
 	}
 
-	// Blocks.
+	// Blocks. Every word after a block-ending instruction is a leader, so
+	// the blocks are word 0 and one per later leader.
+	nb := 1
+	for _, l := range leader[1:] {
+		if l {
+			nb++
+		}
+	}
+	c.Blocks = make([]Block, 0, nb)
 	c.blockOf = make([]int, n)
 	start := 0
 	flush := func(end int) {
@@ -272,46 +290,69 @@ func BuildCFG(p *asm.Program) *CFG {
 		flush(n)
 	}
 
-	// Edges.
+	// Edges. Every block's Succs is a capacity-clipped window of one
+	// array (a block has at most two successors), and its Preds a window
+	// of a second array, so appending to either copies instead of
+	// overwriting a neighbour. A block without edges keeps nil.
+	succs := make([]int, 0, 2*len(c.Blocks))
 	for bi := range c.Blocks {
 		b := &c.Blocks[bi]
+		lo := len(succs)
 		last := int(b.End-c.TextBase)/4 - 1
 		lastAddr := b.End - 4
 		in := &c.Insts[last]
 		if !endsBlock(in, c.Ok[last]) && c.Ok[last] {
 			// Block was split by a leader: fall through.
 			if c.inText(b.End) {
-				b.Succs = append(b.Succs, c.blockOf[(b.End-c.TextBase)/4])
+				succs = append(succs, c.blockOf[(b.End-c.TextBase)/4])
 			}
 		} else {
-			scratch = succAddrs(in, c.Ok[last], lastAddr, scratch[:0])
-			for _, s := range scratch {
+			for _, s := range succAddrs(in, c.Ok[last], lastAddr, buf[:0]) {
 				if c.inText(s) {
-					b.Succs = append(b.Succs, c.blockOf[(s-c.TextBase)/4])
+					succs = append(succs, c.blockOf[(s-c.TextBase)/4])
 				}
 			}
 		}
-		b.Succs = dedupInts(b.Succs)
-	}
-	for bi := range c.Blocks {
-		for _, s := range c.Blocks[bi].Succs {
-			c.Blocks[s].Preds = append(c.Blocks[s].Preds, bi)
+		succs = succs[:lo+len(dedupInts(succs[lo:]))]
+		if hi := len(succs); hi > lo {
+			b.Succs = succs[lo:hi:hi]
 		}
 	}
+	// Preds by a counting pass, filled in block order as appending did:
+	// at[s] is the cursor of block s's window, which starts where block
+	// s-1's ends.
+	at := make([]int, len(c.Blocks)+1)
+	for _, s := range succs {
+		at[s+1]++
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	preds := make([]int, len(succs))
+	for bi := range c.Blocks {
+		for _, s := range c.Blocks[bi].Succs {
+			preds[at[s]] = bi
+			at[s]++
+		}
+	}
+	lo := 0
+	for bi := range c.Blocks {
+		if hi := at[bi]; hi > lo {
+			c.Blocks[bi].Preds = preds[lo:hi:hi]
+		}
+		lo = at[bi]
+	}
 
-	// Reachability from the roots.
+	// Reachability from the roots; a root block is marked reachable once,
+	// so the marks also drop duplicate roots.
 	c.Entry = c.BlockAt(p.Entry)
-	seenRoot := map[int]bool{}
 	for _, r := range roots {
-		if bi := c.BlockAt(r); bi >= 0 && !seenRoot[bi] {
-			seenRoot[bi] = true
+		if bi := c.BlockAt(r); bi >= 0 && !c.Blocks[bi].Reachable {
+			c.Blocks[bi].Reachable = true
 			c.Roots = append(c.Roots, bi)
 		}
 	}
-	work := append([]int(nil), c.Roots...)
-	for _, bi := range work {
-		c.Blocks[bi].Reachable = true
-	}
+	work := append(make([]int, 0, len(c.Blocks)), c.Roots...) // each block is pushed once
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -322,9 +363,6 @@ func BuildCFG(p *asm.Program) *CFG {
 			}
 		}
 	}
-
-	c.computeDominators()
-	c.findLoops()
 	return c
 }
 
@@ -507,14 +545,16 @@ func (c *CFG) findLoops() {
 
 // structural emits the CFG-level diagnostics: undecodable reachable
 // words, direct branches out of the text section, reachable paths falling
-// off the end of text, and unreachable blocks.
+// off the end of text, and unreachable blocks. It is the only pass that
+// emits hard kinds, and it reads the graph alone (buildGraph), never
+// dominators or loops.
 func (c *CFG) structural() []Diagnostic {
 	var ds []Diagnostic
 	report := func(k Kind, addr uint32, format string, args ...interface{}) {
 		ds = append(ds, Diagnostic{Kind: k, Addr: addr, Line: c.Prog.LineOf(addr),
 			Msg: fmt.Sprintf(format, args...)})
 	}
-	var scratch []uint32
+	var buf [2]uint32 // succAddrs yields at most two addresses
 	for bi := range c.Blocks {
 		b := &c.Blocks[bi]
 		if !b.Reachable {
@@ -554,11 +594,11 @@ func (c *CFG) structural() []Diagnostic {
 		}
 		// Fall-through (and call-return) continuations must stay in text;
 		// branch targets out of text are already reported above.
-		scratch = succAddrs(in, true, lastAddr, scratch[:0])
+		next := succAddrs(in, true, lastAddr, buf[:0])
 		if !endsBlock(in, true) {
-			scratch = append(scratch[:0], b.End)
+			next = append(buf[:0], b.End)
 		}
-		for _, s := range scratch {
+		for _, s := range next {
 			if (s == lastAddr+4 || s == lastAddr+8) && s >= c.TextEnd {
 				report(KindFallOffEnd, lastAddr,
 					"execution can run past the end of text (%#x) after this instruction", c.TextEnd)

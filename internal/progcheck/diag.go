@@ -61,10 +61,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Hard reports whether the kind denotes a structural malformation. Hard
-// diagnostics cannot be waived away by callers that certify generated
-// programs (the oracle sweep rejects any generated program carrying one);
-// advisory kinds are warnings a human fixes or waives.
+// Hard reports whether the kind denotes a structural malformation.
+// Certification (CertifyProgram, the gate of the oracle sweep) refuses a
+// program carrying an unwaived hard diagnostic; a progcheck:allow comment
+// that covers a hard finding lets the program pass, as it does for an
+// advisory one. Advisory kinds never fail certification: they are
+// warnings a human fixes or waives.
 func (k Kind) Hard() bool { return k <= KindFallOffEnd }
 
 // KindByName resolves a diagnostic kind from its report name.

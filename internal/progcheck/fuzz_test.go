@@ -1,16 +1,16 @@
-package progcheck_test
+package progcheck
 
 import (
 	"testing"
 
-	"dtsvliw/internal/progcheck"
 	"dtsvliw/internal/progen"
 )
 
 // FuzzProgcheck drives the whole analyzer with generated programs across
-// every shape: analysis must never panic, must be deterministic, and
+// every shape: analysis must never panic, must be deterministic,
 // generated programs must certify hard-kind clean (the oracle sweep
-// relies on exactly this property).
+// relies on exactly this property), and CertifyProgram must return the
+// verdict of certifying from every pass (analyzeVerdict).
 func FuzzProgcheck(f *testing.F) {
 	for _, shape := range progen.Shapes() {
 		f.Add(int64(1), uint8(shape), 40)
@@ -25,14 +25,18 @@ func FuzzProgcheck(f *testing.F) {
 		p.Shape = progen.Shape(shape % 4)
 		src := progen.Generate(p)
 
-		r1, err := progcheck.Check(src, progcheck.Options{})
+		r1, err := Check(src, Options{})
 		if err != nil {
 			t.Fatalf("generated program does not assemble: %v\n%s", err, src)
 		}
 		if hard := r1.Unwaived(true); len(hard) != 0 {
 			t.Fatalf("generated program has %d hard diagnostics:\n%s", len(hard), r1.Report("fuzz"))
 		}
-		r2, err := progcheck.Check(src, progcheck.Options{})
+		prog := r1.CFG.Prog
+		if got, want := errText(CertifyProgram(prog, src)), errText(analyzeVerdict(prog, src)); got != want {
+			t.Fatalf("CertifyProgram = %q, want %q\n%s", got, want, src)
+		}
+		r2, err := Check(src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +46,7 @@ func FuzzProgcheck(f *testing.F) {
 		// The bound must exist and respect the trivial floor for every
 		// geometry the experiments sweep.
 		for _, g := range [][2]int{{4, 4}, {8, 8}, {16, 16}} {
-			b := progcheck.ComputeBound(r1.CFG, progcheck.BoundParams{Width: g[0], Height: g[1]})
+			b := ComputeBound(r1.CFG, BoundParams{Width: g[0], Height: g[1]})
 			if !(b.IPC >= 1.0) {
 				t.Fatalf("bound %v at %dx%d is below the sequential floor", b.IPC, g[0], g[1])
 			}

@@ -71,6 +71,13 @@ func Analyze(p *asm.Program, source string, o Options) *Result {
 	ds = append(ds, c.uninitReads()...)
 	ds = append(ds, c.windowDepth(o.NWin)...)
 	ds = append(ds, c.memRange()...)
+	applyWaivers(ds, source)
+	return &Result{CFG: c, Diags: ds}
+}
+
+// applyWaivers marks the diagnostics a progcheck:allow comment in source
+// covers and sorts ds into report order.
+func applyWaivers(ds []Diagnostic, source string) {
 	w := parseWaivers(source)
 	for i := range ds {
 		if ds[i].Line > 0 && w.covers(ds[i].Line, ds[i].Kind) {
@@ -78,7 +85,6 @@ func Analyze(p *asm.Program, source string, o Options) *Result {
 		}
 	}
 	sortDiags(ds)
-	return &Result{CFG: c, Diags: ds}
 }
 
 // Check assembles the source and runs every pass over it.
@@ -112,15 +118,30 @@ func assemble(source string) (*asm.Program, error) {
 // program: the gate generated programs pass before the differential
 // oracle or an experiment is allowed to execute them. Advisory
 // diagnostics never fail certification (generated code trips them
-// benignly). The source is consulted only for waiver comments.
+// benignly). Only the structural pass emits hard kinds, so certification
+// builds the graph without dominators or loops, runs that pass alone and
+// reads the source's waiver comments only for a hard finding. The
+// verdict and a refusal's text are those of Analyze(p, source,
+// Options{}).Unwaived(true).
 func CertifyProgram(p *asm.Program, source string) error {
-	if hard := Analyze(p, source, Options{}).Unwaived(true); len(hard) > 0 {
-		msgs := make([]string, len(hard))
-		for i := range hard {
-			msgs[i] = hard[i].String()
+	var hard []Diagnostic
+	for _, d := range buildGraph(p).structural() {
+		if d.Kind.Hard() {
+			hard = append(hard, d)
 		}
-		return fmt.Errorf("progcheck: %d hard diagnostic(s):\n%s",
-			len(hard), strings.Join(msgs, "\n"))
 	}
-	return nil
+	if len(hard) > 0 {
+		applyWaivers(hard, source)
+	}
+	var msgs []string
+	for i := range hard {
+		if !hard[i].Waived {
+			msgs = append(msgs, hard[i].String())
+		}
+	}
+	if len(msgs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("progcheck: %d hard diagnostic(s):\n%s",
+		len(msgs), strings.Join(msgs, "\n"))
 }
