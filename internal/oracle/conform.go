@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"dtsvliw/internal/asm"
 	"dtsvliw/internal/core"
@@ -248,6 +249,13 @@ type sweepRunner struct {
 	sc                   *SweepContext
 	wp                   *metrics.Counter
 	lastHits, lastMisses uint64
+
+	// stopped is set by the sweep's merge once it stops; every case still
+	// running then has a higher index and will be discarded. onShrinkEval,
+	// when set, is called with the case index before each shrink
+	// candidate the case evaluates (tests count them).
+	stopped      *atomic.Bool
+	onShrinkEval func(i int)
 }
 
 func newSweepRunner(o SweepOptions, shapes []progen.Shape, configs []NamedConfig, sm *sweepMetrics, worker int) *sweepRunner {
@@ -310,7 +318,18 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
 	var d *core.MismatchError
 	if errors.As(err, &d) {
-		small, smallDiv := ShrinkDivergence(src, nc.Cfg, r.o.ShrinkEvals)
+		// Once the sweep has stopped this case will be discarded, so its
+		// shrink evaluates no further candidate.
+		proceed := func() bool {
+			if r.stopped.Load() {
+				return false
+			}
+			if r.onShrinkEval != nil {
+				r.onShrinkEval(i)
+			}
+			return true
+		}
+		small, smallDiv := shrinkDivergence(src, nc.Cfg, r.o.ShrinkEvals, proceed)
 		f.Source, f.Lines = small, countLines(small)
 		f.Div = smallDiv
 		if f.Div == nil {
@@ -323,10 +342,12 @@ func (r *sweepRunner) runCase(i int) caseResult {
 }
 
 // consume merges one case result into the report, in case order. It
-// reports whether the failure budget is exhausted. Progress receives a
-// private copy of the failure, never a pointer into rep.Failures (whose
-// backing array relocates as it grows).
-func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, maxFail int) (stop bool) {
+// reports whether the failure budget is exhausted, and then sets stopped
+// before Progress runs, so the shrinks of cases the sweep discards end
+// while Progress reports. Progress receives a private copy of the
+// failure, never a pointer into rep.Failures (whose backing array
+// relocates as it grows).
+func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, maxFail int, stopped *atomic.Bool) (stop bool) {
 	rep.Runs++
 	if sm != nil {
 		sm.programs.Inc()
@@ -348,11 +369,15 @@ func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, ma
 		sm.divergences.Inc()
 	}
 	rep.Failures = append(rep.Failures, *cr.failure)
+	stop = len(rep.Failures) >= maxFail
+	if stop {
+		stopped.Store(true)
+	}
 	if o.Progress != nil {
 		fcopy := *cr.failure
 		o.Progress(i+1, o.N, &fcopy)
 	}
-	return len(rep.Failures) >= maxFail
+	return stop
 }
 
 // Sweep runs the property-based conformance harness: for i in [0, N),
@@ -362,7 +387,10 @@ func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, ma
 // test the same (program, configuration) pairs and produce the same
 // Report, regardless of Workers and NoReuse — every worker runs its cases
 // on its own sweepRunner, and par.Ordered merges them in case order.
-func Sweep(o SweepOptions) *Report {
+func Sweep(o SweepOptions) *Report { return sweep(o, nil) }
+
+// sweep is Sweep with every case's onShrinkEval set (nil in Sweep).
+func sweep(o SweepOptions, onShrinkEval func(i int)) *Report {
 	shapes := o.Shapes
 	if len(shapes) == 0 {
 		shapes = progen.Shapes()
@@ -390,10 +418,13 @@ func Sweep(o SweepOptions) *Report {
 	}
 
 	rep := &Report{}
+	var stopped atomic.Bool
 	par.Ordered(o.Workers, o.N, func(w int) func(int) caseResult {
-		return newSweepRunner(o, shapes, configs, sm, w).runCase
+		r := newSweepRunner(o, shapes, configs, sm, w)
+		r.stopped, r.onShrinkEval = &stopped, onShrinkEval
+		return r.runCase
 	}, func(i int, cr caseResult) bool {
-		return consume(rep, o, sm, cr, i, maxFail)
+		return consume(rep, o, sm, cr, i, maxFail, &stopped)
 	})
 	return rep
 }
@@ -407,10 +438,20 @@ func Sweep(o SweepOptions) *Report {
 // that loop forever die fast, falling back to the full budget when the
 // original failure needs longer to surface.
 func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *core.MismatchError) {
+	return shrinkDivergence(src, cfg, evals, nil)
+}
+
+// shrinkDivergence is ShrinkDivergence in which a candidate counts as
+// not diverging, without being run, once proceed (nil: always) returns
+// false.
+func shrinkDivergence(src string, cfg core.Config, evals int, proceed func() bool) (string, *core.MismatchError) {
 	diverges := func(budget uint64) func(string) bool {
 		c := cfg
 		c.MaxCycles = budget
 		return func(cand string) bool {
+			if proceed != nil && !proceed() {
+				return false
+			}
 			if !refHalts(cand, c.NWin) {
 				return false
 			}

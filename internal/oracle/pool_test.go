@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dtsvliw/internal/core"
@@ -73,6 +74,52 @@ func TestSweepParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiscardedShrinksStop: once a parallel sweep stops on MaxFail, a
+// running case it will discard evaluates no further shrink candidate.
+// Every case after the stopping failure waits at its first candidate
+// until Progress reports that failure, so the count below is what the
+// discarded cases spend after the stop: at most the one candidate each
+// worker had already started, where a shrink left to finish would spend
+// up to its whole budget.
+func TestDiscardedShrinksStop(t *testing.T) {
+	o := SweepOptions{
+		N: 400, Seed: 0,
+		Configs: []NamedConfig{{Name: "faulty", Cfg: faultyConfig()}},
+		MaxFail: 1,
+		Workers: 1,
+	}
+	serial := Sweep(o)
+	if len(serial.Failures) != 1 {
+		t.Fatalf("faulty sweep reported %d failures, want 1", len(serial.Failures))
+	}
+	last := int(serial.Failures[0].Seed - o.Seed) // the stopping case
+	for _, workers := range []int{2, 4} {
+		stop := make(chan struct{})
+		var discarded atomic.Int64
+		onShrinkEval := func(i int) {
+			if i > last {
+				<-stop
+				discarded.Add(1)
+			}
+		}
+		po := o
+		po.Workers = workers
+		po.Progress = func(done, total int, f *Failure) {
+			if f != nil {
+				close(stop)
+			}
+		}
+		rep := sweep(po, onShrinkEval)
+		if got, want := renderReport(rep), renderReport(serial); got != want {
+			t.Fatalf("%d workers: report differs from serial:\n--- want\n%s--- got\n%s", workers, want, got)
+		}
+		if n := discarded.Load(); n > int64(workers) {
+			t.Errorf("%d workers: discarded cases evaluated %d shrink candidates after the stop, want at most %d",
+				workers, n, workers)
+		}
 	}
 }
 
