@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 
 	"dtsvliw/internal/asm"
 	"dtsvliw/internal/core"
@@ -250,12 +250,56 @@ type sweepRunner struct {
 	wp                   *metrics.Counter
 	lastHits, lastMisses uint64
 
-	// stopped is set by the sweep's merge once it stops; every case still
-	// running then has a higher index and will be discarded. onShrinkEval,
-	// when set, is called with the case index before each shrink
-	// candidate the case evaluates (tests count them).
-	stopped      *atomic.Bool
-	onShrinkEval func(i int)
+	// fails is the sweep's record of failing cases, which tells a case
+	// whether the sweep is sure to discard it; hooks lets the package's
+	// tests watch the cases.
+	fails *failLog
+	hooks sweepHooks
+}
+
+// sweepHooks lets the package's tests watch a sweep's cases: onFailure is
+// called with a case's index once its failure is recorded, and
+// onShrinkEval before each shrink candidate the case evaluates.
+type sweepHooks struct {
+	onFailure, onShrinkEval func(i int)
+}
+
+// failLog records the index of every failing case (certification,
+// program error or divergence) as soon as its failure is known, before
+// the case shrinks.
+type failLog struct {
+	budget int // the sweep's failure budget
+	mu     sync.Mutex
+	idx    []int
+}
+
+func (l *failLog) add(i int) {
+	l.mu.Lock()
+	l.idx = append(l.idx, i)
+	l.mu.Unlock()
+}
+
+// doomed reports whether the failures recorded below case i fill the
+// budget. The sweep then discards case i: every case below it merges
+// before it, so the sweep stops at or before the last of those failures.
+func (l *failLog) doomed(i int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, j := range l.idx {
+		if j < i {
+			n++
+		}
+	}
+	return n >= l.budget
+}
+
+// failed records that case i failed.
+func (r *sweepRunner) failed(i int) {
+	r.fails.add(i)
+	if r.hooks.onFailure != nil {
+		r.hooks.onFailure(i)
+	}
 }
 
 func newSweepRunner(o SweepOptions, shapes []progen.Shape, configs []NamedConfig, sm *sweepMetrics, worker int) *sweepRunner {
@@ -306,6 +350,7 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		// A structurally malformed generated program would make every
 		// engine diverge from nothing in particular: reject it before any
 		// engine runs it, and report the generator bug as its own failure.
+		r.failed(i)
 		return caseResult{failure: &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
 			Source: src, OrigLines: countLines(src), Lines: countLines(src), Err: err}}
 	}
@@ -314,18 +359,19 @@ func (r *sweepRunner) runCase(i int) caseResult {
 	if err == nil {
 		return caseResult{instret: res.Instret, cycles: res.Cycles}
 	}
+	r.failed(i)
 	f := &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
 	var d *core.MismatchError
 	if errors.As(err, &d) {
-		// Once the sweep has stopped this case will be discarded, so its
-		// shrink evaluates no further candidate.
+		// Once the sweep is sure to discard this case, its shrink
+		// evaluates no further candidate.
 		proceed := func() bool {
-			if r.stopped.Load() {
+			if r.fails.doomed(i) {
 				return false
 			}
-			if r.onShrinkEval != nil {
-				r.onShrinkEval(i)
+			if r.hooks.onShrinkEval != nil {
+				r.hooks.onShrinkEval(i)
 			}
 			return true
 		}
@@ -341,13 +387,11 @@ func (r *sweepRunner) runCase(i int) caseResult {
 	return caseResult{failure: f}
 }
 
-// consume merges one case result into the report, in case order. It
-// reports whether the failure budget is exhausted, and then sets stopped
-// before Progress runs, so the shrinks of cases the sweep discards end
-// while Progress reports. Progress receives a private copy of the
-// failure, never a pointer into rep.Failures (whose backing array
-// relocates as it grows).
-func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, maxFail int, stopped *atomic.Bool) (stop bool) {
+// consume merges one case result into the report, in case order, and
+// reports whether the failure budget is exhausted. Progress receives a
+// private copy of the failure, never a pointer into rep.Failures (whose
+// backing array relocates as it grows).
+func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, maxFail int) (stop bool) {
 	rep.Runs++
 	if sm != nil {
 		sm.programs.Inc()
@@ -370,9 +414,6 @@ func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, ma
 	}
 	rep.Failures = append(rep.Failures, *cr.failure)
 	stop = len(rep.Failures) >= maxFail
-	if stop {
-		stopped.Store(true)
-	}
 	if o.Progress != nil {
 		fcopy := *cr.failure
 		o.Progress(i+1, o.N, &fcopy)
@@ -387,10 +428,10 @@ func consume(rep *Report, o SweepOptions, sm *sweepMetrics, cr caseResult, i, ma
 // test the same (program, configuration) pairs and produce the same
 // Report, regardless of Workers and NoReuse — every worker runs its cases
 // on its own sweepRunner, and par.Ordered merges them in case order.
-func Sweep(o SweepOptions) *Report { return sweep(o, nil) }
+func Sweep(o SweepOptions) *Report { return sweep(o, sweepHooks{}) }
 
-// sweep is Sweep with every case's onShrinkEval set (nil in Sweep).
-func sweep(o SweepOptions, onShrinkEval func(i int)) *Report {
+// sweep is Sweep with the package's test hooks (none in Sweep).
+func sweep(o SweepOptions, hooks sweepHooks) *Report {
 	shapes := o.Shapes
 	if len(shapes) == 0 {
 		shapes = progen.Shapes()
@@ -418,13 +459,13 @@ func sweep(o SweepOptions, onShrinkEval func(i int)) *Report {
 	}
 
 	rep := &Report{}
-	var stopped atomic.Bool
+	fails := &failLog{budget: maxFail}
 	par.Ordered(o.Workers, o.N, func(w int) func(int) caseResult {
 		r := newSweepRunner(o, shapes, configs, sm, w)
-		r.stopped, r.onShrinkEval = &stopped, onShrinkEval
+		r.fails, r.hooks = fails, hooks
 		return r.runCase
 	}, func(i int, cr caseResult) bool {
-		return consume(rep, o, sm, cr, i, maxFail, &stopped)
+		return consume(rep, o, sm, cr, i, maxFail)
 	})
 	return rep
 }

@@ -46,10 +46,10 @@ func goldenConfigs() []NamedConfig {
 }
 
 // multicycleNWin32 is the multicycle machine with 32 register windows:
-// 520 physical integer registers, past the 320 that isa.Sig encodes
-// exactly, so the scheduler's dependency checks take their overflow
-// fallback (SigOver) on real traces. It is built here rather than in
-// DefaultConfigs, whose rotation the sweeps and the benchmark share.
+// 520 physical integer registers, the largest register file the machine
+// accepts, so the golden covers the top of the scheduler's location
+// index. It is built here rather than in DefaultConfigs, whose rotation
+// the sweeps and the benchmark share.
 func multicycleNWin32() NamedConfig {
 	nc, ok := ConfigByName("multicycle")
 	if !ok {

@@ -2,7 +2,9 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -77,13 +79,15 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestDiscardedShrinksStop: once a parallel sweep stops on MaxFail, a
-// running case it will discard evaluates no further shrink candidate.
-// Every case after the stopping failure waits at its first candidate
-// until Progress reports that failure, so the count below is what the
-// discarded cases spend after the stop: at most the one candidate each
-// worker had already started, where a shrink left to finish would spend
-// up to its whole budget.
+// TestDiscardedShrinksStop: a running case that a parallel sweep is sure
+// to discard, because failures below it already fill the MaxFail budget,
+// evaluates no further shrink candidate once the first of those failures
+// is recorded, before that failing case shrinks. Every case after the
+// stopping failure waits at its first candidate until that failure is
+// recorded, so the count below is what the discarded cases spend after a
+// lower failure was recorded: at most the one candidate each worker had
+// already started, where a shrink left to run until the sweep stops
+// would spend up to its whole budget while the stopping case shrinks.
 func TestDiscardedShrinksStop(t *testing.T) {
 	o := SweepOptions{
 		N: 400, Seed: 0,
@@ -97,27 +101,40 @@ func TestDiscardedShrinksStop(t *testing.T) {
 	}
 	last := int(serial.Failures[0].Seed - o.Seed) // the stopping case
 	for _, workers := range []int{2, 4} {
-		stop := make(chan struct{})
+		recorded := make(chan struct{})
+		var mu sync.Mutex
+		var failed []int
 		var discarded atomic.Int64
-		onShrinkEval := func(i int) {
-			if i > last {
-				<-stop
-				discarded.Add(1)
-			}
+		hooks := sweepHooks{
+			onFailure: func(i int) {
+				mu.Lock()
+				failed = append(failed, i)
+				mu.Unlock()
+				if i == last {
+					close(recorded)
+				}
+			},
+			onShrinkEval: func(i int) {
+				if i <= last {
+					return
+				}
+				<-recorded
+				mu.Lock()
+				lower := slices.ContainsFunc(failed, func(j int) bool { return j < i })
+				mu.Unlock()
+				if lower {
+					discarded.Add(1)
+				}
+			},
 		}
 		po := o
 		po.Workers = workers
-		po.Progress = func(done, total int, f *Failure) {
-			if f != nil {
-				close(stop)
-			}
-		}
-		rep := sweep(po, onShrinkEval)
+		rep := sweep(po, hooks)
 		if got, want := renderReport(rep), renderReport(serial); got != want {
 			t.Fatalf("%d workers: report differs from serial:\n--- want\n%s--- got\n%s", workers, want, got)
 		}
 		if n := discarded.Load(); n > int64(workers) {
-			t.Errorf("%d workers: discarded cases evaluated %d shrink candidates after the stop, want at most %d",
+			t.Errorf("%d workers: discarded cases evaluated %d shrink candidates after a lower failure was recorded, want at most %d",
 				workers, n, workers)
 		}
 	}

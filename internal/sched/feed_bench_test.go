@@ -105,12 +105,35 @@ func replay(tb testing.TB, u *Scheduler, events []feedEvent) {
 	u.Flush(0, uint64(len(events)))
 }
 
+// replayRecycled resets u and replays one recorded trace through it,
+// returning every flushed block to the block pool: the warm path of a
+// reused scheduler, as the machine's reset path drives it.
+func replayRecycled(tb testing.TB, u *Scheduler, events []feedEvent) {
+	u.Reset()
+	for i := range events {
+		ev := &events[i]
+		if ev.flush {
+			u.RecycleBlock(u.Flush(ev.c.Addr, ev.c.Seq))
+			continue
+		}
+		b, err := u.Insert(ev.c)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		u.RecycleBlock(b)
+	}
+	u.RecycleBlock(u.Flush(0, uint64(len(events))))
+}
+
 // BenchmarkSchedulerFeed measures the Scheduler Unit's insertion hot path
 // (dependency checks, move-up/install/split decisions, renaming) on
-// pre-recorded traces of every progen hazard shape. ns/op is per completed
-// instruction fed; allocs/op tracks the allocation trajectory of the hot
-// path. The repository benchmark's traced runs replay the scheduler over
-// workload traces and report the same costs as sched.insert_ns/_allocs
+// pre-recorded traces of every progen hazard shape. Each iteration resets
+// one warmed scheduler and replays the trace, recycling every flushed
+// block, so the arenas and the block pool are reused rather than grown.
+// ns/op is per replay; ns/instr is per completed instruction fed, and
+// allocs/op tracks the allocation trajectory of the hot path. The
+// repository benchmark's traced runs replay the scheduler over workload
+// traces and report the same costs as sched.insert_ns/_allocs
 // (bench/README.md).
 func BenchmarkSchedulerFeed(b *testing.B) {
 	for _, shape := range progen.Shapes() {
@@ -120,10 +143,11 @@ func BenchmarkSchedulerFeed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			replayRecycled(b, u, events) // warm pools, arenas and scratch buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				replay(b, u, events)
+				replayRecycled(b, u, events)
 			}
 			b.StopTimer()
 			perInstr := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(events))

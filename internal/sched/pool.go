@@ -1,7 +1,5 @@
 package sched
 
-import "math/bits"
-
 // Allocation machinery of the Scheduler Unit hot path. The scheduler
 // recycles element structs across block flushes (blocks take a compact
 // copy of the slot grid, see flush), and hands out Slot structs,
@@ -109,12 +107,6 @@ func (u *Scheduler) releaseElement(e *element) {
 	e.branches = 0
 	e.occ, e.ctis, e.mems, e.stores, e.loads = 0, 0, 0, 0, 0
 	e.occMask = 0
-	e.rsig.Reset()
-	for lm := e.latMask; lm != 0; lm &= lm - 1 {
-		e.wsigLat[bits.TrailingZeros64(lm)].Reset()
-	}
-	e.latMask = 0
-	e.memW = e.memW[:0]
 	u.elemPool = append(u.elemPool, e)
 }
 
@@ -159,14 +151,15 @@ func (u *Scheduler) Reset() {
 	u.order = 0
 	u.splits = 0
 	u.currentCon = false
-	u.renEpoch++ // invalidates every renTab binding in O(1)
+	u.renEpoch++ // invalidates every renTab binding and index entry in O(1)
 	u.renLive = 0
+	u.idxMem = u.idxMem[:0]
+	u.readMax, u.writeMax = locEntry{}, locEntry{}
+	u.pending = u.pending[:0]
 	if len(u.conservative) > 0 {
 		clear(u.conservative)
 	}
 	u.trace = u.trace[:0]
-	u.candR.Reset()
-	u.candW.Reset()
 	// Rewind the rolling arenas: slabs stay registered, the mount cursors
 	// return to the first slab. Freed slots live in those slabs, so the
 	// free list empties too. Slot pointers inside recycled blocks are

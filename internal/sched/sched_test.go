@@ -538,3 +538,20 @@ loop:
 		t.Fatal("no blocks flushed")
 	}
 }
+
+// TestInsertRejectsWindowPointerOutsideNWin: an instruction whose window
+// pointer lies outside the configured register windows names registers
+// the location index does not cover, so Insert refuses it with an error.
+func TestInsertRejectsWindowPointerOutsideNWin(t *testing.T) {
+	u, err := New(Config{Width: 4, Height: 4, NWin: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := isa.Inst{Op: isa.OpADD, Rd: 17, Rs1: 16, UseImm: true, Imm: 1} // %l1 = %l0 + 1
+	if _, err := u.Insert(Completed{Inst: add, Addr: 0x1000, CWP: 8}); err == nil {
+		t.Fatal("window pointer 8 of 8 windows accepted")
+	}
+	if _, err := u.Insert(Completed{Inst: add, Addr: 0x1000, CWP: 7}); err != nil {
+		t.Fatalf("window pointer 7 of 8 windows refused: %v", err)
+	}
+}

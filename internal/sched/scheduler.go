@@ -12,10 +12,9 @@ import (
 // construction. The candidate-instruction machinery of the hardware is
 // simulated by the insertion-time journey in Insert; settled slots are
 // "installed" in the paper's sense. Alongside the slot grid the element
-// caches occupancy counters and the dependency signatures of its installed
-// slots (see sig.go), which stand in for the paper's per-slot comparator
-// network: dependency queries test cached bitsets instead of scanning
-// footprints.
+// keeps occupancy counters for the resource, cohabitation and control
+// rules. Dependencies on installed slots are answered by the scheduler's
+// location index (index.go), not by the element.
 type element struct {
 	slots    []*Slot
 	branches uint8 // conditional/indirect branches placed (tag counter)
@@ -28,13 +27,6 @@ type element struct {
 	mems    int    // slots touching memory (incl. memory copies)
 	stores  int    // stores and memory copies (cohabitation rule)
 	loads   int    // loads (cohabitation rule)
-
-	// Aggregates over installed slots, the candidate excluded (maintained
-	// by install).
-	rsig    isa.Sig    // OR of installed read signatures
-	wsigLat []isa.Sig  // write signatures bucketed by producer latency (1..maxLat)
-	latMask uint64     // bit l set iff wsigLat[l] is nonempty
-	memW    []memWrite // LocMem write intervals, with producer latency
 }
 
 // renEntry is one binding of the direct-mapped rename table: the renaming
@@ -49,13 +41,15 @@ type renEntry struct {
 // Scheduler is the Scheduler Unit. Feed it Completed instructions with
 // Insert; it returns finished Blocks when the scheduling list fills. Use
 // Flush for externally triggered flushes (VLIW Cache hit, non-schedulable
-// instruction).
+// instruction). The open block's location index (index.go) records where
+// every location's installed writers and readers sit, and each
+// dependency check compares the index's maxima over the journeying
+// candidate's footprint with the element in question.
 type Scheduler struct {
-	cfg    Config     //resetcheck:allow configuration is fixed at construction
-	strat  Strategy   //resetcheck:allow placement policy (Config.Strategy; FCFS by default), fixed at construction
-	maxLat int        //resetcheck:allow derived from cfg at construction
-	nPhys  int        //resetcheck:allow physical integer registers (rename-table geometry), fixed at construction
-	elems  []*element // index 0 is the scheduling-list head
+	cfg   Config     //resetcheck:allow configuration is fixed at construction
+	strat Strategy   //resetcheck:allow placement policy (Config.Strategy; FCFS by default), fixed at construction
+	nPhys int        //resetcheck:allow physical integer registers (rename-table geometry), fixed at construction
+	elems []*element // index 0 is the scheduling-list head
 
 	blockTag   uint32
 	blockCWP   uint8
@@ -92,11 +86,23 @@ type Scheduler struct {
 	// starts a fresh one.
 	trace []Completed
 
-	// Candidate signatures: the packed footprints of the instruction
-	// currently journeying through Insert/moveUp (kept here, not in the
-	// Slot, so block-resident slots stay small).
-	candR isa.Sig
-	candW isa.Sig
+	// The open block's location index (index.go).
+	idxRegs []regEntry                   //resetcheck:allow epoch-stamped like renTab; Reset's renEpoch++ invalidates every entry
+	idxRen  [NumRenameClasses][]locEntry //resetcheck:allow allocRename clears each entry as it hands the register out
+	idxMem  []memAccess
+
+	// The index's maxima over the footprint of the instruction journeying
+	// through Insert/moveUp: over its reads (set by buildSlot) and over its
+	// writes (set by buildSlot and after each split). pending holds the
+	// copy instructions its splits left behind, until it installs.
+	readMax  locEntry
+	writeMax locEntry
+	pending  []pendingCopy
+
+	// onDecision, set only by the package's tests, sees each dependency
+	// decision Insert is about to take: placing the candidate in tail
+	// element elem (tail true) or moving it up out of element elem.
+	onDecision func(cand *Slot, elem int, tail bool) //resetcheck:allow test hook, never set outside the package's tests
 
 	// Allocation recycling (see pool.go). Each arena keeps every chunk it
 	// ever allocated, so Reset reclaims the whole working set by rewinding
@@ -114,7 +120,6 @@ type Scheduler struct {
 	// read and the buffers survive Reset on purpose (capacity reuse).
 	scratchReads  []isa.Loc    //resetcheck:allow buildSlot: effects assembly
 	scratchWrites []isa.Loc    //resetcheck:allow
-	scratchLocs   []isa.Loc    //resetcheck:allow horizonOutputConflicts: horizon write set
 	scratchOut    []isa.Loc    //resetcheck:allow horizonOutputConflicts result
 	scratchAnti   []isa.Loc    //resetcheck:allow antiConflicts result
 	scratchConf   []isa.Loc    //resetcheck:allow moveUp: deduplicated conflict set
@@ -141,7 +146,6 @@ func New(cfg Config) (*Scheduler, error) {
 	u := &Scheduler{
 		cfg:          cfg,
 		strat:        strat,
-		maxLat:       cfg.MaxLatency(),
 		nPhys:        isa.NumPhysRegs(cfg.NWin),
 		conservative: make(map[uint64]bool),
 		renEpoch:     1,
@@ -150,6 +154,7 @@ func New(cfg Config) (*Scheduler, error) {
 		pairs:        arena[RenamePair]{chunk: pairChunkSize},
 	}
 	u.renTab = make([]renEntry, u.nPhys+64+renSingletons)
+	u.idxRegs = make([]regEntry, len(u.renTab))
 	for cl := range u.acceptMask {
 		for i := 0; i < cfg.Width; i++ {
 			if cfg.slotAccepts(i, isa.FUClass(cl)) {
@@ -195,7 +200,8 @@ const renSingletons = 5
 // for locations outside the table: memory, which is never forwarded, and
 // renaming registers, which are never architectural effects. The
 // bindings below are only ever made, looked up and retired for register
-// and singleton locations, which the table covers.
+// and singleton locations, which the table covers; the location index
+// shares its geometry.
 func (u *Scheduler) renIdx(l isa.Loc) int {
 	switch l.Kind {
 	case isa.LocIReg:
@@ -255,10 +261,7 @@ func (u *Scheduler) newElement() *element {
 		e = u.elemPool[n-1]
 		u.elemPool = u.elemPool[:n-1]
 	} else {
-		e = &element{
-			slots:   make([]*Slot, u.cfg.Width),
-			wsigLat: make([]isa.Sig, u.maxLat+1),
-		}
+		e = &element{slots: make([]*Slot, u.cfg.Width)}
 	}
 	u.elems = append(u.elems, e)
 	return e
@@ -274,10 +277,9 @@ func (u *Scheduler) freeSlot(e *element, cl isa.FUClass) int {
 	return bits.TrailingZeros64(m)
 }
 
-// overlapAny reports whether any location in a overlaps any in b: the
-// naive pairwise predicate the dependency signatures accelerate. It
-// remains the semantic reference (TestMaskOverlapMatchesNaive) and the
-// fallback for signatures that overflowed the exact encoding.
+// overlapAny reports whether any location in a overlaps any in b, the
+// naive pairwise predicate. injectFlushFaults uses it to find a consumer
+// of a producer, and the tests hold the dependency checks to it.
 func overlapAny(a, b []isa.Loc) bool {
 	for _, x := range a {
 		for _, y := range b {
@@ -289,70 +291,24 @@ func overlapAny(a, b []isa.Loc) bool {
 	return false
 }
 
-// horizonHit is the one scan behind the dependency checks against
-// installed producers: it reports whether a slot other than cand,
-// installed in an element j of [lo, hi) with latency at least k-j, writes
-// a location of locs (sig is their signature, candR or candW). A slot
-// installed in element j with latency L is still in flight for element t
-// while j+L > t (multicycle extension, companion study [14]), so k = t+1
-// asks for the producers still in flight for t, and k = 0 for every
-// writer in the window. Each check below only names its window.
-//
-// Each element answers from its latency-bucketed write signatures and
-// its LocMem side table; the per-slot scan, the semantic reference, runs
-// only when a signature overflowed the exact encoding. The candidate's
-// own signatures are in no aggregate until it installs, and the per-slot
-// scan skips its slot.
-func (u *Scheduler) horizonHit(cand *Slot, sig *isa.Sig, locs []isa.Loc, lo, hi, k int) bool {
-	// No latency reaches k from below element k-maxLat.
-	lo, hi = max(lo, k-u.maxLat, 0), min(hi, len(u.elems))
-	fallback := sig.Flags&isa.SigOver != 0
-	mem := sig.Flags&isa.SigMem != 0
-	for j := lo; j < hi; j++ {
-		e := u.elems[j]
-		if e.occ == 0 {
-			continue
-		}
-		minLat := max(k-j, 0)
-		for lm := e.latMask &^ (1<<uint(minLat) - 1); lm != 0; lm &= lm - 1 {
-			es := &e.wsigLat[bits.TrailingZeros64(lm)]
-			if sig.Hit(es) {
-				return true
-			}
-			if es.Flags&isa.SigOver != 0 {
-				fallback = true
-			}
-		}
-		if mem {
-			for _, mw := range e.memW {
-				if int(mw.lat) >= minLat && memAnyOverlap(locs, mw.loc) {
-					return true
-				}
-			}
-		}
-	}
-	if !fallback {
-		return false
-	}
-	for j := lo; j < hi; j++ {
-		for _, w := range u.elems[j].slots {
-			if w != nil && w != cand && j+w.LatOr1() >= k && overlapAny(locs, w.writes) {
-				return true
-			}
-		}
-	}
-	return false
-}
+// The dependency checks below ask about slots installed before the
+// candidate's journey began, in an element j with latency L; such a slot
+// is still in flight for element t while j+L > t (multicycle extension,
+// companion study [14]). Each answers from the index's maxima over the
+// candidate's footprint (readMax, writeMax). That is exact where Insert
+// asks: during a journey no installed slot below (nearer the tail than)
+// the element being checked writes a location the candidate reads or
+// still writes, and none below the candidate's element reads a location
+// it still writes, since a check at that lower element would have
+// stopped the candidate or renamed the output (DESIGN §10).
 
 // trueDepBlocked reports whether the candidate may not occupy element t:
 // a producer whose result arrives after t writes one of its read
 // locations. With all latencies 1 this is the paper's check against the
 // single element above.
-func (u *Scheduler) trueDepBlocked(cand *Slot, t int) bool {
-	return u.horizonHit(cand, &u.candR, cand.reads, t-u.maxLat+1, t+1, t+1)
-}
+func (u *Scheduler) trueDepBlocked(t int) bool { return int(u.readMax.ready) > t }
 
-// wawBlocked reports whether element t cannot hold cand because of a
+// wawBlocked reports whether tail element t cannot hold cand because of a
 // write-ordering hazard: an installed slot writing one of cand's write
 // locations either shares element t, whatever its latency (two writes to
 // one location cannot share a long instruction), or is an in-flight
@@ -361,84 +317,47 @@ func (u *Scheduler) trueDepBlocked(cand *Slot, t int) bool {
 // value). With all latencies 1 this is the paper's output-dependency rule
 // against the tail element.
 func (u *Scheduler) wawBlocked(cand *Slot, t int) bool {
-	return u.horizonHit(cand, &u.candW, cand.writes, t, t+1, 0) ||
-		u.horizonHit(cand, &u.candW, cand.writes, t-u.maxLat+1, t, t+cand.LatOr1()+1)
+	return int(u.writeMax.wlast) > t || int(u.writeMax.ready) > t+cand.LatOr1()
 }
 
-// wawCopyUnsafe reports whether moving cand out of element i is unsafe
-// even with a split: an in-flight producer of one of cand's write
+// wawCopyUnsafe reports whether moving the candidate out of element i is
+// unsafe even with a split: an in-flight producer of one of its write
 // locations would commit strictly after the copy instruction that stays
 // behind in i (j+lat-1 > i), so renaming cannot restore write order and
 // the candidate must be installed instead. Only latencies of three or
 // more cycles reach past the copy.
-func (u *Scheduler) wawCopyUnsafe(cand *Slot, i int) bool {
-	return u.horizonHit(cand, &u.candW, cand.writes, i-u.maxLat+1, i, i+2)
-}
+func (u *Scheduler) wawCopyUnsafe(i int) bool { return int(u.writeMax.ready) > i+1 }
 
 // horizonOutputConflicts returns the candidate's write locations that
 // collide with an in-flight producer whose completion would land at or
 // after the candidate's in element t (write-ordering hazard); such
-// outputs must be renamed by a split. The window is trueDepBlocked's,
-// asked of the writes, and the exact collection runs only when the scan
-// finds a conflict. The returned slice aliases a scratch buffer valid
-// until the next call.
+// outputs must be renamed by a split. The returned slice aliases a
+// scratch buffer valid until the next call.
 func (u *Scheduler) horizonOutputConflicts(cand *Slot, t int) []isa.Loc {
-	lo := t - u.maxLat + 1
-	if !u.horizonHit(cand, &u.candW, cand.writes, lo, t+1, t+1) {
+	if int(u.writeMax.ready) <= t {
 		return nil
 	}
-	locs := u.scratchLocs[:0]
-	for j := max(lo, 0); j <= t && j < len(u.elems); j++ {
-		for _, w := range u.elems[j].slots {
-			if w != nil && w != cand && j+w.LatOr1() > t {
-				locs = append(locs, w.writes...)
-			}
-		}
-	}
-	u.scratchLocs = locs
 	out := u.scratchOut[:0]
 	for _, w := range cand.writes {
-		for _, l := range locs {
-			if w.Overlaps(l) {
-				out = append(out, w)
-				break
-			}
+		if int(u.lookup(w).ready) > t {
+			out = append(out, w)
 		}
 	}
 	u.scratchOut = out
 	return out
 }
 
-// antiConflicts returns the candidate's write locations that overlap the
-// read footprints of the other installed slots of cur (the hardware
-// disables the comparators of the companion slot, paper §3.7). cur's read
-// aggregate covers exactly those slots, since the candidate's signatures
-// join an aggregate only where it installs. The returned slice aliases a
-// scratch buffer valid until the next call.
-func (u *Scheduler) antiConflicts(cand *Slot, cur *element, slotIdx int) []isa.Loc {
-	if !u.candW.Hit(&cur.rsig) && !u.candW.MemBoth(&cur.rsig) && !u.candW.Over(&cur.rsig) {
+// antiConflicts returns the candidate's write locations that the other
+// installed slots of its element i read (the hardware disables the
+// comparators of the companion slot, paper §3.7). The returned slice
+// aliases a scratch buffer valid until the next call.
+func (u *Scheduler) antiConflicts(cand *Slot, i int) []isa.Loc {
+	if int(u.writeMax.rlast) <= i {
 		return nil
 	}
-	// Exact collection, ordered by the candidate's write set like the
-	// original conflictingWrites(cand, elemReads(cur, slotIdx)).
 	out := u.scratchAnti[:0]
 	for _, w := range cand.writes {
-		conflict := false
-		for i, s := range cur.slots {
-			if s == nil || i == slotIdx {
-				continue
-			}
-			for _, r := range s.reads {
-				if w.Overlaps(r) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				break
-			}
-		}
-		if conflict {
+		if int(u.lookup(w).rlast) > i {
 			out = append(out, w)
 		}
 	}
@@ -449,8 +368,8 @@ func (u *Scheduler) antiConflicts(cand *Slot, cur *element, slotIdx int) []isa.L
 // memSerialized reports whether conservative scheduling forces an order
 // dependency between the candidate and element e: after an aliasing
 // exception the block keeps its loads and stores in insertion order by
-// treating every memory pair as dependent (paper §3.11). The candidate is
-// never installed in e at any call site, so the cached aggregate needs no
+// treating every memory pair as dependent (paper §3.11). The candidate
+// occupies no slot of e at either call site, so e's counter needs no
 // exclusion.
 func (u *Scheduler) memSerialized(cand *Slot, e *element) bool {
 	return u.currentCon && !cand.IsCopy && cand.IsMem && e.mems > 0
@@ -469,8 +388,8 @@ func hasMemCopy(s *Slot) bool {
 // source operands whose newest in-block value lives in a renaming
 // register, and retiring rename bindings superseded by this instruction's
 // architectural writes. Footprints are assembled in scratch buffers and
-// stored in the Loc arena; the Slot itself comes from the slot pool. The
-// candidate signatures candR/candW are left describing the new slot.
+// stored in the Loc arena; the Slot itself comes from the slot pool.
+// readMax and writeMax are left describing the new slot.
 func (u *Scheduler) buildSlot(c Completed) *Slot {
 	s := u.newSlot()
 	s.Inst = c.Inst
@@ -502,10 +421,7 @@ func (u *Scheduler) buildSlot(c Completed) *Slot {
 	}
 	s.reads = u.locs.clone(reads)
 	s.writes = u.locs.clone(writes)
-	u.candR.Reset()
-	u.candR.AddSet(s.reads)
-	u.candW.Reset()
-	u.candW.AddSet(s.writes)
+	u.readMax, u.writeMax = u.maxOver(s.reads), u.maxOver(s.writes)
 	if c.Inst.IsMem() {
 		s.IsMem = true
 		s.IsStore = c.Inst.IsStore()
@@ -521,7 +437,7 @@ func (u *Scheduler) buildSlot(c Completed) *Slot {
 
 // cohabitCross updates the candidate's sticky cross bit on entering
 // element e (paper §3.10; see DESIGN.md §5 for the store/load extension).
-// The element aggregates include the candidate itself, matching the
+// The element counters include the candidate itself, matching the
 // original slot scan which ran after placement.
 func cohabitCross(cand *Slot, e *element) {
 	if !cand.IsMem || cand.Cross {
@@ -549,10 +465,15 @@ func (u *Scheduler) place(cand *Slot, e *element) int {
 }
 
 // allocRename allocates a fresh renaming register for an architectural
-// location.
+// location, with an empty entry in the location index.
 func (u *Scheduler) allocRename(l isa.Loc) RenameReg {
 	cl := classOf(l)
 	r := RenameReg{Class: cl, Idx: u.renUsed[cl]}
+	if int(r.Idx) < len(u.idxRen[cl]) {
+		u.idxRen[cl][r.Idx] = locEntry{}
+	} else {
+		u.idxRen[cl] = append(u.idxRen[cl], locEntry{})
+	}
 	u.renUsed[cl]++
 	if u.renUsed[cl] > u.Stats.MaxRenames[cl] {
 		u.Stats.MaxRenames[cl] = u.renUsed[cl]
@@ -629,8 +550,7 @@ func (u *Scheduler) split(cand *Slot, conflicted []isa.Loc) *Slot {
 	cand.Renames = u.pairs.clone(renames)
 	copySlot.Copies = u.pairs.clone(copies)
 	cand.writes = u.locs.clone(remaining)
-	u.candW.Reset()
-	u.candW.AddSet(cand.writes)
+	u.writeMax = u.maxOver(cand.writes)
 	copySlot.reads = u.locs.clone(cpReads)
 	copySlot.writes = u.locs.clone(cpWrites)
 	if u.cfg.Fault == FaultDropCopy {
@@ -668,6 +588,10 @@ func (u *Scheduler) Insert(c Completed) (*Block, error) {
 	if !c.Inst.IsSchedulable() {
 		return nil, fmt.Errorf("sched: non-schedulable %v at %#08x reached Insert", c.Inst.Op, c.Addr)
 	}
+	if int(c.CWP) >= u.cfg.NWin {
+		// Its registers would fall outside the location index.
+		return nil, fmt.Errorf("sched: window pointer %d at %#08x outside %d windows", c.CWP, c.Addr, u.cfg.NWin)
+	}
 
 	var flushed *Block
 	var cand *Slot
@@ -696,8 +620,7 @@ func (u *Scheduler) Insert(c Completed) (*Block, error) {
 				// Multicycle producers may require further padding
 				// elements before the candidate's reads are satisfied and
 				// in-flight writebacks of its output locations have landed.
-				for u.trueDepBlocked(cand, len(u.elems)-1) ||
-					u.wawBlocked(cand, len(u.elems)-1) {
+				for u.tailBlocked(cand, len(u.elems)-1) {
 					if len(u.elems) >= u.cfg.Height {
 						flushed = u.flush(c.Addr, c.Seq)
 						u.startBlock(c)
@@ -741,22 +664,29 @@ func (u *Scheduler) needsNewElement(cand *Slot, tail *element) bool {
 	if u.freeSlot(tail, cand.Inst.Class()) < 0 {
 		return true
 	}
-	t := len(u.elems) - 1
-	if u.trueDepBlocked(cand, t) {
-		return true
+	return u.tailBlocked(cand, len(u.elems)-1) || u.memSerialized(cand, tail)
+}
+
+// tailBlocked reports whether a dependency on an installed producer keeps
+// cand out of tail element t.
+func (u *Scheduler) tailBlocked(cand *Slot, t int) bool {
+	if u.onDecision != nil {
+		u.onDecision(cand, t, true)
 	}
-	if u.wawBlocked(cand, t) {
-		return true
-	}
-	return u.memSerialized(cand, tail)
+	return u.trueDepBlocked(t) || u.wawBlocked(cand, t)
 }
 
 // moveUp walks the candidate up the scheduling list until installed,
-// applying the paper's install/split/move rules at each element boundary.
-// Control-transfer instructions never move (paper §3.8).
+// applying the paper's install/split/move rules at each element boundary,
+// then enters it and the copy instructions its splits left behind into
+// the location index. Control-transfer instructions never move (paper
+// §3.8).
 func (u *Scheduler) moveUp(cand *Slot, elemIdx, slotIdx int) {
 	moves := !cand.Inst.IsCTI()
 	for moves && elemIdx > 0 {
+		if u.onDecision != nil {
+			u.onDecision(cand, elemIdx, false)
+		}
 		cur := u.elems[elemIdx]
 		prev := u.elems[elemIdx-1]
 
@@ -764,10 +694,10 @@ func (u *Scheduler) moveUp(cand *Slot, elemIdx, slotIdx int) {
 		// "if the install and the split signals are both true the
 		// respective candidate instruction is only installed"). The
 		// dependency horizon covers multicycle producers.
-		if u.trueDepBlocked(cand, elemIdx-1) ||
+		if u.trueDepBlocked(elemIdx-1) ||
 			u.freeSlot(prev, cand.Inst.Class()) < 0 ||
 			u.memSerialized(cand, prev) ||
-			u.wawCopyUnsafe(cand, elemIdx) {
+			u.wawCopyUnsafe(elemIdx) {
 			break
 		}
 
@@ -775,7 +705,7 @@ func (u *Scheduler) moveUp(cand *Slot, elemIdx, slotIdx int) {
 		// completing at/after the candidate), anti dependency with i, or
 		// control dependency with i (paper §3.2).
 		outConf := u.horizonOutputConflicts(cand, elemIdx-1)
-		antiConf := u.antiConflicts(cand, cur, slotIdx)
+		antiConf := u.antiConflicts(cand, elemIdx)
 		needAll := cur.ctis > 0
 		// The candidate leaves cur's counters before split can set its
 		// MemRenamed flag.
@@ -806,7 +736,7 @@ func (u *Scheduler) moveUp(cand *Slot, elemIdx, slotIdx int) {
 			if len(conflicted) > 0 {
 				if cs := u.split(cand, conflicted); cs != nil {
 					cur.occupy(cs, slotIdx)
-					cur.install(cs)
+					u.pending = append(u.pending, pendingCopy{cs, elemIdx})
 				}
 			}
 		}
@@ -817,7 +747,11 @@ func (u *Scheduler) moveUp(cand *Slot, elemIdx, slotIdx int) {
 		elemIdx--
 		u.Stats.MoveUps++
 	}
-	u.elems[elemIdx].install(cand)
+	u.install(cand, elemIdx)
+	for _, p := range u.pending {
+		u.install(p.s, p.elem)
+	}
+	u.pending = u.pending[:0]
 	u.Stats.Installs++
 }
 
@@ -843,8 +777,9 @@ func (u *Scheduler) startBlock(c Completed) {
 	u.order = 0
 	u.splits = 0
 	u.renUsed = [NumRenameClasses]uint16{}
-	u.renEpoch++
+	u.renEpoch++ // also clears the location index's register entries
 	u.renLive = 0
+	u.idxMem = u.idxMem[:0]
 	u.currentCon = u.conservative[conKey(c.Addr, c.CWP)]
 	if u.currentCon {
 		u.Stats.ConservativeBl++
@@ -914,9 +849,9 @@ func (u *Scheduler) flush(nbaAddr uint32, endSeq uint64) *Block {
 //     into the producer's latency shadow.
 //
 // At most one slot is moved per block; blocks with no eligible victim
-// pair flush unfaulted. The elements are about to be released, so the
-// signature aggregates are left stale; occupy/vacate keep the slots and
-// counters flush reads. The moved slot's branch tag is recomputed for its
+// pair flush unfaulted. The block is about to close, so the location
+// index is left stale; occupy/vacate keep the slots and counters flush
+// reads. The moved slot's branch tag is recomputed for its
 // destination so the injected violation stays surgical.
 func (u *Scheduler) injectFlushFaults() {
 	for i := 0; i < len(u.elems); i++ {

@@ -6,8 +6,8 @@ import (
 )
 
 // Strategy is the pluggable placement policy of the Scheduler Unit. The
-// scheduling machinery — slot construction, renaming, splits, dependency
-// signatures, legality predicates, block compaction — is shared; a
+// scheduling machinery — slot construction, renaming, splits, the
+// dependency index, legality predicates, block compaction — is shared; a
 // strategy only answers the policy questions the hardware's FCFS
 // comparator network hard-wires. Every decision a strategy makes is
 // clamped by the legality machinery: a strategy can refuse parallelism

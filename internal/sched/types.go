@@ -415,8 +415,8 @@ func (c Config) MaxLatency() int {
 
 // Implementation bounds of the Scheduler Unit. The occupancy and
 // FU-acceptance masks pack slot indices into one 64-bit word (the paper's
-// geometries stop at 16), and latency buckets are tracked in a 64-bit
-// nonempty mask.
+// geometries stop at 16); LatencyLimit is the largest latency Validate
+// accepts.
 const (
 	WidthLimit   = 64
 	LatencyLimit = 63
