@@ -16,8 +16,6 @@ import (
 	"dtsvliw/internal/core"
 	"dtsvliw/internal/dif"
 	"dtsvliw/internal/experiments"
-	"dtsvliw/internal/isa"
-	"dtsvliw/internal/mem"
 	"dtsvliw/internal/workloads"
 )
 
@@ -102,28 +100,16 @@ func BenchmarkFig8Table3(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	for _, w := range workloads.All() {
 		b.Run("DTSVLIW/"+w.Name, func(b *testing.B) {
-			cfg := core.IdealConfig(6, 6)
-			cfg.FUs = []isa.FUClass{isa.FUAny, isa.FUAny, isa.FUAny, isa.FUAny,
-				isa.FUBranch, isa.FUBranch}
-			cfg.ICache = mem.CacheConfig{SizeBytes: 4096, LineBytes: 128, Assoc: 2, MissPenalty: 2}
-			cfg.DCache = mem.CacheConfig{SizeBytes: 4096, LineBytes: 32, Assoc: 1, MissPenalty: 2}
-			cfg.VCacheKB = 216
-			cfg.VCacheAssoc = 2
-			benchRun(b, w, cfg)
+			benchRun(b, w, experiments.Fig9DTSVLIWConfig())
 		})
 		b.Run("DIF/"+w.Name, func(b *testing.B) {
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				cfg := dif.Figure9Config()
-				cfg.MaxInstrs = benchInstrs
-				st, err := w.NewState(cfg.NWin)
+				st, err := w.NewState(dif.NWin)
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, err := dif.New(cfg, st)
-				if err != nil {
-					b.Fatal(err)
-				}
+				m := dif.New(st, benchInstrs)
 				if err := m.Run(); err != nil {
 					b.Fatal(err)
 				}

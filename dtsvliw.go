@@ -381,16 +381,11 @@ func RunDIF(workload string, maxInstrs uint64) (DIFStats, error) {
 	if !ok {
 		return DIFStats{}, fmt.Errorf("dtsvliw: unknown workload %q", workload)
 	}
-	cfg := dif.Figure9Config()
-	cfg.MaxInstrs = maxInstrs
-	st, err := w.NewState(cfg.NWin)
+	st, err := w.NewState(dif.NWin)
 	if err != nil {
 		return DIFStats{}, err
 	}
-	m, err := dif.New(cfg, st)
-	if err != nil {
-		return DIFStats{}, err
-	}
+	m := dif.New(st, maxInstrs)
 	if err := m.Run(); err != nil {
 		return DIFStats{}, err
 	}

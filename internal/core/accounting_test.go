@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dtsvliw/internal/primary"
 	"dtsvliw/internal/sched"
 )
 
@@ -30,7 +31,7 @@ func TestSwitchAccounting(t *testing.T) {
 	if s.SwitchCycles == 0 {
 		t.Fatal("switches did not charge cycles")
 	}
-	minCost := uint64(2) // min(SwitchToVLIW, SwitchToPrimary)
+	minCost := uint64(min(primary.SwitchToVLIW, primary.SwitchToPrimary))
 	if s.SwitchCycles < s.Switches*minCost {
 		t.Fatalf("switch cycles %d too low for %d switches", s.SwitchCycles, s.Switches)
 	}

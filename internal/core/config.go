@@ -15,15 +15,16 @@ import (
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
 	"dtsvliw/internal/metrics"
-	"dtsvliw/internal/primary"
 	"dtsvliw/internal/sched"
 	"dtsvliw/internal/telemetry"
 	"dtsvliw/internal/vcache"
 	"dtsvliw/internal/vliw"
 )
 
-// Config parameterises a DTSVLIW machine. Table 1 invariants have
-// defaults in IdealConfig/FeasibleConfig.
+// Config parameterises a DTSVLIW machine. IdealConfig/FeasibleConfig
+// give the paper's machines; the Table 1 pipeline bubbles and the §3.6
+// engine-switch costs, which no experiment varies, are constants of
+// package primary.
 type Config struct {
 	// Block geometry: Width instructions per long instruction, Height
 	// long instructions per block.
@@ -43,13 +44,6 @@ type Config struct {
 	// NextLIMissPenalty is charged on every block-to-block transition in
 	// the VLIW Engine (0 in the ideal studies, 1 in the feasible machine).
 	NextLIMissPenalty int
-
-	// Engine-switch costs: discarded plus refilled pipeline stages
-	// (paper §3.6).
-	SwitchToVLIW    int
-	SwitchToPrimary int
-
-	Pipeline primary.Config
 
 	// StoreScheme selects the VLIW Engine's store-recoverability
 	// mechanism: the evaluated checkpoint scheme or the paper's §3.11
@@ -93,12 +87,10 @@ type Config struct {
 	// strategy default, negative removes the bound.
 	SchedNodeBudget int
 
-	// LoadLatency/FPLatency/FPDivLatency enable the multicycle-
-	// instruction extension (the paper's companion study [14]); zero or
-	// one keeps the Table 1 single-cycle baseline.
-	LoadLatency  int
-	FPLatency    int
-	FPDivLatency int
+	// Latencies enable the multicycle-instruction extension (the paper's
+	// companion study [14]) in both the Scheduler Unit and the Primary
+	// Processor; zero or one keeps the Table 1 single-cycle baseline.
+	isa.Latencies
 
 	// Telemetry, when non-nil, attaches a cycle-stamped telemetry
 	// collector to the machine (DESIGN.md §12): event tracing, per-block
@@ -183,18 +175,10 @@ func (c Config) Validate() error {
 		name string
 		v    int
 	}
-	for _, f := range [...]field{
-		{"SwitchToVLIW", c.SwitchToVLIW},
-		{"SwitchToPrimary", c.SwitchToPrimary},
-		{"NextLIMissPenalty", c.NextLIMissPenalty},
-		{"Pipeline.NotTakenBranchBubble", c.Pipeline.NotTakenBranchBubble},
-		{"Pipeline.LoadUseBubble", c.Pipeline.LoadUseBubble},
-	} {
-		if f.v < 0 {
-			// A negative cost would cut cycles, or wrap the unsigned
-			// cycle counters.
-			return &ConfigError{Field: f.name, Value: f.v, Reason: "negative cycle cost"}
-		}
+	if c.NextLIMissPenalty < 0 {
+		// A negative cost would cut cycles, or wrap the unsigned cycle
+		// counters.
+		return &ConfigError{Field: "NextLIMissPenalty", Value: c.NextLIMissPenalty, Reason: "negative cycle cost"}
 	}
 	for _, f := range [...]field{
 		{"LoadLatency", c.LoadLatency},
@@ -207,16 +191,6 @@ func (c Config) Validate() error {
 		if f.v > sched.LatencyLimit {
 			return &ConfigError{Field: f.name, Value: f.v,
 				Reason: fmt.Sprintf("the Scheduler Unit tracks latencies of at most %d cycles", sched.LatencyLimit)}
-		}
-	}
-	for _, f := range [...]field{
-		{"Pipeline.LoadLatency", c.Pipeline.LoadLatency},
-		{"Pipeline.FPLatency", c.Pipeline.FPLatency},
-		{"Pipeline.FPDivLatency", c.Pipeline.FPDivLatency},
-	} {
-		if f.v != 0 {
-			return &ConfigError{Field: f.name, Value: f.v,
-				Reason: "NewMachine sets the pipeline's latencies from LoadLatency, FPLatency and FPDivLatency"}
 		}
 	}
 	for _, f := range [...]field{
@@ -300,18 +274,16 @@ func (c Config) VCacheConfig() vcache.Config {
 // IdealConfig returns the configuration of the paper's architecture
 // studies (§4.1–§4.3): perfect instruction and data caches, a large
 // (3072-KB) 4-way VLIW Cache, no next-long-instruction miss penalty,
-// homogeneous functional units, and Table 1 pipeline costs.
+// and homogeneous functional units.
 func IdealConfig(width, height int) Config {
 	return Config{
 		Width: width, Height: height,
-		NWin:         16,
-		ICache:       mem.CacheConfig{Perfect: true},
-		DCache:       mem.CacheConfig{Perfect: true},
-		VCacheKB:     3072,
-		VCacheAssoc:  4,
-		SwitchToVLIW: 2, SwitchToPrimary: 3,
-		Pipeline:  primary.DefaultConfig(),
-		MaxCycles: 1 << 62,
+		NWin:        16,
+		ICache:      mem.CacheConfig{Perfect: true},
+		DCache:      mem.CacheConfig{Perfect: true},
+		VCacheKB:    3072,
+		VCacheAssoc: 4,
+		MaxCycles:   1 << 62,
 	}
 }
 

@@ -128,9 +128,7 @@ func NewMachine(cfg Config, st *arch.State) (*Machine, error) {
 		NoForwarding:   cfg.NoSourceForwarding,
 		Strategy:       cfg.SchedStrategy,
 		StrategyBudget: cfg.SchedNodeBudget,
-		LoadLatency:    cfg.LoadLatency,
-		FPLatency:      cfg.FPLatency,
-		FPDivLatency:   cfg.FPDivLatency,
+		Latencies:      cfg.Latencies,
 		// The verifier reconstructs each block's footprints from its
 		// sequential trace, so save-time verification needs recording on.
 		RecordTrace: cfg.VerifyBlocks,
@@ -151,15 +149,11 @@ func NewMachine(cfg Config, st *arch.State) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := cfg.Pipeline
-	pcfg.LoadLatency = cfg.LoadLatency
-	pcfg.FPLatency = cfg.FPLatency
-	pcfg.FPDivLatency = cfg.FPDivLatency
 	m := &Machine{
 		cfg: cfg, St: st,
 		sch: sch, vc: vc, eng: vliw.New(st),
 		ic: ic, dc: dc,
-		pipe:    primary.New(pcfg),
+		pipe:    primary.New(cfg.Latencies),
 		curLine: vcache.NoLine,
 	}
 	m.eng.SetScheme(cfg.StoreScheme)
@@ -500,7 +494,7 @@ func (m *Machine) stepPrimary() error {
 			}
 			m.pipe.FlushState()
 			m.Stats.Switches++
-			m.Stats.SwitchCycles += uint64(m.cfg.SwitchToVLIW)
+			m.Stats.SwitchCycles += primary.SwitchToVLIW
 			m.mode = ModeVLIW
 			m.vpc = sched.LongAddr{Addr: pc, Line: 0}
 			if m.tel != nil {
@@ -511,7 +505,7 @@ func (m *Machine) stepPrimary() error {
 			if err := m.beginBlock(ent, hitLine); err != nil {
 				return err
 			}
-			m.addCycles(m.cfg.SwitchToVLIW, true)
+			m.addCycles(primary.SwitchToVLIW, true)
 			return nil
 		}
 	}
@@ -789,8 +783,8 @@ func (m *Machine) switchToPrimary(pc uint32, cycles *int) {
 	m.skipProbe = true
 	m.pipe.FlushState()
 	m.Stats.Switches++
-	m.Stats.SwitchCycles += uint64(m.cfg.SwitchToPrimary)
-	*cycles += m.cfg.SwitchToPrimary
+	m.Stats.SwitchCycles += primary.SwitchToPrimary
+	*cycles += primary.SwitchToPrimary
 	if m.tel != nil {
 		m.tel.HandoverToPrimary(pc)
 	}

@@ -278,7 +278,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"ideal", func(*Config) {}, true, ""},
 		{"feasible", func(c *Config) { *c = FeasibleConfig() }, true, ""},
-		{"zero-penalties", func(c *Config) { c.SwitchToVLIW, c.SwitchToPrimary = 0, 0 }, true, ""},
 		{"zero-geometry", func(c *Config) { c.Width = 0 }, false, "Width"},
 		{"one-window", func(c *Config) { c.NWin = 1 }, false, "NWin"},
 		{"most-windows", func(c *Config) { c.NWin = 32 }, true, ""},
@@ -288,21 +287,14 @@ func TestConfigValidate(t *testing.T) {
 		{"fu-class-uncovered", func(c *Config) { *c = FeasibleConfig(); c.FUs[6], c.FUs[7] = isa.FUInt, isa.FUInt }, false, "FUs"},
 		{"fu-class-unknown", func(c *Config) { *c = FeasibleConfig(); c.FUs[0] = isa.FUAny + 1 }, false, "FUs"},
 		{"width-above-slot-masks", func(c *Config) { c.Width, c.Height = sched.WidthLimit+1, 1 }, false, "Width"},
-		{"negative-not-taken-bubble", func(c *Config) { c.Pipeline.NotTakenBranchBubble = -4 }, false, "Pipeline.NotTakenBranchBubble"},
-		{"negative-load-use-bubble", func(c *Config) { c.Pipeline.LoadUseBubble = -1 }, false, "Pipeline.LoadUseBubble"},
 		{"negative-load-latency", func(c *Config) { c.LoadLatency = -2 }, false, "LoadLatency"},
 		{"negative-fp-latency", func(c *Config) { c.FPLatency = -1 }, false, "FPLatency"},
 		{"negative-fpdiv-latency", func(c *Config) { c.FPDivLatency = -1 }, false, "FPDivLatency"},
 		{"largest-latency", func(c *Config) { c.LoadLatency = sched.LatencyLimit }, true, ""},
 		{"load-latency-above-bound", func(c *Config) { c.LoadLatency = 100 }, false, "LoadLatency"},
 		{"fpdiv-latency-above-bound", func(c *Config) { c.FPDivLatency = sched.LatencyLimit + 1 }, false, "FPDivLatency"},
-		{"pipeline-load-latency", func(c *Config) { c.Pipeline.LoadLatency = 3 }, false, "Pipeline.LoadLatency"},
-		{"pipeline-fp-latency", func(c *Config) { c.Pipeline.FPLatency = 2 }, false, "Pipeline.FPLatency"},
-		{"pipeline-fpdiv-latency", func(c *Config) { c.Pipeline.FPDivLatency = 4 }, false, "Pipeline.FPDivLatency"},
 		{"unknown-strategy", func(c *Config) { c.SchedStrategy = "no-such-strategy" }, false, "SchedStrategy"},
 		{"unknown-store-scheme", func(c *Config) { c.StoreScheme = vliw.SchemeStoreList + 1 }, false, "StoreScheme"},
-		{"negative-switch-to-vliw", func(c *Config) { c.SwitchToVLIW = -1 }, false, "SwitchToVLIW"},
-		{"negative-switch-to-primary", func(c *Config) { c.SwitchToPrimary = -3 }, false, "SwitchToPrimary"},
 		{"negative-next-li-miss", func(c *Config) { *c = FeasibleConfig(); c.NextLIMissPenalty = -1 }, false, "NextLIMissPenalty"},
 		{"largest-lowerable-geometry", func(c *Config) { c.Width, c.Height = 5, vliw.MaxBlockSlots/5 }, true, ""},
 		{"smallest-unlowerable-geometry", func(c *Config) { c.Width, c.Height = 2, vliw.MaxBlockSlots/2+1 }, false, "Width*Height"},

@@ -162,15 +162,11 @@ func sameConfig(a, b *Config) bool {
 	return a.Width == b.Width && a.Height == b.Height && slices.Equal(a.FUs, b.FUs) &&
 		a.NWin == b.NWin && a.ICache == b.ICache && a.DCache == b.DCache &&
 		a.VCacheKB == b.VCacheKB && a.VCacheAssoc == b.VCacheAssoc &&
-		a.NextLIMissPenalty == b.NextLIMissPenalty &&
-		a.SwitchToVLIW == b.SwitchToVLIW && a.SwitchToPrimary == b.SwitchToPrimary &&
-		a.Pipeline == b.Pipeline && a.StoreScheme == b.StoreScheme &&
+		a.NextLIMissPenalty == b.NextLIMissPenalty && a.StoreScheme == b.StoreScheme &&
 		a.InterpretedEngine == b.InterpretedEngine && a.NoChain == b.NoChain &&
 		a.ExitPrediction == b.ExitPrediction && a.NoSourceForwarding == b.NoSourceForwarding &&
 		a.SchedStrategy == b.SchedStrategy && a.SchedNodeBudget == b.SchedNodeBudget &&
-		a.LoadLatency == b.LoadLatency && a.FPLatency == b.FPLatency &&
-		a.FPDivLatency == b.FPDivLatency &&
-		a.Telemetry == b.Telemetry && a.Metrics == b.Metrics &&
+		a.Latencies == b.Latencies && a.Telemetry == b.Telemetry && a.Metrics == b.Metrics &&
 		a.TestMode == b.TestMode && a.VerifyBlocks == b.VerifyBlocks && a.Fault == b.Fault &&
 		a.MaxInstrs == b.MaxInstrs && a.MaxCycles == b.MaxCycles && a.FastForward == b.FastForward
 }

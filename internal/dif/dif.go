@@ -24,76 +24,54 @@
 package dif
 
 import (
-	"fmt"
-
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
 	"dtsvliw/internal/primary"
 )
 
-// Config parameterises a DIF machine. Defaults follow the paper's
-// Figure 9 parameters.
-type Config struct {
-	Width    int // instructions per long instruction (homogeneous units)
-	Height   int // long instructions per group
-	Branches int // branch units (branch slots per long instruction)
+// The Figure 9 DIF machine: the DIF paper's parameters, the only ones
+// any experiment runs.
+const (
+	Width    = 6 // instructions per long instruction (homogeneous units)
+	Height   = 6 // long instructions per group
+	Branches = 2 // branch units (branch slots per long instruction)
 
 	// Instances is the number of renaming instances per architectural
 	// register (4 in the DIF evaluation).
-	Instances int
+	Instances = 4
 
-	// CacheBlocks/CacheAssoc size the DIF cache in groups. Exit maps are
-	// accounted in CacheBytes for reporting only: the cache holds whole
-	// groups regardless.
-	CacheBlocks int
-	CacheAssoc  int
+	// CacheBlocks/CacheAssoc size the DIF cache in groups: 512 sets of
+	// 2. Exit maps are accounted in CacheBytes for reporting only: the
+	// cache holds whole groups regardless.
+	CacheBlocks = 1024
+	CacheAssoc  = 2
 
 	// GroupFetchCycles is charged on every group entry: the unit of
 	// communication between the DIF cache and its VLIW engine is an
 	// entire block (paper §3.12), so execution cannot start until the
 	// block transfer begins, unlike the DTSVLIW's per-long-instruction
 	// VLIW Cache access.
-	GroupFetchCycles int
+	GroupFetchCycles = 1
 
-	ICache mem.CacheConfig
-	DCache mem.CacheConfig
+	NWin = 16 // register windows
 
-	Pipeline        primary.Config
-	SwitchToVLIW    int
-	SwitchToPrimary int
+	// CacheBytes is the DIF cache capacity in bytes, including the
+	// 19-byte exit maps (one per branch slot per long instruction plus
+	// one final exit, as the paper computes 463 KB for 512x2 blocks of
+	// 6x6).
+	CacheBytes = CacheBlocks * (Width*Height*6 + (Height*Branches+1)*19)
 
-	NWin      int
-	MaxInstrs uint64
-	MaxCycles uint64
-}
+	sets      = CacheBlocks / CacheAssoc
+	maxCycles = 1 << 62 // safety limit
+)
 
-// Figure9Config returns the configuration used for the paper's DTSVLIW
-// versus DIF comparison: 2 branch units plus 4 homogeneous units, 4-KB
-// instruction and data caches with 2-cycle miss penalty, a 512x2-block
-// DIF cache, and groups of 6 long instructions of 6 instructions.
-func Figure9Config() Config {
-	return Config{
-		Width: 6, Height: 6, Branches: 2,
-		Instances:   4,
-		CacheBlocks: 1024, CacheAssoc: 2,
-		GroupFetchCycles: 1,
-		ICache:           mem.CacheConfig{SizeBytes: 4 * 1024, LineBytes: 128, Assoc: 2, MissPenalty: 2},
-		DCache:           mem.CacheConfig{SizeBytes: 4 * 1024, LineBytes: 32, Assoc: 1, MissPenalty: 2},
-		Pipeline:         primary.DefaultConfig(),
-		SwitchToVLIW:     2, SwitchToPrimary: 3,
-		NWin:      16,
-		MaxCycles: 1 << 62,
-	}
-}
-
-// CacheBytes reports the DIF cache capacity in bytes, including the
-// 19-byte exit maps (one per branch slot per long instruction plus one
-// final exit, as the paper computes 463 KB for 512x2 blocks of 6x6).
-func (c Config) CacheBytes() int {
-	exits := c.Height*c.Branches + 1
-	block := c.Width*c.Height*6 + exits*19
-	return c.CacheBlocks * block
+// Caches returns Figure 9's 4-KB instruction and data caches, both with
+// a 2-cycle miss penalty, which the DIF machine and the DTSVLIW side of
+// the comparison share.
+func Caches() (icache, dcache mem.CacheConfig) {
+	return mem.CacheConfig{SizeBytes: 4 * 1024, LineBytes: 128, Assoc: 2, MissPenalty: 2},
+		mem.CacheConfig{SizeBytes: 4 * 1024, LineBytes: 32, Assoc: 1, MissPenalty: 2}
 }
 
 // traceRec is one instruction of a group's recorded trace.
@@ -135,14 +113,13 @@ func (s *Stats) IPC() float64 {
 
 // Machine is a DIF processor timing model over sequential state.
 type Machine struct {
-	cfg  Config
-	st   *arch.State
-	ic   *mem.Cache
-	dc   *mem.Cache
-	pipe *primary.Pipeline
+	maxInstrs uint64
+	st        *arch.State
+	ic        *mem.Cache
+	dc        *mem.Cache
+	pipe      *primary.Pipeline
 
 	cache     []difLine // CacheBlocks entries, set-associative
-	sets      int
 	clk       uint64
 	skipProbe bool
 
@@ -166,45 +143,40 @@ type difLine struct {
 	lru   uint64
 }
 
-// New builds a DIF machine over st.
-func New(cfg Config, st *arch.State) (*Machine, error) {
-	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.CacheBlocks <= 0 {
-		return nil, fmt.Errorf("dif: bad config %+v", cfg)
-	}
-	ic, err := mem.NewCache(cfg.ICache)
+// New builds the Figure 9 DIF machine over st. It stops after maxInstrs
+// sequential instructions (0 = run until the program halts).
+func New(st *arch.State, maxInstrs uint64) *Machine {
+	icache, dcache := Caches()
+	ic, err := mem.NewCache(icache)
 	if err != nil {
-		return nil, err
+		panic(err) // Caches returns valid configurations
 	}
-	dc, err := mem.NewCache(cfg.DCache)
+	dc, err := mem.NewCache(dcache)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
 	m := &Machine{
-		cfg: cfg, st: st, ic: ic, dc: dc,
-		pipe:  primary.New(cfg.Pipeline),
-		cache: make([]difLine, cfg.CacheBlocks),
-		sets:  cfg.CacheBlocks / cfg.CacheAssoc,
-	}
-	if m.sets == 0 {
-		m.sets = 1
+		maxInstrs: maxInstrs, st: st, ic: ic, dc: dc,
+		pipe:  primary.New(isa.Latencies{}),
+		cache: make([]difLine, CacheBlocks),
 	}
 	m.resetGroup()
-	return m, nil
+	return m
 }
 
 func (m *Machine) resetGroup() {
 	m.cur = nil
 	m.avail = make(map[isa.Loc]int)
 	m.readAvail = make(map[isa.Loc]int)
-	m.liUsed = make([]int, m.cfg.Height)
-	m.brUsed = make([]int, m.cfg.Height)
+	m.liUsed = make([]int, Height)
+	m.brUsed = make([]int, Height)
 	m.lastBrLI = 0
 	m.writes = make(map[uint16]int)
 }
 
 func (m *Machine) lookup(addr uint32, cwp uint8) (*group, bool) {
-	base := (int(addr>>2) % m.sets) * m.cfg.CacheAssoc
-	for i := 0; i < m.cfg.CacheAssoc; i++ {
+	base := (int(addr>>2) % sets) * CacheAssoc
+	for i := 0; i < CacheAssoc; i++ {
 		l := &m.cache[base+i]
 		if l.valid && l.tag == addr && l.cwp == cwp {
 			m.clk++
@@ -220,9 +192,9 @@ func (m *Machine) save(g *group) {
 		return
 	}
 	m.clk++
-	base := (int(g.tag>>2) % m.sets) * m.cfg.CacheAssoc
+	base := (int(g.tag>>2) % sets) * CacheAssoc
 	victim := base
-	for i := 0; i < m.cfg.CacheAssoc; i++ {
+	for i := 0; i < CacheAssoc; i++ {
 		l := &m.cache[base+i]
 		if l.valid && l.tag == g.tag && l.cwp == g.cwp {
 			victim = base + i

@@ -15,16 +15,11 @@ func TestDIFWorkloads(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := Figure9Config()
-			cfg.MaxInstrs = 150_000
-			st, err := w.NewState(cfg.NWin)
+			st, err := w.NewState(NWin)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := New(cfg, st)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := New(st, 150_000)
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +29,7 @@ func TestDIFWorkloads(t *testing.T) {
 				}
 			}
 			ipc := m.Stats.IPC()
-			if ipc <= 0.2 || ipc > float64(cfg.Width) {
+			if ipc <= 0.2 || ipc > Width {
 				t.Errorf("implausible IPC %.2f", ipc)
 			}
 			t.Logf("%s: IPC %.2f, groups %d, hits %d, instance-ends %d",
@@ -46,10 +41,9 @@ func TestDIFWorkloads(t *testing.T) {
 // TestCacheBytesMatchesPaper checks the exit-map capacity arithmetic the
 // paper uses to compare cache sizes (463 KB for 512x2 blocks of 6x6).
 func TestCacheBytesMatchesPaper(t *testing.T) {
-	got := Figure9Config().CacheBytes()
 	want := 1024 * (6*6*6 + 13*19)
-	if got != want {
-		t.Fatalf("CacheBytes = %d, want %d", got, want)
+	if CacheBytes != want {
+		t.Fatalf("CacheBytes = %d, want %d", CacheBytes, want)
 	}
 	if kb := want / 1024; kb != 463 {
 		t.Fatalf("paper arithmetic: %d KB, want 463", kb)

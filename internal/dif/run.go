@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"dtsvliw/internal/isa"
+	"dtsvliw/internal/primary"
 )
 
 // Run executes until the program halts or a limit is hit.
 func (m *Machine) Run() error {
 	for !m.st.Halted {
-		if m.cfg.MaxCycles > 0 && m.Stats.Cycles >= m.cfg.MaxCycles {
+		if m.Stats.Cycles >= maxCycles {
 			return fmt.Errorf("dif: cycle limit reached")
 		}
-		if m.cfg.MaxInstrs > 0 && m.Stats.Retired >= m.cfg.MaxInstrs {
+		if m.maxInstrs > 0 && m.Stats.Retired >= m.maxInstrs {
 			break
 		}
 		if !m.skipProbe {
@@ -20,8 +21,8 @@ func (m *Machine) Run() error {
 				m.save(m.finishGroup(m.st.PC))
 				m.resetGroup()
 				m.Stats.Switches++
-				m.Stats.Cycles += uint64(m.cfg.SwitchToVLIW)
-				m.Stats.DIFCycles += uint64(m.cfg.SwitchToVLIW)
+				m.Stats.Cycles += primary.SwitchToVLIW
+				m.Stats.DIFCycles += primary.SwitchToVLIW
 				m.pipe.FlushState()
 				if err := m.execGroup(g); err != nil {
 					return err
@@ -47,7 +48,7 @@ func (m *Machine) stepPrimary() error {
 		return err
 	}
 	m.Stats.Retired++
-	eff := in.Effects(cwp, m.cfg.NWin, out.EA)
+	eff := in.Effects(cwp, NWin, out.EA)
 	cycles := m.pipe.Price(&in, eff, out)
 	cycles += m.ic.Access(pc)
 	if out.HasEA {
@@ -96,7 +97,7 @@ func (m *Machine) schedule(in *isa.Inst, pc uint32, cwp uint8, eff isa.Effects, 
 	// ends the group.
 	for _, w := range eff.Writes {
 		if w.Kind == isa.LocIReg {
-			if m.writes[w.Idx]+1 > m.cfg.Instances {
+			if m.writes[w.Idx]+1 > Instances {
 				m.Stats.InstanceEnds++
 				m.save(m.finishGroup(pc))
 				m.resetGroup()
@@ -135,14 +136,14 @@ func (m *Machine) schedule(in *isa.Inst, pc uint32, cwp uint8, eff isa.Effects, 
 	}
 
 	placed := -1
-	for l := li; l < m.cfg.Height; l++ {
+	for l := li; l < Height; l++ {
 		if isBranch {
-			if m.brUsed[l] < m.cfg.Branches {
+			if m.brUsed[l] < Branches {
 				m.brUsed[l]++
 				placed = l
 				break
 			}
-		} else if m.liUsed[l] < m.cfg.Width-m.cfg.Branches {
+		} else if m.liUsed[l] < Width-Branches {
 			m.liUsed[l]++
 			placed = l
 			break
@@ -226,7 +227,7 @@ func (m *Machine) execGroup(g *group) error {
 			if rec.sched >= 0 && rec.sched+1 > maxLI {
 				maxLI = rec.sched + 1
 			}
-			if m.cfg.MaxInstrs > 0 && m.Stats.Retired >= m.cfg.MaxInstrs {
+			if m.maxInstrs > 0 && m.Stats.Retired >= m.maxInstrs {
 				break
 			}
 		}
@@ -236,22 +237,22 @@ func (m *Machine) execGroup(g *group) error {
 		// The whole-block transfer precedes issue (paper §3.12): unlike
 		// the DTSVLIW's pipelined per-long-instruction VLIW Cache access,
 		// it adds to every group entry.
-		cycles := m.cfg.GroupFetchCycles + maxLI + dcPenalty
+		cycles := GroupFetchCycles + maxLI + dcPenalty
 		if exited {
 			cycles++ // annulled fetch bubble
 			m.Stats.TraceExits++
 		}
 		m.Stats.Cycles += uint64(cycles)
 		m.Stats.DIFCycles += uint64(cycles)
-		if m.st.Halted || (m.cfg.MaxInstrs > 0 && m.Stats.Retired >= m.cfg.MaxInstrs) {
+		if m.st.Halted || (m.maxInstrs > 0 && m.Stats.Retired >= m.maxInstrs) {
 			return nil
 		}
 		next, ok := m.lookup(m.st.PC, m.st.CWP())
 		if !ok {
 			m.Stats.GroupMisses++
 			m.Stats.Switches++
-			m.Stats.Cycles += uint64(m.cfg.SwitchToPrimary)
-			m.Stats.DIFCycles += uint64(m.cfg.SwitchToPrimary)
+			m.Stats.Cycles += primary.SwitchToPrimary
+			m.Stats.DIFCycles += primary.SwitchToPrimary
 			m.skipProbe = true
 			return nil
 		}

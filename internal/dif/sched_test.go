@@ -23,10 +23,7 @@ func feedDIF(t *testing.T, src string, n int) *Machine {
 	st.PC = p.Entry
 	st.SetReg(14, 0x7FF00)
 	st.SetTextRange(p.TextBase, p.TextSize)
-	m, err := New(Figure9Config(), st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(st, 0)
 	for i := 0; i < n && !st.Halted; i++ {
 		if err := m.stepPrimary(); err != nil {
 			t.Fatal(err)
@@ -184,10 +181,7 @@ loop:
 	st := arch.NewState(16, memory)
 	st.PC = p.Entry
 	st.SetTextRange(p.TextBase, p.TextSize)
-	m, err := New(Figure9Config(), st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(st, 0)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

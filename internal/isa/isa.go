@@ -182,30 +182,34 @@ func (c FUClass) String() string {
 	return "?"
 }
 
-// LatClass groups instructions by execution latency for the multicycle
-// extension (the paper's companion study [14]): loads, floating-point
-// arithmetic and floating-point division may take more than one cycle.
-type LatClass uint8
+// Latencies is the machine's multicycle latency table (the paper's
+// companion study [14]): the cycles a load, a floating-point operation
+// and a floating-point division take to produce their result. Zero or
+// one keeps the Table 1 single-cycle baseline. The Scheduler Unit, the
+// Primary Processor and the machine configuration share this one table.
+type Latencies struct {
+	LoadLatency  int
+	FPLatency    int
+	FPDivLatency int
+}
 
-// Latency classes.
-const (
-	LatSingle LatClass = iota // 1 cycle always (Table 1 baseline)
-	LatLoad
-	LatFP
-	LatFPDiv
-)
-
-// LatencyClass reports the instruction's latency class.
-func (in *Inst) LatencyClass() LatClass {
+// Latency returns the cycles in takes to produce its result, at least 1.
+func (l Latencies) Latency(in *Inst) int {
+	n := 1
 	switch {
 	case in.IsLoad():
-		return LatLoad
+		n = l.LoadLatency
 	case in.Op == OpFDIVS || in.Op == OpFDIVD:
-		return LatFPDiv
+		n = l.FPDivLatency
 	case in.Op >= OpFADDS && in.Op <= OpFCMPD:
-		return LatFP
+		n = l.FPLatency
 	}
-	return LatSingle
+	return max(n, 1)
+}
+
+// MaxLatency returns the table's longest latency, at least 1.
+func (l Latencies) MaxLatency() int {
+	return max(1, l.LoadLatency, l.FPLatency, l.FPDivLatency)
 }
 
 // Class reports the functional-unit class of the instruction.

@@ -9,50 +9,25 @@ package primary
 
 import "dtsvliw/internal/isa"
 
-// Config holds the pipeline's bubble costs.
-type Config struct {
-	NotTakenBranchBubble int // cycles lost on a not-taken conditional branch
-	LoadUseBubble        int // cycles lost using a load result immediately
+// The Primary Processor's fixed costs in cycles: the Table 1 pipeline
+// bubbles, and the engine-switch costs of paper §3.6 (discarded plus
+// refilled pipeline stages), which the DTSVLIW and the DIF machine
+// charge alike.
+const (
+	NotTakenBranchBubble = 3 // a not-taken conditional branch
+	LoadUseBubble        = 1 // using the immediately preceding load's result
+	SwitchToVLIW         = 2 // handing execution to the VLIW Engine
+	SwitchToPrimary      = 3 // handing execution back to the Primary Processor
+)
 
-	// LoadLatency/FPLatency/FPDivLatency (values > 1) switch the hazard
-	// model from the Table 1 one-cycle load-use bubble to a general
-	// scoreboard: a consumer of an L-cycle producer stalls until the
-	// result is ready (multicycle extension).
-	LoadLatency  int
-	FPLatency    int
-	FPDivLatency int
-}
-
-// multicycle reports whether the general scoreboard is active.
-func (c Config) multicycle() bool {
-	return c.LoadLatency > 1 || c.FPLatency > 1 || c.FPDivLatency > 1
-}
-
-func (c Config) latencyOf(in *isa.Inst) int {
-	l := 1
-	switch in.LatencyClass() {
-	case isa.LatLoad:
-		l = c.LoadLatency
-	case isa.LatFP:
-		l = c.FPLatency
-	case isa.LatFPDiv:
-		l = c.FPDivLatency
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-// DefaultConfig returns the paper's Table 1 parameters.
-func DefaultConfig() Config {
-	return Config{NotTakenBranchBubble: 3, LoadUseBubble: 1}
-}
-
-// Pipeline prices instructions. The zero value with a zero Config models
-// an ideal single-cycle machine.
+// Pipeline prices instructions.
 type Pipeline struct {
-	cfg Config //resetcheck:allow configuration is fixed at construction
+	lat isa.Latencies //resetcheck:allow configuration is fixed at construction
+	// scoreboard selects the multicycle hazard model: some latency
+	// exceeds one cycle, so a consumer of an L-cycle producer stalls
+	// until the result is ready, in place of the Table 1 one-cycle
+	// load-use bubble (multicycle extension).
+	scoreboard bool //resetcheck:allow configuration is fixed at construction
 
 	prevWasLoad bool
 	// prevDests is a fixed buffer (no producer writes more than four
@@ -77,26 +52,29 @@ type flight struct {
 	readyAt uint64
 }
 
-// New builds a Primary Processor timing model.
-func New(cfg Config) *Pipeline { return &Pipeline{cfg: cfg} }
+// New builds a Primary Processor timing model under the latency table
+// lat.
+func New(lat isa.Latencies) *Pipeline {
+	return &Pipeline{lat: lat, scoreboard: lat.MaxLatency() > 1}
+}
 
 // Price returns the cycle cost of one instruction, given its decoded form,
 // dependency effects and outcome. Cache penalties are charged by the
 // caller.
 func (p *Pipeline) Price(in *isa.Inst, eff isa.Effects, out isa.Outcome) int {
-	if p.cfg.multicycle() {
+	if p.scoreboard {
 		return p.priceScoreboard(in, eff, out)
 	}
 	cycles := 1
 	if p.prevWasLoad && overlap(eff.Reads, p.prevDests[:p.nPrevDests]) {
-		cycles += p.cfg.LoadUseBubble
+		cycles += LoadUseBubble
 		p.LoadStalls++
-		p.Bubbles += uint64(p.cfg.LoadUseBubble)
+		p.Bubbles += LoadUseBubble
 	}
 	if in.IsCondBranch() && !out.Taken {
-		cycles += p.cfg.NotTakenBranchBubble
+		cycles += NotTakenBranchBubble
 		p.BranchStalls++
-		p.Bubbles += uint64(p.cfg.NotTakenBranchBubble)
+		p.Bubbles += NotTakenBranchBubble
 	}
 	p.prevWasLoad = in.IsLoad()
 	if p.prevWasLoad {
@@ -128,12 +106,12 @@ func (p *Pipeline) priceScoreboard(in *isa.Inst, eff isa.Effects, out isa.Outcom
 	}
 	cycles := 1 + stall
 	if in.IsCondBranch() && !out.Taken {
-		cycles += p.cfg.NotTakenBranchBubble
+		cycles += NotTakenBranchBubble
 		p.BranchStalls++
-		p.Bubbles += uint64(p.cfg.NotTakenBranchBubble)
+		p.Bubbles += NotTakenBranchBubble
 	}
 	p.now += uint64(cycles)
-	if l := p.cfg.latencyOf(in); l > 1 && len(eff.Writes) > 0 {
+	if l := p.lat.Latency(in); l > 1 && len(eff.Writes) > 0 {
 		f := flight{readyAt: p.now + uint64(l) - 1}
 		f.n = copy(f.locs[:], eff.Writes)
 		p.inflight = append(p.inflight, f)

@@ -13,7 +13,7 @@ func price(p *Pipeline, in isa.Inst, out isa.Outcome) int {
 
 // TestBaseCost: one cycle per plain instruction.
 func TestBaseCost(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(isa.Latencies{})
 	add := isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 2, Rs2: 3}
 	for i := 0; i < 5; i++ {
 		if c := price(p, add, isa.Outcome{}); c != 1 {
@@ -28,7 +28,7 @@ func TestBaseCost(t *testing.T) {
 // TestNotTakenBranchBubble: Table 1's 3-cycle bubble applies only to
 // not-taken conditional branches.
 func TestNotTakenBranchBubble(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(isa.Latencies{})
 	br := isa.Inst{Op: isa.OpBICC, Cond: isa.CondE, Imm: 4}
 	if c := price(p, br, isa.Outcome{Taken: false, IsCTI: true}); c != 4 {
 		t.Fatalf("not-taken bubble: cost %d, want 4", c)
@@ -48,7 +48,7 @@ func TestNotTakenBranchBubble(t *testing.T) {
 // TestLoadUseBubble: an instruction consuming the immediately preceding
 // load's result stalls one cycle.
 func TestLoadUseBubble(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(isa.Latencies{})
 	ld := isa.Inst{Op: isa.OpLD, Rd: 9, Rs1: 1, UseImm: true} // loads %o1
 	use := isa.Inst{Op: isa.OpADD, Rd: 10, Rs1: 9, Rs2: 9}    // reads %o1
 	noUse := isa.Inst{Op: isa.OpADD, Rd: 10, Rs1: 2, Rs2: 3}
@@ -71,7 +71,7 @@ func TestLoadUseBubble(t *testing.T) {
 
 // TestFlushState clears the hazard window across engine switches.
 func TestFlushState(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(isa.Latencies{})
 	ld := isa.Inst{Op: isa.OpLD, Rd: 9, Rs1: 1, UseImm: true}
 	use := isa.Inst{Op: isa.OpADD, Rd: 10, Rs1: 9, Rs2: 9}
 	price(p, ld, isa.Outcome{EA: 0x100, HasEA: true})

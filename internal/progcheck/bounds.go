@@ -8,58 +8,10 @@ import (
 )
 
 // BoundParams is the machine model the static ILP bound is computed
-// against: block geometry, the per-slot functional-unit classes (nil =
-// homogeneous) and the multicycle latency knobs, mirroring core.Config.
+// against: the block geometry. Every slot accepts every instruction and
+// every instruction takes one cycle, as on the ideal machine.
 type BoundParams struct {
 	Width, Height int
-	FUs           []isa.FUClass
-	LoadLatency   int
-	FPLatency     int
-	FPDivLatency  int
-}
-
-// latency returns the instruction's execution latency under the params
-// (minimum 1, like sched.Config.Latency).
-func (p *BoundParams) latency(in *isa.Inst) int {
-	l := 1
-	switch in.LatencyClass() {
-	case isa.LatLoad:
-		l = p.LoadLatency
-	case isa.LatFP:
-		l = p.FPLatency
-	case isa.LatFPDiv:
-		l = p.FPDivLatency
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-// classCapacity returns how many slots of one long instruction can hold
-// an instruction of each functional-unit class (dedicated slots plus the
-// FUAny wildcards; sharing of wildcards across classes is ignored, which
-// over-approximates capacity and keeps the bound an upper bound).
-func (p *BoundParams) classCapacity() [4]int {
-	var caps [4]int
-	if p.FUs == nil {
-		for i := range caps {
-			caps[i] = p.Width
-		}
-		return caps
-	}
-	anyCount := 0
-	for _, c := range p.FUs {
-		if c == isa.FUAny {
-			anyCount++
-		} else if int(c) < 4 {
-			caps[c]++
-		}
-	}
-	for i := range caps {
-		caps[i] += anyCount
-	}
-	return caps
 }
 
 // dropped reports whether the Scheduler Unit removes the instruction from
@@ -87,8 +39,8 @@ type RegionBound struct {
 	// iteration or chain pass); Sched counts the slot-occupying subset.
 	Instrs int `json:"instrs"`
 	Sched  int `json:"sched"`
-	// CritPath is the dependence-DAG critical path of one instance under
-	// the latency model; Rho is the per-iteration recurrence length of a
+	// CritPath is the dependence-DAG critical path of one instance at
+	// unit latency; Rho is the per-iteration recurrence length of a
 	// loop (critical-path growth from one iteration to the next through
 	// loop-carried register/cc dependences), 0 for chains.
 	CritPath int `json:"crit_path"`
@@ -118,7 +70,7 @@ type depTracker struct {
 	cp     int
 }
 
-func (t *depTracker) step(in *isa.Inst, p *BoundParams) {
+func (t *depTracker) step(in *isa.Inst) {
 	if dropped(in) {
 		return
 	}
@@ -130,7 +82,7 @@ func (t *depTracker) step(in *isa.Inst, p *BoundParams) {
 			start = t.finish[r]
 		}
 	}
-	fin := start + p.latency(in)
+	fin := start + 1
 	for _, w := range writes {
 		if w != 0 {
 			t.finish[w] = fin
@@ -142,37 +94,23 @@ func (t *depTracker) step(in *isa.Inst, p *BoundParams) {
 }
 
 // seqStats walks a straight-line instruction sequence once: total and
-// schedulable instruction counts, per-class schedulable counts, and the
-// running critical path.
-func seqStats(seq []isa.Inst, p *BoundParams, t *depTracker) (total, sched int, perClass [4]int) {
+// schedulable instruction counts, and the running critical path.
+func seqStats(seq []isa.Inst, t *depTracker) (total, sched int) {
 	for i := range seq {
 		in := &seq[i]
 		total++
 		if !dropped(in) {
 			sched++
-			if cls := in.Class(); int(cls) < 4 {
-				perClass[cls]++
-			}
 		}
-		t.step(in, p)
+		t.step(in)
 	}
 	return
 }
 
 // capacityCycles returns the minimum cycles the slot capacity allows for
-// the given schedulable instruction counts.
-func capacityCycles(p *BoundParams, sched int, perClass [4]int) int {
-	cy := (sched + p.Width - 1) / p.Width
-	caps := p.classCapacity()
-	for cls, n := range perClass {
-		if n == 0 {
-			continue
-		}
-		if c := (n + caps[cls] - 1) / caps[cls]; c > cy {
-			cy = c
-		}
-	}
-	return cy
+// the given schedulable instruction count.
+func capacityCycles(p *BoundParams, sched int) int {
+	return (sched + p.Width - 1) / p.Width
 }
 
 // maxUnroll bounds how many region instances one VLIW block can overlap:
@@ -195,20 +133,16 @@ func maxUnroll(p *BoundParams, sched int) int {
 // regionIPC computes the IPC upper bound of a region whose single
 // instance has the given stats, allowing a block to overlap up to k
 // instances with per-instance recurrence rho: k instances retire k*total
-// instructions in at least max(capacity(k*counts), cp + (k-1)*rho)
+// instructions in at least max(capacity(k*sched), cp + (k-1)*rho)
 // cycles, and blocks never overlap each other (the VLIW Engine executes
 // one long instruction per cycle, one block at a time).
-func regionIPC(p *BoundParams, total, sched int, perClass [4]int, cp, rho int) float64 {
+func regionIPC(p *BoundParams, total, sched, cp, rho int) float64 {
 	if total == 0 {
 		return 1
 	}
 	best := 0.0
 	for k := 1; k <= maxUnroll(p, sched); k++ {
-		kClass := perClass
-		for i := range kClass {
-			kClass[i] *= k
-		}
-		cy := capacityCycles(p, k*sched, kClass)
+		cy := capacityCycles(p, k*sched)
 		if chain := cp + (k-1)*rho; chain > cy {
 			cy = chain
 		}
@@ -236,9 +170,9 @@ func (c *CFG) loopBound(l *Loop, p *BoundParams) RegionBound {
 		}
 	}
 	var t depTracker
-	total, sched, perClass := seqStats(body, p, &t)
+	total, sched := seqStats(body, &t)
 	cp1 := t.cp
-	_, _, _ = seqStats(body, p, &t) // second iteration, same tracker: carried deps connect
+	_, _ = seqStats(body, &t) // second iteration, same tracker: carried deps connect
 	rho := t.cp - cp1
 	if rho < 0 {
 		rho = 0
@@ -246,7 +180,7 @@ func (c *CFG) loopBound(l *Loop, p *BoundParams) RegionBound {
 	head := c.Blocks[l.Head].Start
 	r := RegionBound{Kind: RegionLoop, Start: head, Line: c.Prog.LineOf(head),
 		Instrs: total, Sched: sched, CritPath: cp1, Rho: rho}
-	r.IPC = regionIPC(p, total, sched, perClass, cp1, rho)
+	r.IPC = regionIPC(p, total, sched, cp1, rho)
 	return r
 }
 
@@ -320,15 +254,15 @@ func (c *CFG) chainBound(chain []int, p *BoundParams, mayRepeat bool) RegionBoun
 		}
 	}
 	var t depTracker
-	total, sched, perClass := seqStats(seq, p, &t)
+	total, sched := seqStats(seq, &t)
 	head := c.Blocks[chain[0]].Start
 	r := RegionBound{Kind: RegionChain, Start: head, Line: c.Prog.LineOf(head),
 		Instrs: total, Sched: sched, CritPath: t.cp}
 	if mayRepeat {
-		r.IPC = regionIPC(p, total, sched, perClass, t.cp, 0)
+		r.IPC = regionIPC(p, total, sched, t.cp, 0)
 		return r
 	}
-	cy := capacityCycles(p, sched, perClass)
+	cy := capacityCycles(p, sched)
 	if t.cp > cy {
 		cy = t.cp
 	}

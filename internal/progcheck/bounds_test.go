@@ -1,47 +1,11 @@
 package progcheck
 
-import (
-	"testing"
-
-	"dtsvliw/internal/isa"
-)
-
-func TestClassCapacityHomogeneous(t *testing.T) {
-	p := BoundParams{Width: 6, Height: 4}
-	for cls, c := range p.classCapacity() {
-		if c != 6 {
-			t.Errorf("class %d capacity = %d, want Width with nil FUs", cls, c)
-		}
-	}
-}
-
-func TestClassCapacityDedicatedPlusAny(t *testing.T) {
-	p := BoundParams{Width: 4, Height: 4,
-		FUs: []isa.FUClass{isa.FUInt, isa.FUInt, isa.FULoadStore, isa.FUAny}}
-	caps := p.classCapacity()
-	if caps[isa.FUInt] != 3 { // 2 dedicated + 1 any
-		t.Errorf("int capacity = %d, want 3", caps[isa.FUInt])
-	}
-	if caps[isa.FULoadStore] != 2 { // 1 dedicated + 1 any
-		t.Errorf("mem capacity = %d, want 2", caps[isa.FULoadStore])
-	}
-	if caps[isa.FUFloat] != 1 { // wildcard only
-		t.Errorf("fp capacity = %d, want 1", caps[isa.FUFloat])
-	}
-}
+import "testing"
 
 func TestCapacityCycles(t *testing.T) {
 	p := BoundParams{Width: 4, Height: 4}
-	if cy := capacityCycles(&p, 9, [4]int{}); cy != 3 {
+	if cy := capacityCycles(&p, 9); cy != 3 {
 		t.Errorf("9 instrs over width 4 = %d cycles, want 3", cy)
-	}
-	// A class bottleneck dominates the width bound.
-	q := BoundParams{Width: 4, Height: 4,
-		FUs: []isa.FUClass{isa.FUInt, isa.FUInt, isa.FUInt, isa.FULoadStore}}
-	var perClass [4]int
-	perClass[isa.FULoadStore] = 6
-	if cy := capacityCycles(&q, 6, perClass); cy != 6 {
-		t.Errorf("6 mem ops through 1 mem slot = %d cycles, want 6", cy)
 	}
 }
 
@@ -50,7 +14,7 @@ func TestRegionIPCMonotoneInGeometry(t *testing.T) {
 	prev := 0.0
 	for _, w := range []int{2, 4, 8, 16} {
 		p := BoundParams{Width: w, Height: w}
-		ipc := regionIPC(&p, 32, 32, [4]int{}, 4, 2)
+		ipc := regionIPC(&p, 32, 32, 4, 2)
 		if ipc < prev {
 			t.Fatalf("bound fell from %.2f to %.2f when width grew to %d", prev, ipc, w)
 		}
@@ -62,12 +26,12 @@ func TestRegionIPCRecurrenceLimits(t *testing.T) {
 	// With a hard recurrence (rho == cp), unrolling cannot beat one
 	// iteration's instrs-per-rho rate.
 	p := BoundParams{Width: 16, Height: 16}
-	ipc := regionIPC(&p, 8, 8, [4]int{}, 4, 4)
+	ipc := regionIPC(&p, 8, 8, 4, 4)
 	if ipc > 8.0/4.0+1e-9 {
 		t.Errorf("bound %.2f exceeds the recurrence-limited rate 2.0", ipc)
 	}
 	// With no recurrence, unrolling approaches the capacity rate.
-	free := regionIPC(&p, 8, 8, [4]int{}, 4, 0)
+	free := regionIPC(&p, 8, 8, 4, 0)
 	if free <= ipc {
 		t.Errorf("recurrence-free bound %.2f not above the limited %.2f", free, ipc)
 	}

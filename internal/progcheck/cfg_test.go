@@ -270,29 +270,6 @@ start:
 	}
 }
 
-func TestBoundLoadLatencyLowersBound(t *testing.T) {
-	src := `
-start:
-	set 0x40000, %g5
-loop:
-	ld [%g5], %g1
-	add %g1, 1, %g2
-	st %g2, [%g5]
-	subcc %g2, 100, %g0
-	bl loop
-	nop
-	ta 0
-	.data 0x40000
-v:	.word 0
-`
-	c := build(t, src)
-	fast := ComputeBound(c, BoundParams{Width: 8, Height: 8})
-	slow := ComputeBound(c, BoundParams{Width: 8, Height: 8, LoadLatency: 4})
-	if slow.IPC > fast.IPC {
-		t.Errorf("load latency raised the bound: %.2f > %.2f", slow.IPC, fast.IPC)
-	}
-}
-
 func TestReportDeterministic(t *testing.T) {
 	src := `
 start:

@@ -2,11 +2,13 @@ package sched
 
 import (
 	"testing"
+
+	"dtsvliw/internal/isa"
 )
 
 // cfgLat builds a wide scheduler with the given load latency.
 func cfgLat(loadLat int) Config {
-	return Config{Width: 8, Height: 8, NWin: 8, LoadLatency: loadLat}
+	return Config{Width: 8, Height: 8, NWin: 8, Latencies: isa.Latencies{LoadLatency: loadLat}}
 }
 
 // TestLatencyHorizonSeparation: a consumer of an L-cycle load lands at
@@ -178,7 +180,7 @@ start:
 	add %o1, 1, %o2
 	ta 0
 `
-	cfg := Config{Width: 8, Height: 2, NWin: 8, LoadLatency: 6}
+	cfg := Config{Width: 8, Height: 2, NWin: 8, Latencies: isa.Latencies{LoadLatency: 6}}
 	_, blocks, _ := feed(t, cfg, src, 4)
 	if len(blocks) == 0 {
 		t.Fatal("expected a flush when latency padding exceeds block height")

@@ -396,7 +396,7 @@ func (u *Scheduler) buildSlot(c Completed) *Slot {
 	s.Addr = c.Addr
 	s.CWP = c.CWP
 	s.Seq = c.Seq
-	s.Lat = int32(u.cfg.latencyOf(&c.Inst))
+	s.Lat = int32(u.cfg.Latency(&c.Inst))
 	reads, writes := c.Inst.EffectsAppend(c.CWP, u.cfg.NWin, c.Outcome.EA,
 		u.scratchReads[:0], u.scratchWrites[:0])
 	u.scratchReads, u.scratchWrites = reads, writes

@@ -314,13 +314,11 @@ type Config struct {
 	// dependence chain at split points.
 	NoForwarding bool
 
-	// LoadLatency/FPLatency/FPDivLatency enable the multicycle extension
-	// (paper §3.9 / companion study [14]): a consumer of an L-cycle
-	// producer must be scheduled at least L long instructions below it.
-	// Zero means 1 (the paper's Table 1 baseline).
-	LoadLatency  int
-	FPLatency    int
-	FPDivLatency int
+	// Latencies enable the multicycle extension (paper §3.9 / companion
+	// study [14]): a consumer of an L-cycle producer must be scheduled at
+	// least L long instructions below it. Zero means 1 (the paper's
+	// Table 1 baseline).
+	isa.Latencies
 
 	// RecordTrace attaches the sequential instruction trace to every
 	// flushed block (Block.Trace): each Completed handed to Insert while
@@ -375,43 +373,9 @@ const (
 // Valid reports whether f is FaultNone or names a known fault.
 func (f Fault) Valid() bool { return f < numFaults }
 
-// Latency returns the scheduling latency of an instruction under this
-// configuration (exported for the block-legality verifier, which re-checks
-// every slot's recorded latency).
-func (c Config) Latency(in *isa.Inst) int { return c.latencyOf(in) }
-
 // SlotAccepts reports whether slot index i can hold an instruction of
 // class cl (exported for the block-legality verifier's resource checks).
 func (c Config) SlotAccepts(i int, cl isa.FUClass) bool { return c.slotAccepts(i, cl) }
-
-// latencyOf returns the scheduling latency of an instruction under this
-// configuration.
-func (c Config) latencyOf(in *isa.Inst) int {
-	l := 1
-	switch in.LatencyClass() {
-	case isa.LatLoad:
-		l = c.LoadLatency
-	case isa.LatFP:
-		l = c.FPLatency
-	case isa.LatFPDiv:
-		l = c.FPDivLatency
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-// MaxLatency returns the longest configured latency.
-func (c Config) MaxLatency() int {
-	m := 1
-	for _, l := range []int{c.LoadLatency, c.FPLatency, c.FPDivLatency} {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
 
 // Implementation bounds of the Scheduler Unit. The occupancy and
 // FU-acceptance masks pack slot indices into one 64-bit word (the paper's
