@@ -73,6 +73,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dtsvliw-oracle: -par must be >= 0 (0 = one per CPU), got %d\n", *workers)
 		return 2
 	}
+	if *maxFail < 1 {
+		fmt.Fprintf(stderr, "dtsvliw-oracle: -maxfail must be >= 1, got %d\n", *maxFail)
+		return 2
+	}
+	if *shrink < 0 {
+		fmt.Fprintf(stderr, "dtsvliw-oracle: -shrink must be >= 0 (0 = default), got %d\n", *shrink)
+		return 2
+	}
 
 	shapeList, err := parseShapes(*shapes)
 	if err != nil {

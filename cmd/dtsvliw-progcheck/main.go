@@ -77,6 +77,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dtsvliw-progcheck: -progen must be >= 0, got %d\n", *progenN)
 		return 2
 	}
+	if *nwin < 2 || *nwin > 32 {
+		fmt.Fprintf(stderr, "dtsvliw-progcheck: -nwin must be 2 to 32 (SPARC V7 register windows), got %d\n", *nwin)
+		return 2
+	}
 	if *progenN > 0 {
 		return certifyGenerated(stdout, stderr, *progenN, *seed)
 	}
