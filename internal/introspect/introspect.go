@@ -20,12 +20,9 @@ import (
 
 // Progress describes how far a long-running job has got, for /statusz.
 type Progress struct {
-	Done        int    `json:"done"`
-	Total       int    `json:"total"`
-	Workers     int    `json:"workers"`
-	BusyWorkers int    `json:"busy_workers,omitempty"`
-	PoolHits    uint64 `json:"pool_hits,omitempty"`
-	PoolMisses  uint64 `json:"pool_misses,omitempty"`
+	Done    int `json:"done"`
+	Total   int `json:"total"`
+	Workers int `json:"workers"`
 }
 
 // Status is the /statusz payload: what the process is, what it is
