@@ -17,11 +17,12 @@ import (
 	"strings"
 
 	"dtsvliw"
+	"dtsvliw/internal/core"
 	"dtsvliw/internal/introspect"
 )
 
 func main() {
-	workload := flag.String("workload", "", "built-in workload name (compress gcc go ijpeg m88ksim perl vortex xlisp)")
+	workload := flag.String("workload", "", "built-in workload name ("+strings.Join(dtsvliw.WorkloadNames(), " ")+")")
 	file := flag.String("file", "", "SPARC V7 assembly file to run instead of a workload")
 	width := flag.Int("width", 8, "instructions per long instruction")
 	height := flag.Int("height", 8, "long instructions per block")
@@ -30,7 +31,8 @@ func main() {
 	vcacheAssoc := flag.Int("vcache-assoc", 0, "VLIW Cache associativity (0 = default)")
 	max := flag.Uint64("max", 0, "stop after N sequential instructions (0 = run to halt)")
 	testMode := flag.Bool("testmode", false, "lockstep-validate against the sequential test machine")
-	strategy := flag.String("strategy", "", "scheduling strategy (fcfs one-per-block optimal; empty = fcfs)")
+	strategies := core.StrategyNames()
+	strategy := flag.String("strategy", "", "scheduling strategy ("+strings.Join(strategies, " ")+"; empty = "+strategies[0]+")")
 	schedBudget := flag.Int("sched-budget", 0, "search budget per block for the optimal strategy (0 = default, negative = unlimited)")
 	noChain := flag.Bool("nochain", false, "disable direct block chaining: associative VLIW Cache lookup on every block transition")
 	showOutput := flag.Bool("output", false, "print the program's trap output")

@@ -21,3 +21,19 @@ func TestNegativeParIsUsageError(t *testing.T) {
 		t.Errorf("%v: printed a table:\n%s", args, stdout.String())
 	}
 }
+
+// TestUnknownExperimentListsAll: an unknown -run name exits 2 and the
+// error lists every experiment -run accepts, the two studies a plain run
+// skips included.
+func TestUnknownExperimentListsAll(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-run", "bogus"}
+	if code := run(args, &stdout, &stderr); code != 2 {
+		t.Errorf("%v: exit %d, want 2", args, code)
+	}
+	for _, name := range []string{"table1", "profile", "schedgap", "staticbound"} {
+		if !strings.Contains(stderr.String(), name) {
+			t.Errorf("%v: stderr %q does not list %q", args, stderr.String(), name)
+		}
+	}
+}

@@ -119,11 +119,11 @@ type Config struct {
 	// cross-checking.
 	NoChain bool
 
-	// SchedStrategy selects the Scheduler Unit's placement policy by
-	// registry name (DESIGN.md §14): empty selects "fcfs", the paper's
-	// hardware algorithm; "optimal" repacks every block to its minimum
-	// height at flush time (the scheduling-gap oracle); "one-per-block"
-	// is the degenerate reference.
+	// SchedStrategy names the Scheduler Unit's placement policy, one of
+	// core.StrategyNames (DESIGN.md §14): empty selects "fcfs", the
+	// paper's hardware algorithm; "optimal" repacks every block to its
+	// minimum height at flush time (the scheduling-gap oracle);
+	// "one-per-block" is the degenerate reference.
 	SchedStrategy string
 	// SchedNodeBudget bounds search-based strategies per block (0 =
 	// strategy default, negative = unlimited).
@@ -206,8 +206,10 @@ func (c Config) toInternal() (core.Config, error) {
 
 // Fingerprint returns a short stable digest of the configuration
 // (core.ConfigFingerprint): equal fingerprints mean identical machine
-// geometry and behaviour. It labels /statusz and result caches. Returns
-// "" for configurations that do not validate.
+// geometry and behaviour. It labels /statusz and result caches. The
+// digest identifies a configuration within one build of the code, not
+// across refactors: a renamed, moved or deleted field of core.Config
+// changes it. Returns "" for configurations that do not validate.
 func (c Config) Fingerprint() string {
 	base, err := c.toInternal()
 	if err != nil {
@@ -396,15 +398,16 @@ func RunDIF(workload string, maxInstrs uint64) (DIFStats, error) {
 type Table = stats.Table
 
 // ExperimentNames lists the reproducible paper experiments in order.
-func ExperimentNames() []string { return append([]string(nil), experiments.Order...) }
+func ExperimentNames() []string { return experiments.DefaultNames() }
 
-// RunExperiment regenerates one of the paper's tables or figures
-// ("table1", "table2", "table3", "fig5" … "fig9"). maxInstrs caps the
-// instructions per simulation (0 = run every workload to completion).
+// RunExperiment runs one of the experiments ExperimentNames lists, the
+// paper's tables and figures among them, or one of the "schedgap" and
+// "staticbound" studies. maxInstrs caps the instructions per simulation
+// (0 = run every workload to completion).
 func RunExperiment(name string, maxInstrs uint64) (*Table, error) {
-	r, ok := experiments.Runner[name]
+	r, ok := experiments.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("dtsvliw: unknown experiment %q (have %v)", name, experiments.Order)
+		return nil, fmt.Errorf("dtsvliw: unknown experiment %q (have %v)", name, experiments.Names())
 	}
 	return r(experiments.Options{MaxInstrs: maxInstrs})
 }

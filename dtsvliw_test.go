@@ -141,6 +141,14 @@ func TestBadConfigs(t *testing.T) {
 	}
 	if _, err := RunExperiment("fig99", 0); err == nil {
 		t.Error("unknown experiment should fail")
+	} else {
+		// Both studies run although a plain run skips them, so the error
+		// lists them too.
+		for _, name := range []string{"schedgap", "staticbound"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("unknown-experiment error %q does not list %q", err, name)
+			}
+		}
 	}
 }
 

@@ -10,11 +10,11 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
 
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
 	"dtsvliw/internal/metrics"
+	"dtsvliw/internal/optsched"
 	"dtsvliw/internal/sched"
 	"dtsvliw/internal/telemetry"
 	"dtsvliw/internal/vcache"
@@ -75,11 +75,11 @@ type Config struct {
 	// registers in the Scheduler Unit (ablation; see DESIGN.md §5a).
 	NoSourceForwarding bool
 
-	// SchedStrategy selects the Scheduler Unit's placement policy by
-	// registry name (DESIGN.md §14): empty = "fcfs", the paper's hardware
+	// SchedStrategy names the Scheduler Unit's placement policy, one of
+	// StrategyNames (DESIGN.md §14): empty = "fcfs", the paper's hardware
 	// algorithm; "optimal" repacks every block to its minimum height at
 	// flush time (the scheduling-gap oracle); "one-per-block" is the
-	// degenerate reference. Unknown names fail NewMachine.
+	// degenerate reference. Validate refuses other names.
 	SchedStrategy string
 
 	// SchedNodeBudget bounds search-based strategies per block (the
@@ -141,12 +141,54 @@ type Config struct {
 	FastForward uint64
 }
 
+// strategies is the table of Scheduler Unit placement policies that
+// Config.SchedStrategy names. The first, the paper's FCFS hardware
+// algorithm, is also what the empty name selects: its nil sched.Strategy
+// skips both hooks.
+var strategies = [...]struct {
+	name string
+	of   func(c Config) sched.Strategy
+}{
+	{"fcfs", func(Config) sched.Strategy { return nil }},
+	{"one-per-block", func(Config) sched.Strategy { return sched.OnePerBlock{} }},
+	{"optimal", func(c Config) sched.Strategy { return optsched.Strategy{Budget: c.SchedNodeBudget} }},
+}
+
+// StrategyNames lists the names Config.SchedStrategy accepts besides the
+// empty one, in table order.
+func StrategyNames() []string {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
+	}
+	return names
+}
+
+// schedStrategy returns the placement policy c.SchedStrategy names, and
+// false for a name the strategies table does not hold.
+func (c Config) schedStrategy() (sched.Strategy, bool) {
+	name := c.SchedStrategy
+	if name == "" {
+		name = strategies[0].name
+	}
+	for _, s := range strategies {
+		if s.name == name {
+			return s.of(c), true
+		}
+	}
+	return nil, false
+}
+
 // ConfigFingerprint returns a short stable digest of a machine
 // configuration with its run-scoped attachments (telemetry collector,
 // metrics registry) elided: equal fingerprints mean identical machine
 // geometry and behaviour. The digest is stable across processes — Config
 // contains no maps or pointers once the attachments are stripped — so it
-// keys content-addressed result caches and labels /statusz.
+// keys content-addressed result caches and labels /statusz. It hashes
+// the %+v rendering of Config, field names included, so it identifies a
+// configuration within one build of the code, not across refactors:
+// renaming, moving or deleting a field changes every fingerprint although
+// no simulated number changes.
 func ConfigFingerprint(cfg Config) string {
 	k := cfg
 	k.Telemetry = nil
@@ -231,9 +273,9 @@ func (c Config) Validate() error {
 				Reason: fmt.Sprintf("no slot accepts %v instructions", cl)}
 		}
 	}
-	if c.SchedStrategy != "" && !slices.Contains(sched.StrategyNames(), c.SchedStrategy) {
+	if _, ok := c.schedStrategy(); !ok {
 		return &ConfigError{Field: "SchedStrategy", Value: c.SchedStrategy,
-			Reason: fmt.Sprintf("no such strategy (registered: %v)", sched.StrategyNames())}
+			Reason: fmt.Sprintf("no such strategy (have %v)", StrategyNames())}
 	}
 	if c.StoreScheme > vliw.SchemeStoreList {
 		return &ConfigError{Field: "StoreScheme", Value: c.StoreScheme, Reason: "no such store scheme"}

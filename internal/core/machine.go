@@ -14,11 +14,6 @@ import (
 	"dtsvliw/internal/telemetry"
 	"dtsvliw/internal/vcache"
 	"dtsvliw/internal/vliw"
-
-	// Register the optimal-repacking strategy ("optimal") with the
-	// Scheduler Unit's strategy registry, so Config.SchedStrategy can
-	// select it on any machine.
-	_ "dtsvliw/internal/optsched"
 )
 
 // Mode identifies which execution engine currently owns the machine
@@ -123,12 +118,12 @@ func NewMachine(cfg Config, st *arch.State) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	strat, _ := cfg.schedStrategy() // Validate refused unknown names
 	sch, err := sched.New(sched.Config{
 		Width: cfg.Width, Height: cfg.Height, FUs: cfg.FUs, NWin: cfg.NWin,
-		NoForwarding:   cfg.NoSourceForwarding,
-		Strategy:       cfg.SchedStrategy,
-		StrategyBudget: cfg.SchedNodeBudget,
-		Latencies:      cfg.Latencies,
+		NoForwarding: cfg.NoSourceForwarding,
+		Strategy:     strat,
+		Latencies:    cfg.Latencies,
 		// The verifier reconstructs each block's footprints from its
 		// sequential trace, so save-time verification needs recording on.
 		RecordTrace: cfg.VerifyBlocks,

@@ -386,25 +386,54 @@ func Table1(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// Runner maps experiment names to runners.
-var Runner = map[string]func(Options) (*stats.Table, error){
-	"table1":      Table1,
-	"table2":      Table2,
-	"table3":      Table3,
-	"fig5":        Fig5,
-	"fig6":        Fig6,
-	"fig7":        Fig7,
-	"fig8":        Fig8,
-	"fig9":        Fig9,
-	"ext":         Extensions,
-	"profile":     Profile,
-	"schedgap":    SchedGap,
-	"staticbound": StaticBound,
+// table lists every experiment once: the paper's tables and figures in
+// the paper's order, this reproduction's extension study and telemetry
+// profile summary, then the two studies a run makes only when named.
+var table = [...]struct {
+	name      string
+	run       func(Options) (*stats.Table, error)
+	onRequest bool
+}{
+	{"table1", Table1, false},
+	{"table2", Table2, false},
+	{"fig5", Fig5, false},
+	{"fig6", Fig6, false},
+	{"fig7", Fig7, false},
+	{"fig8", Fig8, false},
+	{"table3", Table3, false},
+	{"fig9", Fig9, false},
+	{"ext", Extensions, false},
+	{"profile", Profile, false},
+	{"schedgap", SchedGap, true},
+	{"staticbound", StaticBound, true},
 }
 
-// Order lists experiments in the paper's order, ending with this
-// reproduction's extension study and the telemetry profile summary.
-var Order = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "table3", "fig9", "ext", "profile"}
+// Lookup returns the runner of the experiment called name.
+func Lookup(name string) (func(Options) (*stats.Table, error), bool) {
+	for _, e := range table {
+		if e.name == name {
+			return e.run, true
+		}
+	}
+	return nil, false
+}
+
+// Names lists every experiment in order.
+func Names() []string { return names(true) }
+
+// DefaultNames lists, in order, the experiments a run makes unless told
+// which: all but the scheduling-gap and static-bound studies.
+func DefaultNames() []string { return names(false) }
+
+func names(onRequest bool) []string {
+	var out []string
+	for _, e := range table {
+		if onRequest || !e.onRequest {
+			out = append(out, e.name)
+		}
+	}
+	return out
+}
 
 // Extensions measures the paper's §5 deferred designs (implemented in this
 // reproduction) against the baseline ideal 8x8 machine: next-long-

@@ -12,11 +12,12 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Skip("experiment sweep is long")
 	}
 	o := Options{MaxInstrs: 20_000}
-	for _, name := range Order {
+	for _, name := range DefaultNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			tab, err := Runner[name](o)
+			r, _ := Lookup(name)
+			tab, err := r(o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 				var notes strings.Builder
 				o := Options{MaxInstrs: 10_000, Workers: workers,
 					Progress: func(s string) { notes.WriteString(s); notes.WriteByte('\n') }}
-				tab, err := Runner[name](o)
+				r, _ := Lookup(name)
+				tab, err := r(o)
 				if err != nil {
 					t.Fatal(err)
 				}

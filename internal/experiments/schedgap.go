@@ -97,7 +97,8 @@ func SchedGapRows(o SchedGapOptions) ([]SchedGapRow, error) {
 	return rows, nil
 }
 
-// SchedGap is the Runner entry: the study over the default geometries.
+// SchedGap is the "schedgap" experiment: the study over the default
+// geometries.
 func SchedGap(o Options) (*stats.Table, error) {
 	rows, err := SchedGapRows(SchedGapOptions{Options: o})
 	if err != nil {

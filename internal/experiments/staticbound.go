@@ -72,7 +72,8 @@ func StaticBoundRows(o SchedGapOptions) ([]StaticBoundRow, error) {
 	return rows, nil
 }
 
-// StaticBound is the Runner entry: the study over the default geometries.
+// StaticBound is the "staticbound" experiment: the study over the
+// default geometries.
 func StaticBound(o Options) (*stats.Table, error) {
 	rows, err := StaticBoundRows(SchedGapOptions{Options: o})
 	if err != nil {

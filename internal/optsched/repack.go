@@ -14,14 +14,6 @@ type Result struct {
 	Nodes   uint64 // branch-and-bound row trials spent
 }
 
-// Gap returns the fraction of the FCFS height the repacking removed.
-func (r Result) Gap() float64 {
-	if r.OrigLIs == 0 {
-		return 0
-	}
-	return float64(r.OrigLIs-r.OptLIs) / float64(r.OrigLIs)
-}
-
 // Repack rewrites block b in place into the shortest schedule the
 // branch-and-bound can prove legal under cfg, preserving the block's
 // instruction set, rename/copy structure, recorded outcomes and trace.

@@ -17,10 +17,10 @@ package optsched
 // The node budget counts row trials; when it runs out the search unwinds
 // and reports the incumbent with Proven=false.
 
-// DefaultNodeBudget bounds the search per block when the configuration
-// leaves sched.Config.StrategyBudget zero. Blocks are small (≤ a few
-// hundred ops) and the FCFS incumbent is usually near-optimal, so most
-// searches close long before this.
+// DefaultNodeBudget bounds the search per block when Repack's budget
+// (Strategy.Budget) is zero. Blocks are small (≤ a few hundred ops) and
+// the FCFS incumbent is usually near-optimal, so most searches close long
+// before this.
 const DefaultNodeBudget = 200_000
 
 // searcher carries the mutable state of one branch-and-bound run.

@@ -2,26 +2,19 @@ package optsched
 
 import "dtsvliw/internal/sched"
 
-// StrategyName registers the optimal repacker in the scheduler's
-// strategy registry: the machine schedules every block with the default
-// FCFS placement and repacks it at flush time, so the VLIW Engine
-// executes — and the differential oracle and blockcheck validate — the
-// optimal schedules end-to-end.
-const StrategyName = "optimal"
-
-func init() {
-	sched.RegisterStrategy(StrategyName, func(cfg sched.Config) sched.Strategy {
-		return &strategy{cfg: cfg}
-	})
+// Strategy is the optimal repacker as a Scheduler Unit strategy: the
+// machine schedules every block with the default FCFS placement and
+// repacks it at flush time, so the VLIW Engine executes — and the
+// differential oracle and blockcheck validate — the optimal schedules
+// end-to-end.
+type Strategy struct {
+	// Budget bounds the search per block, as Repack's budget does.
+	Budget int
 }
 
-type strategy struct {
-	cfg sched.Config
-}
+func (Strategy) WantFlushBefore(*sched.Scheduler) bool { return false }
 
-func (st *strategy) WantFlushBefore(*sched.Scheduler) bool { return false }
-
-func (st *strategy) FinishBlock(u *sched.Scheduler, b *sched.Block) {
-	res := Repack(b, st.cfg, st.cfg.StrategyBudget)
+func (st Strategy) FinishBlock(u *sched.Scheduler, b *sched.Block) {
+	res := Repack(b, u.Config(), st.Budget)
 	u.NoteRepack(b, res.OrigLIs, res.Proven, res.Nodes)
 }

@@ -2,26 +2,51 @@ package oracle
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dtsvliw/internal/core"
-	"dtsvliw/internal/sched"
 	"dtsvliw/internal/workloads"
 )
 
-// TestStrategyRegistry pins the registered strategy set: the conformance
-// matrix below must cover every strategy, so a new registration without
-// conformance coverage fails here first.
-func TestStrategyRegistry(t *testing.T) {
-	got := sched.StrategyNames()
-	want := []string{"fcfs", "one-per-block", "optimal"}
-	if len(got) != len(want) {
-		t.Fatalf("registered strategies %v, want %v", got, want)
+// TestStrategyTable pins core's strategy table: the names it lists,
+// that each one builds a machine, that the empty name is FCFS, and that
+// the conformance matrix below covers every strategy, so a new table
+// entry without conformance coverage fails here first.
+func TestStrategyTable(t *testing.T) {
+	got := core.StrategyNames()
+	if want := []string{"fcfs", "one-per-block", "optimal"}; !slices.Equal(got, want) {
+		t.Fatalf("strategies %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("registered strategies %v, want %v", got, want)
+	w := workloads.All()[0]
+	run := func(name string) core.Stats {
+		t.Helper()
+		cfg := core.IdealConfig(8, 8)
+		cfg.SchedStrategy = name
+		cfg.MaxInstrs = 20_000
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("strategy %q: %v", name, err)
 		}
+		st, err := w.NewState(cfg.NWin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.NewMachine(cfg, st)
+		if err != nil {
+			t.Fatalf("strategy %q: %v", name, err)
+		}
+		if err := m.Run(); err != nil {
+			t.Fatalf("strategy %q on %s: %v", name, w.Name, err)
+		}
+		return m.Stats
+	}
+	for _, name := range got {
+		run(name)
+	}
+	if def, fcfs := run(""), run("fcfs"); !reflect.DeepEqual(def, fcfs) {
+		t.Errorf("empty strategy name ran %s to %+v, fcfs to %+v", w.Name, def, fcfs)
 	}
 	covered := map[string]bool{"fcfs": true} // DefaultConfigs all run fcfs
 	for _, nc := range StrategyConfigs() {
@@ -66,7 +91,7 @@ func TestStrategyConformance(t *testing.T) {
 	}
 }
 
-// TestStrategyWorkloadMatrix runs every registered strategy over the full
+// TestStrategyWorkloadMatrix runs every strategy in core's table over the full
 // workload suite with the lockstep test machine and block verification
 // enabled. Each workload validates its own final state, so a strategy
 // that corrupts execution fails three independent checks: blockcheck,
@@ -75,7 +100,7 @@ func TestStrategyWorkloadMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload matrix: run without -short")
 	}
-	for _, name := range sched.StrategyNames() {
+	for _, name := range core.StrategyNames() {
 		for _, w := range workloads.All() {
 			name, w := name, w
 			t.Run(fmt.Sprintf("%s/%s", name, w.Name), func(t *testing.T) {
@@ -107,7 +132,7 @@ func TestStrategyWorkloadMatrix(t *testing.T) {
 }
 
 // TestUnknownStrategyFails pins the failure mode of a misspelt strategy
-// name: NewMachine must reject it with the registered names in the error.
+// name: NewMachine must reject it with the table's names in the error.
 func TestUnknownStrategyFails(t *testing.T) {
 	cfg := core.IdealConfig(8, 8)
 	cfg.SchedStrategy = "optimist"
@@ -115,7 +140,13 @@ func TestUnknownStrategyFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewMachine(cfg, st); err == nil {
+	_, err = core.NewMachine(cfg, st)
+	if err == nil {
 		t.Fatal("NewMachine accepted unknown strategy name")
+	}
+	for _, name := range core.StrategyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list strategy %q", err, name)
+		}
 	}
 }

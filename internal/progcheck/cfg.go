@@ -1,14 +1,13 @@
 // Package progcheck statically analyses assembled SPARC-subset programs
 // before any simulation runs them: it rebuilds the control-flow graph of
 // the text section, derives dominators, natural loops and dataflow facts
-// (reaching definitions, liveness, definitely-uninitialised reads,
-// register-window depth, constant-address range checks), and reports
-// machine-readable diagnostics with a line-scoped waiver mechanism
-// (progcheck:allow) mirroring the Go-side lint passes in
-// internal/analysis. A second layer (bounds.go) turns the same dependence
-// information into a static ILP upper bound per machine geometry, the
-// limit-study ceiling the experiments compare dynamic trace-scheduling
-// IPC against.
+// (definitely-uninitialised reads, register-window depth, constant-address
+// range checks), and reports machine-readable diagnostics with a
+// line-scoped waiver mechanism (progcheck:allow) mirroring the Go-side
+// lint passes in internal/analysis. A second layer (bounds.go) turns the
+// same dependence information into a static ILP upper bound per machine
+// geometry, the limit-study ceiling the experiments compare dynamic
+// trace-scheduling IPC against.
 //
 // Every program source in the repository flows through this checker: the
 // built-in workloads are certified clean or explicitly waived, the
@@ -67,16 +66,6 @@ type CFG struct {
 	Loops  []Loop
 
 	blockOf []int // word index -> block index
-}
-
-// InstAt returns the decoded instruction at addr (addr must be a text
-// address; ok mirrors CFG.Ok).
-func (c *CFG) InstAt(addr uint32) (isa.Inst, bool) {
-	i := int(addr-c.TextBase) / 4
-	if i < 0 || i >= len(c.Insts) {
-		return isa.Inst{}, false
-	}
-	return c.Insts[i], c.Ok[i]
 }
 
 // BlockAt returns the index of the block containing addr (-1 if outside

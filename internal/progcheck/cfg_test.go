@@ -165,71 +165,6 @@ f:
 	}
 }
 
-func TestLivenessAcrossBranch(t *testing.T) {
-	// %g1 is defined in the entry block and read in both arms: it must be
-	// live-in to both, and dead after its last uses.
-	c := build(t, `
-start:
-	mov 7, %g1
-	subcc %g0, 1, %g2
-	be thenb
-	nop
-	add %g1, 1, %o0
-	ta 0
-thenb:
-	sub %g1, 1, %o0
-	ta 0
-`)
-	lv := c.Liveness()
-	thenb := c.BlockAt(c.Prog.Symbols["thenb"])
-	if !lv.In[thenb].has(1) {
-		t.Error("g1 must be live-in to the then arm")
-	}
-	if lv.Out[thenb].has(1) {
-		t.Error("g1 must be dead at the exit of the then arm")
-	}
-	if !lv.Out[c.Entry].has(1) {
-		t.Error("g1 must be live-out of the entry block")
-	}
-}
-
-func TestDefUseChains(t *testing.T) {
-	// The read of %g1 at the join sees both definitions.
-	c := build(t, `
-start:
-	subcc %g0, 1, %g2
-	be thenb
-	nop
-	mov 1, %g1
-	b join
-	nop
-thenb:
-	mov 2, %g1
-join:
-	add %g1, 0, %o0
-	ta 0
-`)
-	uses := c.DefUse()
-	join := c.Prog.Symbols["join"]
-	var found *UseDefs
-	for i := range uses {
-		if uses[i].Addr == join && uses[i].Loc == 1 {
-			found = &uses[i]
-		}
-	}
-	if found == nil {
-		t.Fatal("no use-def chain for g1 at the join")
-	}
-	if len(found.Defs) != 2 {
-		t.Fatalf("join read of %%g1 reaches %d defs, want 2: %+v", len(found.Defs), found.Defs)
-	}
-	for _, d := range found.Defs {
-		if d.Entry {
-			t.Error("g1 at the join must not see the entry sentinel: both paths define it")
-		}
-	}
-}
-
 func TestBoundDominatesSerialExecution(t *testing.T) {
 	// A chain of fully dependent adds has critical path = length, so the
 	// bound must collapse to ~1 IPC; independent adds must scale with

@@ -39,16 +39,6 @@ func (r *Result) Unwaived(hardOnly bool) []Diagnostic {
 	return out
 }
 
-// Counts tallies the diagnostics per kind (waived ones included; the
-// report distinguishes them line by line).
-func (r *Result) Counts() map[Kind]int {
-	m := make(map[Kind]int)
-	for _, d := range r.Diags {
-		m[d.Kind]++
-	}
-	return m
-}
-
 // Report renders the result as the deterministic text report committed as
 // a golden file: one header line, then one line per diagnostic.
 func (r *Result) Report(name string) string {

@@ -47,7 +47,6 @@ type renEntry struct {
 // candidate's footprint with the element in question.
 type Scheduler struct {
 	cfg   Config     //resetcheck:allow configuration is fixed at construction
-	strat Strategy   //resetcheck:allow placement policy (Config.Strategy; FCFS by default), fixed at construction
 	nPhys int        //resetcheck:allow physical integer registers (rename-table geometry), fixed at construction
 	elems []*element // index 0 is the scheduling-list head
 
@@ -139,13 +138,8 @@ func New(cfg Config) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	strat, err := newStrategy(cfg)
-	if err != nil {
-		return nil, err
-	}
 	u := &Scheduler{
 		cfg:          cfg,
-		strat:        strat,
 		nPhys:        isa.NumPhysRegs(cfg.NWin),
 		conservative: make(map[uint64]bool),
 		renEpoch:     1,
@@ -596,7 +590,7 @@ func (u *Scheduler) Insert(c Completed) (*Block, error) {
 	var flushed *Block
 	var cand *Slot
 
-	if len(u.elems) > 0 && u.strat.WantFlushBefore(u) {
+	if st := u.cfg.Strategy; st != nil && len(u.elems) > 0 && st.WantFlushBefore(u) {
 		// Strategy-requested early flush (degenerate strategies like
 		// one-per-block): the candidate starts a fresh block below.
 		flushed = u.flush(c.Addr, c.Seq)
@@ -829,7 +823,9 @@ func (u *Scheduler) flush(nbaAddr uint32, endSeq uint64) *Block {
 	}
 	// The strategy sees (and may rewrite) the finished block before flush
 	// statistics and telemetry record its shape.
-	u.strat.FinishBlock(u, b)
+	if u.cfg.Strategy != nil {
+		u.cfg.Strategy.FinishBlock(u, b)
+	}
 	u.Stats.BlocksFlushed++
 	u.Stats.FlushedLIs += uint64(b.NumLIs)
 	u.Stats.FlushedSlots += uint64(b.ValidOps)

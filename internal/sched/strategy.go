@@ -1,10 +1,5 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Strategy is the pluggable placement policy of the Scheduler Unit. The
 // scheduling machinery — slot construction, renaming, splits, the
 // dependency index, legality predicates, block compaction — is shared; a
@@ -15,6 +10,13 @@ import (
 // placement, so every Block any strategy emits satisfies the same
 // dependence, resource and speculation constraints the static verifier
 // (internal/blockcheck) checks.
+//
+// A nil Strategy is the paper's hardware algorithm, greedy
+// first-come-first-served list scheduling: the scheduler skips both hooks,
+// so it places every candidate in the tail element the legality
+// machinery allows and moves it as high as it can (TestGoldenFCFSBlocks),
+// and the insertion hot path stays zero-alloc
+// (TestDependencyChecksZeroAlloc).
 //
 // Strategies must be deterministic: the differential oracle and the
 // parallel experiment driver both rely on byte-identical re-runs.
@@ -37,78 +39,14 @@ type Strategy interface {
 	FinishBlock(u *Scheduler, b *Block)
 }
 
-// StrategyFactory builds a strategy instance for one scheduler. The
-// scheduler configuration carries the strategy parameters (StrategyBudget
-// for search-based strategies).
-type StrategyFactory func(cfg Config) Strategy
-
-// strategyRegistry maps registry names to factories. Registration
-// happens in package init functions (this package registers "fcfs" and
-// "one-per-block"; internal/optsched registers "optimal"), so lookups
-// never race.
-var strategyRegistry = map[string]StrategyFactory{}
-
-// RegisterStrategy adds a strategy factory under name. It panics on
-// duplicates: strategy names select scheduling behaviour in experiment
-// matrices and CI jobs, so a silent overwrite would corrupt results.
-func RegisterStrategy(name string, f StrategyFactory) {
-	if _, dup := strategyRegistry[name]; dup {
-		panic(fmt.Sprintf("sched: strategy %q registered twice", name))
-	}
-	strategyRegistry[name] = f
-}
-
-// StrategyNames lists the registered strategies, sorted.
-func StrategyNames() []string {
-	names := make([]string, 0, len(strategyRegistry))
-	for name := range strategyRegistry { //determinism:allow sorted below
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DefaultStrategy is the strategy an empty Config.Strategy selects: the
-// paper's hardware First-Come-First-Served placement.
-const DefaultStrategy = "fcfs"
-
-// newStrategy resolves cfg.Strategy against the registry.
-func newStrategy(cfg Config) (Strategy, error) {
-	name := cfg.Strategy
-	if name == "" {
-		name = DefaultStrategy
-	}
-	f, ok := strategyRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown strategy %q (registered: %v)", name, StrategyNames())
-	}
-	return f(cfg), nil
-}
-
-func init() {
-	RegisterStrategy("fcfs", func(Config) Strategy { return fcfsStrategy{} })
-	RegisterStrategy("one-per-block", func(Config) Strategy { return onePerBlockStrategy{} })
-}
-
-// fcfsStrategy is the paper's hardware algorithm: greedy
-// first-come-first-served list scheduling. It never flushes early and
-// never rewrites a block, so the scheduler places every candidate in the
-// tail element the legality machinery allows and moves it as high as it
-// can (TestGoldenFCFSBlocks), and the insertion hot path stays zero-alloc
-// (TestDependencyChecksZeroAlloc).
-type fcfsStrategy struct{}
-
-func (fcfsStrategy) WantFlushBefore(*Scheduler) bool { return false }
-func (fcfsStrategy) FinishBlock(*Scheduler, *Block)  {}
-
-// onePerBlockStrategy is the deliberately dumb reference strategy: every
-// block holds exactly one scheduled instruction. It anchors the strategy
+// OnePerBlock is the deliberately dumb reference strategy: every block
+// holds exactly one scheduled instruction. It anchors the strategy
 // conformance suite (any strategy must stay correct, however little ILP
 // it extracts) and gives gap studies an absolute lower bound.
-type onePerBlockStrategy struct{}
+type OnePerBlock struct{}
 
-func (onePerBlockStrategy) WantFlushBefore(u *Scheduler) bool { return len(u.elems) > 0 }
-func (onePerBlockStrategy) FinishBlock(*Scheduler, *Block)    {}
+func (OnePerBlock) WantFlushBefore(u *Scheduler) bool { return len(u.elems) > 0 }
+func (OnePerBlock) FinishBlock(*Scheduler, *Block)    {}
 
 // NoteRepack records a FinishBlock rewrite for statistics and telemetry:
 // the block went from origLIs to b.NumLIs long instructions, proven

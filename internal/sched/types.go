@@ -298,15 +298,9 @@ type Config struct {
 	FUs  []isa.FUClass
 	NWin int // register windows (physical register resolution)
 
-	// Strategy selects the placement policy by registry name (see
-	// RegisterStrategy); empty selects DefaultStrategy, the paper's FCFS
-	// hardware algorithm. New fails on unregistered names.
-	Strategy string
-
-	// StrategyBudget bounds the work of search-based strategies (the
-	// branch-and-bound node budget of the optimal repacker); zero selects
-	// the strategy's default. Ignored by strategies that do not search.
-	StrategyBudget int
+	// Strategy is the placement policy; nil selects the paper's FCFS
+	// hardware algorithm, which skips both of a Strategy's hooks.
+	Strategy Strategy
 
 	// NoForwarding disables the rewrite of consumers' source operands to
 	// renaming registers (paper Figure 2's "subcc r32"). Ablation only:

@@ -112,6 +112,3 @@ func (e *Engine) SetScheme(s StoreScheme) {
 		e.overlay = newOverlay()
 	}
 }
-
-// Scheme returns the active store scheme.
-func (e *Engine) Scheme() StoreScheme { return e.scheme }

@@ -90,12 +90,10 @@ next:
 	ta 0
 `, compressSeed, compressN)
 
-func init() {
-	register(&Workload{
-		Name:        "compress",
-		Description: "LZW-style rolling-hash code-table match loop",
-		Input:       "400000 e 2231",
-		Source:      compressSource,
-		Validate:    expectExit("compress", compressModel()),
-	})
+var compress = &Workload{
+	Name:        "compress",
+	Description: "LZW-style rolling-hash code-table match loop",
+	Input:       "400000 e 2231",
+	Source:      compressSource,
+	Validate:    expectExit("compress", compressModel()),
 }

@@ -239,12 +239,10 @@ hback:
 	ta 0
 `, gccSeed, gccN, gccHandlers-1) + gccHandlerText()
 
-func init() {
-	register(&Workload{
-		Name:        "gcc",
-		Description: "branchy character classifier with nested range dispatch",
-		Input:       "-O3 jump.i",
-		Source:      gccSource,
-		Validate:    expectExit("gcc", gccModel()),
-	})
+var gcc = &Workload{
+	Name:        "gcc",
+	Description: "branchy character classifier with nested range dispatch",
+	Input:       "-O3 jump.i",
+	Source:      gccSource,
+	Validate:    expectExit("gcc", gccModel()),
 }

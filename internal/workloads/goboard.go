@@ -201,12 +201,10 @@ se:
 	retl
 `, goSize*goSize, goSeed, goSize*goSize, goPasses, goSize*goSize-1)
 
-func init() {
-	register(&Workload{
-		Name:        "go",
-		Description: "board liberty scan with captures and irregular branches",
-		Input:       "40 19 null.in",
-		Source:      goSource,
-		Validate:    expectExit("go", goModel()),
-	})
+var goboard = &Workload{
+	Name:        "go",
+	Description: "board liberty scan with captures and irregular branches",
+	Input:       "40 19 null.in",
+	Source:      goSource,
+	Validate:    expectExit("go", goModel()),
 }

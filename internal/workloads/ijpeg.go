@@ -129,12 +129,10 @@ sum:
 	ta 0
 `, ijpegWords*4, ijpegSeed, ijpegWords*4, ijpegPasses)
 
-func init() {
-	register(&Workload{
-		Name:        "ijpeg",
-		Description: "dense 8-wide integer butterfly transform (DCT-like hot loop)",
-		Input:       "vigo.ppm -GO",
-		Source:      ijpegSource,
-		Validate:    expectExit("ijpeg", ijpegModel()),
-	})
+var ijpeg = &Workload{
+	Name:        "ijpeg",
+	Description: "dense 8-wide integer butterfly transform (DCT-like hot loop)",
+	Input:       "vigo.ppm -GO",
+	Source:      ijpegSource,
+	Validate:    expectExit("ijpeg", ijpegModel()),
 }

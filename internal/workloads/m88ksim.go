@@ -272,12 +272,10 @@ h_halt:
 `, wordsDirective(prog), m88kReps)
 }
 
-func init() {
-	register(&Workload{
-		Name:        "m88ksim",
-		Description: "bytecode VM with jump-table dispatch (CPU simulator loop)",
-		Input:       "dhry.big",
-		Source:      m88kSource(),
-		Validate:    expectExit("m88ksim", m88kModel()),
-	})
+var m88ksim = &Workload{
+	Name:        "m88ksim",
+	Description: "bytecode VM with jump-table dispatch (CPU simulator loop)",
+	Input:       "dhry.big",
+	Source:      m88kSource(),
+	Validate:    expectExit("m88ksim", m88kModel()),
 }

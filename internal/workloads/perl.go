@@ -189,12 +189,10 @@ endpass:
 `, data.String(), perlPasses)
 }
 
-func init() {
-	register(&Workload{
-		Name:        "perl",
-		Description: "word hashing with associative probe and byte-compare",
-		Input:       "primes.pl",
-		Source:      perlSource(),
-		Validate:    expectExit("perl", perlModel()),
-	})
+var perl = &Workload{
+	Name:        "perl",
+	Description: "word hashing with associative probe and byte-compare",
+	Input:       "primes.pl",
+	Source:      perlSource(),
+	Validate:    expectExit("perl", perlModel()),
 }

@@ -124,12 +124,10 @@ endround:
 `, vortexBase, data.String(), head, vortexRounds)
 }
 
-func init() {
-	register(&Workload{
-		Name:        "vortex",
-		Description: "pointer-chasing record chain with field updates and unlinking",
-		Input:       "vortex.in",
-		Source:      vortexSource(),
-		Validate:    expectExit("vortex", vortexModel()),
-	})
+var vortex = &Workload{
+	Name:        "vortex",
+	Description: "pointer-chasing record chain with field updates and unlinking",
+	Input:       "vortex.in",
+	Source:      vortexSource(),
+	Validate:    expectExit("vortex", vortexModel()),
 }

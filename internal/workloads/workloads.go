@@ -19,7 +19,7 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/asm"
@@ -51,35 +51,30 @@ func (w *Workload) NewState(nwin int) (*arch.State, error) {
 	return st, nil
 }
 
-var registry = map[string]*Workload{}
-
-func register(w *Workload) *Workload {
-	registry[w.Name] = w
-	return w
-}
+// all lists the eight workloads once, in the paper's presentation order.
+var all = []*Workload{compress, gcc, goboard, ijpeg, m88ksim, perl, vortex, xlisp}
 
 // ByName returns the workload with the given SPECint95 name.
 func ByName(name string) (*Workload, bool) {
-	w, ok := registry[name]
-	return w, ok
+	for _, w := range all {
+		if w.Name == name {
+			return w, true
+		}
+	}
+	return nil, false
 }
 
 // Names returns all workload names in the paper's presentation order.
 func Names() []string {
-	return []string{"compress", "gcc", "go", "ijpeg", "m88ksim", "perl", "vortex", "xlisp"}
+	names := make([]string, len(all))
+	for i, w := range all {
+		names[i] = w.Name
+	}
+	return names
 }
 
 // All returns the eight workloads in the paper's presentation order.
-func All() []*Workload {
-	var out []*Workload
-	for _, n := range Names() {
-		if w, ok := registry[n]; ok {
-			out = append(out, w)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return false })
-	return out
-}
+func All() []*Workload { return slices.Clone(all) }
 
 // xorshift32 is the PRNG shared by the assembly workloads and their Go
 // validation models.

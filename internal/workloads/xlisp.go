@@ -98,13 +98,10 @@ out:
 	retl
 `, queensReps, queensN, queensN-1, queensN)
 
-func init() {
-	want := queensSolutions(queensN) * queensReps
-	register(&Workload{
-		Name:        "xlisp",
-		Description: "recursive N-queens over register windows (lisp-style recursion)",
-		Input:       "queens 7",
-		Source:      xlispSource,
-		Validate:    expectExit("xlisp", want),
-	})
+var xlisp = &Workload{
+	Name:        "xlisp",
+	Description: "recursive N-queens over register windows (lisp-style recursion)",
+	Input:       "queens 7",
+	Source:      xlispSource,
+	Validate:    expectExit("xlisp", queensSolutions(queensN)*queensReps),
 }
