@@ -11,9 +11,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"dtsvliw"
@@ -22,27 +25,53 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "", "built-in workload name ("+strings.Join(dtsvliw.WorkloadNames(), " ")+")")
-	file := flag.String("file", "", "SPARC V7 assembly file to run instead of a workload")
-	width := flag.Int("width", 8, "instructions per long instruction")
-	height := flag.Int("height", 8, "long instructions per block")
-	feasible := flag.Bool("feasible", false, "use the paper's feasible machine configuration")
-	vcacheKB := flag.Int("vcache", 0, "VLIW Cache size in KB (0 = configuration default)")
-	vcacheAssoc := flag.Int("vcache-assoc", 0, "VLIW Cache associativity (0 = default)")
-	max := flag.Uint64("max", 0, "stop after N sequential instructions (0 = run to halt)")
-	testMode := flag.Bool("testmode", false, "lockstep-validate against the sequential test machine")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the program and prints its
+// statistics, and returns the exit status (0 clean, 1 on a failed run, 2
+// on a usage error: a missing or unknown workload, or a configuration the
+// machine refuses).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dtsvliw", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "", "built-in workload name ("+strings.Join(dtsvliw.WorkloadNames(), " ")+")")
+	file := fs.String("file", "", "SPARC V7 assembly file to run instead of a workload")
+	width := fs.Int("width", 8, "instructions per long instruction")
+	height := fs.Int("height", 8, "long instructions per block")
+	feasible := fs.Bool("feasible", false, "use the paper's feasible machine configuration")
+	vcacheKB := fs.Int("vcache", 0, "VLIW Cache size in KB (0 = configuration default)")
+	vcacheAssoc := fs.Int("vcache-assoc", 0, "VLIW Cache associativity (0 = default)")
+	max := fs.Uint64("max", 0, "stop after N sequential instructions (0 = run to halt)")
+	testMode := fs.Bool("testmode", false, "lockstep-validate against the sequential test machine")
 	strategies := core.StrategyNames()
-	strategy := flag.String("strategy", "", "scheduling strategy ("+strings.Join(strategies, " ")+"; empty = "+strategies[0]+")")
-	schedBudget := flag.Int("sched-budget", 0, "search budget per block for the optimal strategy (0 = default, negative = unlimited)")
-	noChain := flag.Bool("nochain", false, "disable direct block chaining: associative VLIW Cache lookup on every block transition")
-	showOutput := flag.Bool("output", false, "print the program's trap output")
-	dumpBlocks := flag.Int("dumpblocks", 0, "print the first N scheduled blocks (Figure 2c style)")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path (open in Perfetto)")
-	profile := flag.Bool("profile", false, "print the hot-block profile and distribution histograms")
-	profileTop := flag.Int("profile-top", 10, "with -profile: hot blocks listed")
-	ringSize := flag.Int("trace-ring", 0, "telemetry event ring capacity (0 = 8k events; raise for long timeline exports)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of the run")
-	flag.Parse()
+	strategy := fs.String("strategy", "", "scheduling strategy ("+strings.Join(strategies, " ")+"; empty = "+strategies[0]+")")
+	schedBudget := fs.Int("sched-budget", 0, "search budget per block for the optimal strategy (0 = default, negative = unlimited)")
+	noChain := fs.Bool("nochain", false, "disable direct block chaining: associative VLIW Cache lookup on every block transition")
+	showOutput := fs.Bool("output", false, "print the program's trap output")
+	dumpBlocks := fs.Int("dumpblocks", 0, "print the first N scheduled blocks (Figure 2c style)")
+	trace := fs.String("trace", "", "write a Chrome trace-event JSON timeline to this path (open in Perfetto)")
+	profile := fs.Bool("profile", false, "print the hot-block profile and distribution histograms")
+	profileTop := fs.Int("profile-top", 10, "with -profile: hot blocks listed")
+	ringSize := fs.Int("trace-ring", 0, "telemetry event ring capacity (0 = 8k events; raise for long timeline exports)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of the run")
+	fs.Parse(args) // ExitOnError: -h exits 0, a malformed flag exits 2
+
+	// fail prints err under the program's name and returns status 1, or 2
+	// for a configuration the machine refuses. Errors from the dtsvliw
+	// package already start with that name, so it is not repeated.
+	fail := func(err error) int {
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "dtsvliw: ") {
+			msg = "dtsvliw: " + msg
+		}
+		fmt.Fprintln(stderr, msg)
+		var ce *core.ConfigError
+		if errors.As(err, &ce) {
+			return 2
+		}
+		return 1
+	}
 
 	var cfg dtsvliw.Config
 	if *feasible {
@@ -71,7 +100,7 @@ func main() {
 	if *metricsAddr != "" {
 		srv, err := introspect.Serve(*metricsAddr, introspect.Options{
 			Program: "dtsvliw",
-			Args:    os.Args[1:],
+			Args:    args,
 			Status: func() introspect.Status {
 				return introspect.Status{
 					Config: map[string]string{
@@ -84,21 +113,25 @@ func main() {
 			},
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dtsvliw: introspection on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "dtsvliw: introspection on http://%s\n", srv.Addr())
 	}
 
 	var sys *dtsvliw.System
 	var err error
 	switch {
 	case *workload != "":
+		if !slices.Contains(dtsvliw.WorkloadNames(), *workload) {
+			fmt.Fprintf(stderr, "dtsvliw: unknown workload %q (have %v)\n", *workload, dtsvliw.WorkloadNames())
+			return 2
+		}
 		sys, err = dtsvliw.NewSystemFromWorkload(cfg, *workload)
 	case *file != "":
 		src, rerr := os.ReadFile(*file)
 		if rerr != nil {
-			fatal(rerr)
+			return fail(rerr)
 		}
 		var p *dtsvliw.Program
 		p, err = dtsvliw.Assemble(string(src))
@@ -106,74 +139,64 @@ func main() {
 			sys, err = dtsvliw.NewSystem(cfg, p)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "need -workload or -file; workloads:", dtsvliw.WorkloadNames())
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -workload or -file; workloads:", dtsvliw.WorkloadNames())
+		return 2
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *dumpBlocks > 0 {
 		remaining := *dumpBlocks
 		sys.OnBlockSaved(func(dump string) {
 			if remaining > 0 {
-				fmt.Print(dump)
+				fmt.Fprint(stdout, dump)
 				remaining--
 			}
 		})
 	}
 	if err := sys.Run(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	s := sys.Stats()
-	if err := s.WriteCounters(os.Stdout); err != nil {
-		fatal(err)
+	if err := s.WriteCounters(stdout); err != nil {
+		return fail(err)
 	}
-	fmt.Printf("IPC:                 %.3f\n", s.IPC())
-	fmt.Printf("VLIW cycles:         %.2f%%\n", 100*s.VLIWCycleFraction())
+	fmt.Fprintf(stdout, "IPC:                 %.3f\n", s.IPC())
+	fmt.Fprintf(stdout, "VLIW cycles:         %.2f%%\n", 100*s.VLIWCycleFraction())
 	if s.VCacheChainHits > 0 {
-		fmt.Printf("chain hits:          %.1f%% of VLIW Cache hits\n", 100*s.ChainHitRate())
+		fmt.Fprintf(stdout, "chain hits:          %.1f%% of VLIW Cache hits\n", 100*s.ChainHitRate())
 	}
-	fmt.Printf("renaming (int/fp/flag/mem): %d/%d/%d/%d\n",
+	fmt.Fprintf(stdout, "renaming (int/fp/flag/mem): %d/%d/%d/%d\n",
 		s.Sched.MaxRenames[0], s.Sched.MaxRenames[1], s.Sched.MaxRenames[2], s.Sched.MaxRenames[3])
 	if sys.Halted() {
-		fmt.Printf("exit code:           %d\n", sys.ExitCode())
+		fmt.Fprintf(stdout, "exit code:           %d\n", sys.ExitCode())
 	}
 	if *showOutput && len(sys.Output()) > 0 {
-		fmt.Printf("program output:      %q\n", sys.Output())
+		fmt.Fprintf(stdout, "program output:      %q\n", sys.Output())
 	}
 
 	if tel := sys.Telemetry(); tel != nil {
-		fmt.Printf("%s\n", tel.Summary())
+		fmt.Fprintf(stdout, "%s\n", tel.Summary())
 		if *profile {
-			fmt.Print(tel.ProfileReport(*profileTop))
-			fmt.Print(tel.HistogramReport())
+			fmt.Fprint(stdout, tel.ProfileReport(*profileTop))
+			fmt.Fprint(stdout, tel.HistogramReport())
 		}
 		if *trace != "" {
 			f, err := os.Create(*trace)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := tel.WriteChromeTrace(f); err != nil {
 				f.Close()
-				fatal(err)
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("trace:               %s (%d events, %d dropped)\n",
+			fmt.Fprintf(stdout, "trace:               %s (%d events, %d dropped)\n",
 				*trace, tel.Recorded(), tel.Dropped())
 		}
 	}
-}
-
-// fatal prints err under the program's name and exits 1. Errors from the
-// dtsvliw package already start with that name, so it is not repeated.
-func fatal(err error) {
-	msg := err.Error()
-	if !strings.HasPrefix(msg, "dtsvliw: ") {
-		msg = "dtsvliw: " + msg
-	}
-	fmt.Fprintln(os.Stderr, msg)
-	os.Exit(1)
+	return 0
 }

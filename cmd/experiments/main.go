@@ -43,6 +43,7 @@ import (
 
 	"dtsvliw/internal/experiments"
 	"dtsvliw/internal/introspect"
+	"dtsvliw/internal/stats"
 )
 
 func main() {
@@ -185,17 +186,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 
-	for _, name := range strings.Split(*runList, ",") {
-		name = strings.TrimSpace(name)
-		r, ok := experiments.Lookup(name)
+	// Resolve every name before running any, so a typo costs no run.
+	names := strings.Split(*runList, ",")
+	runners := make([]func(experiments.Options) (*stats.Table, error), len(names))
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		r, ok := experiments.Lookup(names[i])
 		if !ok {
 			fmt.Fprintf(stderr, "unknown experiment %q (have: %s)\n",
-				name, strings.Join(experiments.Names(), ", "))
+				names[i], strings.Join(experiments.Names(), ", "))
 			return 2
 		}
+		runners[i] = r
+	}
+	for i, r := range runners {
 		t, err := r(o)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", names[i], err)
 			return 1
 		}
 		if *csv {

@@ -37,3 +37,20 @@ func TestUnknownExperimentListsAll(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownExperimentBeforeAnyRun: every -run name is checked before
+// any experiment runs, so a bad name late in the list exits 2 without
+// printing the tables of the names before it.
+func TestUnknownExperimentBeforeAnyRun(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-run", "table1,bogus"}
+	if code := run(args, &stdout, &stderr); code != 2 {
+		t.Errorf("%v: exit %d, want 2", args, code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%v: printed before refusing the name:\n%s", args, stdout.String())
+	}
+	if want := `unknown experiment "bogus"`; !strings.Contains(stderr.String(), want) {
+		t.Errorf("%v: stderr %q does not say %q", args, stderr.String(), want)
+	}
+}

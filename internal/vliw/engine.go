@@ -2,18 +2,22 @@
 // §3.11): it executes blocks of long instructions from the VLIW Cache
 // against the architectural state shared with the Primary Processor, with
 //
-//   - read-before-write semantics within each long instruction,
+//   - read-before-write semantics within each long instruction (a slot
+//     writes in place as it executes unless lowering stages its writes
+//     to the end of the long instruction),
 //   - branch-tag validation and trace-exit redirection,
 //   - renaming registers holding split instruction results (and deferred
 //     exception information),
 //   - copy instructions committing renamed values architecturally,
 //   - memory-aliasing detection through load/store lists, order fields and
 //     cross bits, and
-//   - checkpointing with a recovery store list (Hwu & Patt).
+//   - checkpointing of the registers each block writes, with a recovery
+//     store list (Hwu & Patt).
 package vliw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/isa"
@@ -177,13 +181,15 @@ type Engine struct {
 	renFull []renVal  //resetcheck:allow read only under a current fullBit stamp in ren
 	epoch   uint32    //resetcheck:allow monotonic by design; resetting it could revalidate stale stamps
 
-	shadowRegs []uint32   //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowF    [32]uint32 //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowICC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowFCC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowY    uint32     //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowCWP  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	undo       []undoRec  //resetcheck:allow truncated by BeginLowered before any read
+	// Shadow registers (paper §3.11), indexed like the state's files; an
+	// entry is current only for the block's write set.
+	shadowRegs [iregWords * 64]uint32 //resetcheck:allow checkpoint buffer, the write set rewritten by the next BeginLowered
+	shadowF    [32]uint32             //resetcheck:allow checkpoint buffer, the write set rewritten by the next BeginLowered
+	shadowICC  uint8                  //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowFCC  uint8                  //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowY    uint32                 //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	shadowCWP  uint8                  //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	undo       []undoRec              //resetcheck:allow truncated by BeginLowered before any read
 
 	scheme  StoreScheme //resetcheck:allow store-handling scheme fixed at construction
 	overlay *dataStoreOverlay
@@ -196,8 +202,10 @@ type Engine struct {
 	maxDue     int         //resetcheck:allow recomputed by BeginLowered before any read
 
 	// Per-LI scratch arenas, reused across ExecLI calls so the steady-
-	// state hot loop never allocates. Result.MemAddrs and Result.Stores
-	// alias scMemAddrs/scStores and are valid until the next ExecLI.
+	// state hot loop never allocates: the staged slots' writes, the
+	// payloads of deferred exceptions and split stores, and every
+	// memory store. Result.MemAddrs and Result.Stores alias
+	// scMemAddrs/scStores and are valid until the next ExecLI.
 	scWrites   []pendWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scRens     []renWrite      //resetcheck:allow per-LI scratch, truncated at each ExecLI
 	scFulls    []fullWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
@@ -228,7 +236,9 @@ type renWrite struct {
 // deferred exception or a split store. Each renaming register is written
 // by one slot of its block (the Scheduler Unit allocates them fresh per
 // block), so a register has at most one write in flight and renWrites
-// and fullWrites need no order between them.
+// and fullWrites need no order between them. A payload always lands
+// through commitLI, an in-place slot's (due dueNow) at the end of its
+// long instruction.
 type fullWrite struct {
 	due  int32
 	flat int32
@@ -314,7 +324,10 @@ func (e *Engine) Block() *sched.Block {
 // BeginLowered starts executing the lowered form of a block: it takes a
 // checkpoint of the SPARC state (paper §3.11), clears the load and store
 // lists, and invalidates the renaming-register arena by bumping the epoch
-// stamp instead of clearing it.
+// stamp instead of clearing it. The checkpoint holds the registers of
+// the block's write set and the ICC, FCC, Y and CWP singletons: the
+// block changes no other register, so restoring these restores the
+// whole register state.
 func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.lb = lb
 	e.loads = e.loads[:0]
@@ -324,11 +337,7 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.pendRens = e.pendRens[:0]
 	e.pendFulls = e.pendFulls[:0]
 	e.maxDue = 0
-	if e.shadowRegs == nil {
-		e.shadowRegs = make([]uint32, len(e.st.Regs))
-	}
-	copy(e.shadowRegs, e.st.Regs)
-	e.shadowF = e.st.F
+	copyWriteSet(lb, e.shadowRegs[:], e.st.Regs, &e.shadowF, &e.st.F)
 	e.shadowICC = e.st.ICC()
 	e.shadowFCC = e.st.FCC()
 	e.shadowY = e.st.Y()
@@ -347,14 +356,28 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	}
 }
 
+// copyWriteSet copies the registers of lb's write set from the integer
+// and FP files srcRegs and srcF to dstRegs and dstF.
+func copyWriteSet(lb *LoweredBlock, dstRegs, srcRegs []uint32, dstF, srcF *[32]uint32) {
+	for w, set := range lb.iregs {
+		for ; set != 0; set &= set - 1 {
+			r := w*64 + bits.TrailingZeros64(set)
+			dstRegs[r] = srcRegs[r]
+		}
+	}
+	for set := lb.fregs; set != 0; set &= set - 1 {
+		r := bits.TrailingZeros32(set)
+		dstF[r] = srcF[r]
+	}
+}
+
 // recover restores the checkpoint: shadow registers and the checkpoint
 // recovery store list are written back, and the load and store lists are
 // emptied (paper §3.11). It returns the recovery cost in cycles (one
 // cycle for the shadow-register restore plus one per recovery-list entry)
 // and, when a recovery-list write fails, a RecoveryError without Cause.
 func (e *Engine) recover() (int, *RecoveryError) {
-	copy(e.st.Regs, e.shadowRegs)
-	e.st.F = e.shadowF
+	copyWriteSet(e.lb, e.st.Regs, e.shadowRegs[:], &e.st.F, &e.shadowF)
 	e.st.SetICC(e.shadowICC)
 	e.st.SetFCC(e.shadowFCC)
 	e.st.SetY(e.shadowY)

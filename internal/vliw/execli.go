@@ -9,9 +9,12 @@ import (
 )
 
 // ExecLI executes long instruction line of the current block. All operand
-// reads observe the state before the long instruction; writes commit at
-// its end, gated by branch tags. On an exception, the block has already
-// been rolled back to its entry checkpoint when ExecLI returns.
+// reads observe the state before the long instruction, and only slots
+// whose branch tags are valid write. A slot's register writes land in
+// place as it executes unless lowering staged them (lop.stage), which
+// holds them to the end of the long instruction; stores always commit at
+// its end. On an exception, the block has already been rolled back to
+// its entry checkpoint when ExecLI returns.
 //
 // Result.MemAddrs and Result.Stores alias engine-owned scratch arenas and
 // are valid only until the next ExecLI call.
@@ -70,9 +73,10 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 		}
 	}
 
-	// Phase 2: execute valid slots, buffering writes into the reusable
-	// scratch arenas. Each write carries the long-instruction index at
-	// which its producer's latency lands.
+	// Phase 2: execute valid slots. An unstaged slot writes its registers
+	// in place (due dueNow); a staged slot's writes go to the reusable
+	// scratch arenas, each carrying the long-instruction index at which
+	// its producer's latency lands.
 	e.resetScratch()
 	committed, annulled := 0, 0
 	for i := range ops {
@@ -82,21 +86,25 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 			continue
 		}
 		committed++
+		lands := line + int(op.lat) - 1
+		due := dueNow
+		if op.stage {
+			due = lands
+		}
 		if op.isCopy {
-			if err := e.execLoweredCopy(op, line); err != nil {
+			if err := e.execLoweredCopy(op, due); err != nil {
 				e.fail(res, err)
 				return
 			}
 			e.Stats.CopiesExecuted++
 			continue
 		}
-		due := line + int(op.lat) - 1
 		if err := e.execLoweredOp(op, due); err != nil {
 			if rens := lb.rens[op.ren0:op.ren1]; len(rens) > 0 {
 				// Deferred exception: stash it in the renaming registers;
 				// it surfaces only if a copy commits (paper §3.8).
 				for _, f := range rens {
-					e.scFulls = append(e.scFulls, fullWrite{due: int32(due), flat: f, v: renVal{exc: err}})
+					e.scFulls = append(e.scFulls, fullWrite{due: int32(lands), flat: f, v: renVal{exc: err}})
 				}
 				continue
 			}
@@ -105,7 +113,11 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 		}
 	}
 
-	// Phase 3: aliasing detection (paper §3.10) before anything commits.
+	// Phase 3: aliasing detection (paper §3.10) before the staged writes
+	// and the stores commit. The in-place writes already made are undone
+	// by the rollback an exception takes, so every state the machine or
+	// the test machine sees is the one "nothing commits before the
+	// aliasing check" gives.
 	if err := e.checkAliasing(e.scMemOps); err != nil {
 		e.fail(res, err)
 		return

@@ -25,7 +25,8 @@ func (e *LowerMismatchError) Error() string {
 }
 
 // CheckLowered verifies that low is exactly the lowering of b: the block
-// is re-lowered and the two micro-op forms are compared structurally.
+// is re-lowered and the two micro-op forms, their write sets and their
+// staging flags included, are compared structurally.
 // Because lowering is deterministic, any divergence means the cached
 // executable form no longer decodes to the same semantic operations as
 // the slot grid (the blockcheck verifier's lowered-agreement condition).
@@ -43,6 +44,11 @@ func CheckLowered(b *sched.Block, low *LoweredBlock, nwin int) error {
 		return &LowerMismatchError{Line: -1, Slot: -1,
 			Detail: fmt.Sprintf("renaming-register total %d, re-lowering yields %d",
 				low.renTotal, want.renTotal)}
+	}
+	if low.iregs != want.iregs || low.fregs != want.fregs {
+		return &LowerMismatchError{Line: -1, Slot: -1,
+			Detail: fmt.Sprintf("write set %x fp %x, re-lowering yields %x fp %x",
+				low.iregs, low.fregs, want.iregs, want.fregs)}
 	}
 	if len(low.lines) != len(want.lines) {
 		return &LowerMismatchError{Line: -1, Slot: -1,

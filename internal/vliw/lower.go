@@ -58,7 +58,7 @@ type lcopy struct {
 
 // lop is one lowered slot. Operand meaning depends on op; the handle
 // assignment mirrors the order of arch.State.exec's register, flag and
-// memory accesses, so the buffered effects are emitted in the order the
+// memory accesses, so the effects are emitted in the order the
 // sequential interpreter performs them. The
 // variable-length lists live in the block's flat arrays and are
 // addressed by [lo, hi) ranges, which keeps a lop small and comparable
@@ -70,8 +70,12 @@ type lop struct {
 	lat    uint8 // LatOr1, for the multicycle due line
 	useImm bool
 
+	// stage holds the slot's register writes in the scratch arenas until
+	// the end of its long instruction (or its latency); without it they
+	// land in place as the slot executes (see lowerer.stage).
+	stage bool
+
 	// Memory metadata (paper §3.10), copied from the slot.
-	isMem      bool
 	isStore    bool
 	cross      bool
 	memRenamed bool
@@ -121,6 +125,11 @@ const maxRenameTargets = 3
 // maxRenameTargets. core.Config.Validate refuses larger geometries.
 const MaxBlockSlots = maxLowered / maxRenameTargets
 
+// iregWords is the size of a write set's integer bitmask: nine words
+// cover isa.NumPhysRegs(32) = 520 registers, the largest file
+// core.Config.Validate accepts.
+const iregWords = 9
+
 // LoweredBlock is the decode-once executable form of a scheduled block,
 // stored alongside it in the VLIW Cache. All of its storage is five flat
 // arrays, which LowerInto reuses when it lowers another block into the
@@ -133,6 +142,12 @@ type LoweredBlock struct {
 	rens     []int32 // flat rename targets, addressed by lop ranges
 	copies   []lcopy
 	renTotal int // flattened renaming registers across all classes
+
+	// The block's write set: every physical integer register (iregs) and
+	// FP register (fregs) a slot or a copy writes architecturally. Block
+	// entry checkpoints only these and the singletons.
+	iregs [iregWords]uint64
+	fregs uint32
 }
 
 // Block returns the scheduled block this lowering was produced from.
@@ -145,6 +160,159 @@ type lowerer struct {
 	nwin int
 	base [sched.NumRenameClasses]int
 	fail bool
+
+	// The staging analysis (stage). reads and writes hold the location
+	// keys of the slot being lowered, noted as its handles resolve.
+	reads   [4]int32 // FADDD, FCMPD, STD and MULSCC read four
+	writes  [maxRenameTargets]int32
+	nreads  int
+	nwrites int
+	// liw lists the keys the earlier slots of the current long
+	// instruction write, with their op index; liKeys filters lookups in
+	// it.
+	liw    [32]keyWriter
+	nliw   int
+	liKeys keyFilter
+	// land lists the keys multicycle slots write, by the long
+	// instruction at whose end the write lands.
+	land  [32]landing
+	nland int
+	// Every slot of the long instructions up to stageThrough is staged,
+	// because a table above overflowed and the analysis cannot tell.
+	stageThrough int
+}
+
+// Location keys name the registers the staging analysis tracks: a
+// renaming register by its (negative) handle, an integer register by its
+// physical index, then the FP registers and the ICC, FCC, Y and CWP
+// singletons above the largest integer file.
+const (
+	keyF   = iregWords * 64
+	keyICC = keyF + 32 // keyICC + (kind - isa.LocICC) for the singletons
+)
+
+func singletonKey(k isa.LocKind) int32 { return keyICC + int32(k-isa.LocICC) }
+
+// keyWriter is a location key and the index of the op writing it.
+type keyWriter struct {
+	key int32
+	op  int32
+}
+
+// landing is a location key a multicycle slot writes and the long
+// instruction at whose end the write lands.
+type landing struct {
+	due int32
+	key int32
+}
+
+// keyFilter is a 512-bit filter over location keys: a clear bit proves a
+// key absent.
+type keyFilter [8]uint64
+
+func (f *keyFilter) add(k int32)      { f[uint32(k)%512/64] |= 1 << (uint32(k) % 64) }
+func (f *keyFilter) has(k int32) bool { return f[uint32(k)%512/64]&(1<<(uint32(k)%64)) != 0 }
+
+// read notes a location key the slot being lowered reads in phase 2.
+func (lo *lowerer) read(k int32) {
+	if lo.nreads == len(lo.reads) { // no operation reads more
+		lo.stageThrough = lo.b.NumLIs
+		return
+	}
+	lo.reads[lo.nreads] = k
+	lo.nreads++
+}
+
+// write notes a location key the slot being lowered writes.
+func (lo *lowerer) write(k int32) {
+	if lo.nwrites == len(lo.writes) { // no operation writes more
+		lo.stageThrough = lo.b.NumLIs
+		return
+	}
+	lo.writes[lo.nwrites] = k
+	lo.nwrites++
+}
+
+// beginLine readies the staging analysis for long instruction li: the
+// landings of earlier lines are dropped.
+func (lo *lowerer) beginLine(li int) {
+	n := 0
+	for _, l := range lo.land[:lo.nland] {
+		if int(l.due) >= li {
+			lo.land[n] = l
+			n++
+		}
+	}
+	lo.nland = n
+	lo.nliw = 0
+	lo.liKeys = keyFilter{}
+}
+
+// endLine stages every op of long instruction li, ops[op0:op1], when a
+// table of the analysis overflowed.
+func (lo *lowerer) endLine(li, op0, op1 int) {
+	if li <= lo.stageThrough {
+		for i := op0; i < op1; i++ {
+			lo.lb.ops[i].stage = true
+		}
+	}
+}
+
+// stage applies the staging rules to ops[i], just lowered into long
+// instruction li. A slot's writes are staged when
+//
+//   - a later slot of li, in slot order, reads a location it writes: the
+//     reader must see the state before li;
+//   - a multicycle slot of an earlier line writes the same location and
+//     its write lands at the end of li: it lands before li's staged
+//     writes, and the younger value must land last;
+//   - its latency is above one: its writes queue until they land.
+//
+// Phase-1 branch reads come before every phase-2 write, so they do not
+// count; nor does memory, whose stores always commit at the end.
+func (lo *lowerer) stage(li, i int) {
+	ops := lo.lb.ops
+	op := &ops[i]
+	if op.lat > 1 {
+		op.stage = true
+	}
+	for _, k := range lo.reads[:lo.nreads] {
+		if !lo.liKeys.has(k) {
+			continue
+		}
+		for _, w := range lo.liw[:lo.nliw] {
+			if w.key == k {
+				ops[w.op].stage = true
+			}
+		}
+	}
+	for _, k := range lo.writes[:lo.nwrites] {
+		for _, l := range lo.land[:lo.nland] {
+			if int(l.due) == li && l.key == k {
+				op.stage = true
+			}
+		}
+		if lo.nliw == len(lo.liw) {
+			lo.stageThrough = max(lo.stageThrough, li)
+			continue
+		}
+		lo.liw[lo.nliw] = keyWriter{key: k, op: int32(i)}
+		lo.nliw++
+		lo.liKeys.add(k)
+	}
+	// A multicycle write landing inside the block is a landing for the
+	// slots of its due line.
+	if due := li + int(op.lat) - 1; due > li && due < lo.b.NumLIs {
+		for _, k := range lo.writes[:lo.nwrites] {
+			if lo.nland == len(lo.land) {
+				lo.stageThrough = max(lo.stageThrough, due)
+				continue
+			}
+			lo.land[lo.nland] = landing{due: int32(due), key: k}
+			lo.nland++
+		}
+	}
+	lo.nreads, lo.nwrites = 0, 0
 }
 
 func (lo *lowerer) flatOf(r sched.RenameReg) int32 {
@@ -199,7 +367,7 @@ func LowerInto(dst *LoweredBlock, b *sched.Block, nwin int) *LoweredBlock {
 		return nil
 	}
 
-	lo := lowerer{b: b, lb: dst, nwin: nwin}
+	lo := lowerer{b: b, lb: dst, nwin: nwin, stageThrough: -1}
 	tot := 0
 	for c := 0; c < int(sched.NumRenameClasses); c++ {
 		lo.base[c] = tot
@@ -216,6 +384,7 @@ func LowerInto(dst *LoweredBlock, b *sched.Block, nwin int) *LoweredBlock {
 	}
 	for li := 0; li < b.NumLIs; li++ {
 		ll := lline{br0: uint16(len(dst.brs)), op0: uint16(len(dst.ops))}
+		lo.beginLine(li)
 		for _, s := range b.LIs[li] {
 			if s == nil {
 				continue
@@ -228,8 +397,10 @@ func LowerInto(dst *LoweredBlock, b *sched.Block, nwin int) *LoweredBlock {
 				return nil
 			}
 			dst.ops = append(dst.ops, op)
+			lo.stage(li, len(dst.ops)-1)
 		}
 		ll.br1, ll.op1 = uint16(len(dst.brs)), uint16(len(dst.ops))
+		lo.endLine(li, int(ll.op0), int(ll.op1))
 		dst.lines = append(dst.lines, ll)
 	}
 	return dst
@@ -277,15 +448,19 @@ func (lo *lowerer) lowerBranch(s *sched.Slot) lbr {
 // rh resolves an integer source register (window-resolved, then source
 // forwarding). Physical register 0 reads as architectural zero even when
 // a rename pair nominally covers it, as in the sequential interpreter.
+// Every source and destination resolver notes the location key it
+// resolves for the staging analysis.
 func (lo *lowerer) rh(s *sched.Slot, r uint8) int32 {
 	p := isa.PhysReg(s.CWP, r, lo.nwin)
 	if p == 0 {
 		return 0
 	}
+	h := int32(p)
 	if rr, ok := s.SrcRenameTarget(isa.IReg(p)); ok {
-		return lo.renH(rr)
+		h = lo.renH(rr)
 	}
-	return int32(p)
+	lo.read(h)
+	return h
 }
 
 // whPhys resolves an integer destination already in physical form.
@@ -293,10 +468,25 @@ func (lo *lowerer) whPhys(s *sched.Slot, p uint16) int32 {
 	if p == 0 {
 		return hDiscard
 	}
+	h := int32(p)
 	if rr, ok := s.RenameTarget(isa.IReg(p)); ok {
-		return lo.renH(rr)
+		h = lo.renH(rr)
+	} else {
+		lo.writeIReg(p)
 	}
-	return int32(p)
+	lo.write(h)
+	return h
+}
+
+// writeIReg adds physical integer register p to the block's write set.
+// A register beyond the bitmask (more windows than core.Config.Validate
+// accepts) fails the lowering.
+func (lo *lowerer) writeIReg(p uint16) {
+	if p >= keyF {
+		lo.fail = true
+		return
+	}
+	lo.lb.iregs[p/64] |= 1 << (p % 64)
 }
 
 func (lo *lowerer) wh(s *sched.Slot, r uint8) int32 {
@@ -306,15 +496,22 @@ func (lo *lowerer) wh(s *sched.Slot, r uint8) int32 {
 // rfh/wfh resolve floating-point source/destination registers.
 func (lo *lowerer) rfh(s *sched.Slot, r uint8) int32 {
 	if rr, ok := s.SrcRenameTarget(isa.FReg(uint16(r))); ok {
-		return lo.renH(rr)
+		h := lo.renH(rr)
+		lo.read(h)
+		return h
 	}
+	lo.read(keyF + int32(r))
 	return int32(r)
 }
 
 func (lo *lowerer) wfh(s *sched.Slot, r uint8) int32 {
 	if rr, ok := s.RenameTarget(isa.FReg(uint16(r))); ok {
-		return lo.renH(rr)
+		h := lo.renH(rr)
+		lo.write(h)
+		return h
 	}
+	lo.lb.fregs |= 1 << (r & 31)
+	lo.write(keyF + int32(r))
 	return int32(r)
 }
 
@@ -322,26 +519,53 @@ func (lo *lowerer) wfh(s *sched.Slot, r uint8) int32 {
 // architectural register).
 func (lo *lowerer) rlh(s *sched.Slot, k isa.LocKind) int32 {
 	if rr, ok := s.SrcRenameTarget(isa.Loc{Kind: k}); ok {
-		return lo.renH(rr)
+		h := lo.renH(rr)
+		lo.read(h)
+		return h
 	}
+	lo.read(singletonKey(k))
 	return 0
 }
 
 func (lo *lowerer) wlh(s *sched.Slot, k isa.LocKind) int32 {
 	if rr, ok := s.RenameTarget(isa.Loc{Kind: k}); ok {
-		return lo.renH(rr)
+		h := lo.renH(rr)
+		lo.write(h)
+		return h
 	}
+	lo.write(singletonKey(k))
 	return 0
 }
 
-// lowerSlot translates one slot. ok is false for constructs lowering does
-// not represent (non-schedulable ops; they never reach blocks).
+// copyTarget notes a copy's architectural destination: a register or
+// singleton location key; a memory copy releases a store, which always
+// commits at the end of the long instruction.
+func (lo *lowerer) copyTarget(l isa.Loc) {
+	switch l.Kind {
+	case isa.LocIReg:
+		if l.Idx != 0 {
+			lo.writeIReg(l.Idx)
+			lo.write(int32(l.Idx))
+		}
+	case isa.LocFReg:
+		lo.lb.fregs |= 1 << (l.Idx & 31)
+		lo.write(keyF + int32(l.Idx&31))
+	case isa.LocICC, isa.LocFCC, isa.LocY, isa.LocCWP:
+		lo.write(singletonKey(l.Kind))
+	}
+}
+
+// lowerSlot translates one slot, leaving the location keys of its phase-2
+// reads and its writes in lo.reads and lo.writes. ok is false for
+// constructs lowering does not represent (non-schedulable ops; they never
+// reach blocks).
 func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 	op := lop{
 		tag: s.Tag, lat: uint8(s.LatOr1()), addr: s.Addr,
-		isMem: s.IsMem, isStore: s.IsStore, cross: s.Cross,
+		isStore: s.IsStore, cross: s.Cross,
 		memRenamed: s.MemRenamed, memSize: s.MemSize, order: s.Order,
 	}
+	lo.nreads, lo.nwrites = 0, 0 // drop lowerBranch's phase-1 reads
 	lb := lo.lb
 	op.ren0 = uint16(len(lb.rens))
 	for _, p := range s.Renames {
@@ -358,7 +582,10 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		op.isCopy = true
 		op.cp0 = uint16(len(lb.copies))
 		for _, p := range s.Copies {
-			lb.copies = append(lb.copies, lcopy{flat: lo.flatOf(p.Reg), kind: p.Loc.Kind, idx: p.Loc.Idx})
+			flat := lo.flatOf(p.Reg)
+			lb.copies = append(lb.copies, lcopy{flat: flat, kind: p.Loc.Kind, idx: p.Loc.Idx})
+			lo.read(^flat)
+			lo.copyTarget(p.Loc)
 		}
 		op.cp1 = uint16(len(lb.copies))
 		return op, true

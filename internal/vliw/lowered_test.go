@@ -190,9 +190,10 @@ func recordBlocks(t *testing.T, shape progen.Shape, seed int64) []*sched.Block {
 }
 
 // sameLowering reports whether two lowerings are identical op for op,
-// down to every range and flat list.
+// down to every range, flat list and write-set bit.
 func sameLowering(a, b *LoweredBlock) bool {
 	return a.b == b.b && a.renTotal == b.renTotal &&
+		a.iregs == b.iregs && a.fregs == b.fregs &&
 		slices.Equal(a.lines, b.lines) && slices.Equal(a.ops, b.ops) &&
 		slices.Equal(a.brs, b.brs) && slices.Equal(a.rens, b.rens) &&
 		slices.Equal(a.copies, b.copies)

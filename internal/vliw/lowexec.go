@@ -67,38 +67,76 @@ func (e *Engine) lop2(op *lop) uint32 {
 	return e.lrdReg(op.b)
 }
 
-// Emit helpers buffer one effect into the scratch arenas, routed to the
-// flat rename arena when the handle says so.
+// dueNow is the due line of an unstaged slot: its writes land in place,
+// in the architectural files or the rename arena, as it executes.
+const dueNow = -1
+
+// Emit helpers perform one effect: in place for due dueNow, otherwise
+// buffered in the scratch arenas with its due line. The handle routes it
+// to the flat rename arena or an architectural location. They stay small
+// enough to inline into execLoweredOp, which calls one per write.
 
 func (e *Engine) lemitReg(h int32, v uint32, due int) {
-	if h == hDiscard {
-		return
-	}
-	if h >= 0 {
+	switch {
+	case h == hDiscard:
+	case h < 0:
+		e.lemitRen(^h, v, due)
+	case due == dueNow:
+		e.st.Regs[h] = v
+	default:
 		e.scWrites = append(e.scWrites, pendWrite{due: due,
 			w: bufWrite{kind: isa.LocIReg, idx: uint16(h), val: v}})
-		return
 	}
-	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: ^h, val: v})
 }
 
 func (e *Engine) lemitF(h int32, v uint32, due int) {
-	if h >= 0 {
+	switch {
+	case h < 0:
+		e.lemitRen(^h, v, due)
+	case due == dueNow:
+		e.st.F[h&31] = v
+	default:
 		e.scWrites = append(e.scWrites, pendWrite{due: due,
 			w: bufWrite{kind: isa.LocFReg, idx: uint16(h), val: v}})
-		return
 	}
-	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: ^h, val: v})
 }
 
-// lemitLoc buffers a write to one of the ICC/FCC/Y/CWP singletons.
+// lemitICC writes the integer condition codes, the singleton most ops
+// write.
+func (e *Engine) lemitICC(h int32, v uint32, due int) {
+	switch {
+	case h < 0:
+		e.lemitRen(^h, v, due)
+	case due == dueNow:
+		e.st.SetICC(uint8(v))
+	default:
+		e.scWrites = append(e.scWrites, pendWrite{due: due,
+			w: bufWrite{kind: isa.LocICC, val: v}})
+	}
+}
+
+// lemitLoc writes one of the FCC/Y/CWP singletons.
 func (e *Engine) lemitLoc(h int32, kind isa.LocKind, v uint32, due int) {
-	if h >= 0 {
+	switch {
+	case h < 0:
+		e.lemitRen(^h, v, due)
+	case due == dueNow:
+		e.applyWrite(bufWrite{kind: kind, val: v})
+	default:
 		e.scWrites = append(e.scWrites, pendWrite{due: due,
 			w: bufWrite{kind: kind, val: v}})
+	}
+}
+
+// lemitRen writes a value to renaming register flat. Its in-place store
+// spells out commitRen, which would push its callers past the inliner's
+// budget.
+func (e *Engine) lemitRen(flat int32, v uint32, due int) {
+	if due == dueNow {
+		e.ren[flat] = renCell{val: v, stamp: e.epoch}
 		return
 	}
-	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: ^h, val: v})
+	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: flat, val: v})
 }
 
 func (e *Engine) lemitD(op *lop, v float64, due int) {
@@ -128,12 +166,13 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 }
 
 // execLoweredCopy commits a copy instruction: each renaming register's
-// value is written to its architectural location; memory renaming
-// registers release their buffered stores. A deferred exception held in a
-// renaming register surfaces here (paper §3.8). Results accumulate in the
-// engine's per-LI scratch arenas with a due line of the current long
-// instruction (copies always complete in one cycle).
-func (e *Engine) execLoweredCopy(op *lop, line int) error {
+// value is written to its architectural location, in place for due
+// dueNow and otherwise buffered with a due line of the current long
+// instruction (copies always complete in one cycle); memory renaming
+// registers release their buffered stores to the per-LI arenas. A
+// deferred exception held in a renaming register surfaces here (paper
+// §3.8).
+func (e *Engine) execLoweredCopy(op *lop, due int) error {
 	for _, c := range e.lb.copies[op.cp0:op.cp1] {
 		val, p := e.copySource(c.flat)
 		if p != nil && p.exc != nil {
@@ -150,31 +189,21 @@ func (e *Engine) execLoweredCopy(op *lop, line int) error {
 				addr: memEA, size: op.memSize, order: op.order,
 				cross: op.cross, isStore: true,
 			})
-		case isa.LocIReg:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocIReg, idx: c.idx, val: val}})
-		case isa.LocFReg:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocFReg, idx: c.idx, val: val}})
-		case isa.LocICC:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocICC, val: val}})
-		case isa.LocFCC:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocFCC, val: val}})
-		case isa.LocY:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocY, val: val}})
-		case isa.LocCWP:
-			e.scWrites = append(e.scWrites, pendWrite{due: line,
-				w: bufWrite{kind: isa.LocCWP, val: val}})
+		default:
+			w := bufWrite{kind: c.kind, idx: c.idx, val: val}
+			if due == dueNow {
+				e.applyWrite(w)
+			} else {
+				e.scWrites = append(e.scWrites, pendWrite{due: due, w: w})
+			}
 		}
 	}
 	return nil
 }
 
-// execLoweredOp executes one lowered slot, buffering its effects with the
-// given due line. Effect order within a slot matches the order of
+// execLoweredOp executes one lowered slot, performing its effects with the
+// given due line (dueNow: in place). It reads every operand before its
+// first write, and effect order within a slot matches the order of
 // arch.State.exec's register, flag and memory accesses exactly.
 func (e *Engine) execLoweredOp(op *lop, due int) error {
 	switch op.op {
@@ -187,7 +216,7 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 		a, b := e.lrdReg(op.a), e.lop2(op)
 		r := a + b
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.AddICC(a, b, r, r < a)), due)
+		e.lemitICC(op.d1, uint32(isa.AddICC(a, b, r, r < a)), due)
 
 	case isa.OpADDX, isa.OpADDXCC:
 		a, b := e.lrdReg(op.a), e.lop2(op)
@@ -199,7 +228,7 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 		e.lemitReg(op.d0, r, due)
 		if op.op == isa.OpADDXCC {
 			carry := uint64(a)+uint64(b)+uint64(c) > 0xFFFFFFFF
-			e.lemitLoc(op.d1, isa.LocICC, uint32(isa.AddICC(a, b, r, carry)), due)
+			e.lemitICC(op.d1, uint32(isa.AddICC(a, b, r, carry)), due)
 		}
 
 	case isa.OpSUB:
@@ -208,7 +237,7 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 		a, b := e.lrdReg(op.a), e.lop2(op)
 		r := a - b
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.SubICC(a, b, r, a < b)), due)
+		e.lemitICC(op.d1, uint32(isa.SubICC(a, b, r, a < b)), due)
 
 	case isa.OpSUBX, isa.OpSUBXCC:
 		a, b := e.lrdReg(op.a), e.lop2(op)
@@ -220,7 +249,7 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 		e.lemitReg(op.d0, r, due)
 		if op.op == isa.OpSUBXCC {
 			borrow := uint64(a) < uint64(b)+uint64(c)
-			e.lemitLoc(op.d1, isa.LocICC, uint32(isa.SubICC(a, b, r, borrow)), due)
+			e.lemitICC(op.d1, uint32(isa.SubICC(a, b, r, borrow)), due)
 		}
 
 	case isa.OpAND:
@@ -228,37 +257,37 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 	case isa.OpANDCC:
 		r := e.lrdReg(op.a) & e.lop2(op)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.LogicICC(r)), due)
+		e.lemitICC(op.d1, uint32(isa.LogicICC(r)), due)
 	case isa.OpANDN:
 		e.lemitReg(op.d0, e.lrdReg(op.a)&^e.lop2(op), due)
 	case isa.OpANDNCC:
 		r := e.lrdReg(op.a) &^ e.lop2(op)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.LogicICC(r)), due)
+		e.lemitICC(op.d1, uint32(isa.LogicICC(r)), due)
 	case isa.OpOR:
 		e.lemitReg(op.d0, e.lrdReg(op.a)|e.lop2(op), due)
 	case isa.OpORCC:
 		r := e.lrdReg(op.a) | e.lop2(op)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.LogicICC(r)), due)
+		e.lemitICC(op.d1, uint32(isa.LogicICC(r)), due)
 	case isa.OpORN:
 		e.lemitReg(op.d0, e.lrdReg(op.a)|^e.lop2(op), due)
 	case isa.OpORNCC:
 		r := e.lrdReg(op.a) | ^e.lop2(op)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.LogicICC(r)), due)
+		e.lemitICC(op.d1, uint32(isa.LogicICC(r)), due)
 	case isa.OpXOR:
 		e.lemitReg(op.d0, e.lrdReg(op.a)^e.lop2(op), due)
 	case isa.OpXORCC:
 		r := e.lrdReg(op.a) ^ e.lop2(op)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.LogicICC(r)), due)
+		e.lemitICC(op.d1, uint32(isa.LogicICC(r)), due)
 	case isa.OpXNOR:
 		e.lemitReg(op.d0, e.lrdReg(op.a)^^e.lop2(op), due)
 	case isa.OpXNORCC:
 		r := e.lrdReg(op.a) ^ ^e.lop2(op)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.LogicICC(r)), due)
+		e.lemitICC(op.d1, uint32(isa.LogicICC(r)), due)
 
 	case isa.OpSLL:
 		e.lemitReg(op.d0, e.lrdReg(op.a)<<(e.lop2(op)&31), due)
@@ -283,7 +312,7 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 		r := o1 + o2
 		e.lemitLoc(op.e1, isa.LocY, y>>1|a<<31, due)
 		e.lemitReg(op.d0, r, due)
-		e.lemitLoc(op.d1, isa.LocICC, uint32(isa.AddICC(o1, o2, r, r < o1)), due)
+		e.lemitICC(op.d1, uint32(isa.AddICC(o1, o2, r, r < o1)), due)
 
 	case isa.OpRDY:
 		e.lemitReg(op.d0, e.lrdY(op.a), due)

@@ -69,22 +69,38 @@ func TestPlainExecution(t *testing.T) {
 }
 
 // TestReadBeforeWrite: within one long instruction all reads see the
-// pre-LI state (legal anti-dependency cohabitation).
+// pre-LI state (legal anti-dependency cohabitation), whichever slot comes
+// first. A writer ahead of its reader in slot order is the case that
+// stages the write to the end of the long instruction.
 func TestReadBeforeWrite(t *testing.T) {
-	st := newState()
-	st.SetReg(1, 100)
-	e := New(st)
-	li := []*sched.Slot{
-		slot(isa.Inst{Op: isa.OpADD, Rd: 2, Rs1: 1, UseImm: true, Imm: 1}, 0x1000, 0), // reads g1
-		slot(isa.Inst{Op: isa.OpOR, Rd: 1, Rs1: 0, UseImm: true, Imm: 9}, 0x1004, 1),  // writes g1
-	}
-	begin(t, e, block(0x1000, li))
-	e.ExecLI(0)
-	if st.ReadReg(2) != 101 {
-		t.Fatalf("reader saw the same-LI write: g2=%d", st.ReadReg(2))
-	}
-	if st.ReadReg(1) != 9 {
-		t.Fatalf("writer lost: g1=%d", st.ReadReg(1))
+	reader := slot(isa.Inst{Op: isa.OpADD, Rd: 2, Rs1: 1, UseImm: true, Imm: 1}, 0x1000, 0) // reads g1
+	writer := slot(isa.Inst{Op: isa.OpOR, Rd: 1, Rs1: 0, UseImm: true, Imm: 9}, 0x1004, 1)  // writes g1
+	for _, tc := range []struct {
+		name      string
+		li        []*sched.Slot
+		wantStage []bool
+	}{
+		{"reader first", []*sched.Slot{reader, writer}, []bool{false, false}},
+		{"writer first", []*sched.Slot{writer, reader}, []bool{true, false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newState()
+			st.SetReg(1, 100)
+			e := New(st)
+			begin(t, e, block(0x1000, tc.li))
+			for i, op := range e.lb.ops {
+				if op.stage != tc.wantStage[i] {
+					t.Errorf("slot %d staged %v, want %v", i, op.stage, tc.wantStage[i])
+				}
+			}
+			e.ExecLI(0)
+			if st.ReadReg(2) != 101 {
+				t.Fatalf("reader saw the same-LI write: g2=%d", st.ReadReg(2))
+			}
+			if st.ReadReg(1) != 9 {
+				t.Fatalf("writer lost: g1=%d", st.ReadReg(1))
+			}
+		})
 	}
 }
 
