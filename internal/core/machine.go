@@ -65,8 +65,6 @@ type Machine struct {
 	excBudget     uint64      // exception mode: Primary-only instructions left
 	pendingExcErr error
 
-	journal []arch.StoreRec // VLIW Engine stores since the last checkpoint (St.LogStores only)
-
 	// effReads/effWrites are scratch buffers for pipeline pricing, reused
 	// across stepPrimary calls so footprint computation never allocates.
 	effReads  []isa.Loc //resetcheck:allow scratch, truncated at each use
@@ -608,7 +606,6 @@ func (m *Machine) runVLIW() error {
 	// per-LI values (the decrement is monotonic), so Stats are identical;
 	// with telemetry attached every cycle is stamped per-LI as before.
 	batch := m.tel == nil
-	logStores := m.St.LogStores
 	pending := 0
 	for {
 		if m.Stats.Cycles+uint64(pending) >= m.stopAt {
@@ -624,15 +621,7 @@ func (m *Machine) runVLIW() error {
 			cycles += m.dc.Access(a)
 		}
 
-		if logStores {
-			// The journal only feeds the test machine's incremental
-			// memory comparison; without it the journal would grow for
-			// the whole run. Harmless on the exception path below: an
-			// exception result carries no stores.
-			m.journal = append(m.journal, res.Stores...)
-		}
-
-		if !res.Exception && !res.TraceExit && m.vpc.Line != blk.NBA.Line {
+		if res.Err == nil && !res.TraceExit && m.vpc.Line != blk.NBA.Line {
 			// Intra-block advance, the hot path of a chained run.
 			m.vpc.Line++
 			if batch {
@@ -647,7 +636,7 @@ func (m *Machine) runVLIW() error {
 			pending = 0
 		}
 
-		if res.Exception {
+		if res.Err != nil {
 			var rerr *vliw.RecoveryError
 			if errors.As(res.Err, &rerr) {
 				// The checkpoint could not be restored, so there is no
@@ -656,11 +645,12 @@ func (m *Machine) runVLIW() error {
 			}
 			// Recovery already restored the block-entry checkpoint; resume
 			// on the Primary Processor at the block's first instruction.
+			_, aliasing := res.Err.(*vliw.AliasingError)
 			if m.tel != nil {
-				m.tel.Exception(blk.Tag, res.Aliasing)
+				m.tel.Exception(blk.Tag, aliasing)
 				m.tel.ExitBlock(blk.Tag, telemetry.ExitException, blk.Tag, 0)
 			}
-			if res.Aliasing {
+			if aliasing {
 				m.Stats.AliasingExceptions++
 				m.vc.Invalidate(blk.Tag, blk.EntryCWP)
 				m.sch.MarkConservative(blk.Tag, blk.EntryCWP)
@@ -701,7 +691,7 @@ func (m *Machine) runVLIW() error {
 				cycles++
 			}
 			cycles += m.eng.FlushPending(m.vpc.Line)
-			if err := m.endBlockDrain(); err != nil {
+			if err := m.eng.EndBlock(); err != nil {
 				return err
 			}
 			if err := m.notifyCheckpoint(res.ExitAdvance, res.NextPC, site{kind: siteTraceExit}); err != nil {
@@ -730,7 +720,7 @@ func (m *Machine) runVLIW() error {
 				m.tel.ExitBlock(blk.Tag, telemetry.ExitFallthru, next, advance)
 			}
 			cycles += m.eng.FlushPending(m.vpc.Line)
-			if err := m.endBlockDrain(); err != nil {
+			if err := m.eng.EndBlock(); err != nil {
 				return err
 			}
 			if err := m.notifyCheckpoint(advance, next, site{kind: siteBlockEnd}); err != nil {
@@ -754,19 +744,6 @@ func (m *Machine) runVLIW() error {
 	}
 	if pending > 0 {
 		m.addCycles(pending, true)
-	}
-	return nil
-}
-
-// endBlockDrain transfers the data store list to memory when the
-// store-list scheme is active (no-op under the checkpoint scheme).
-func (m *Machine) endBlockDrain() error {
-	recs, err := m.eng.EndBlock()
-	if err != nil {
-		return err
-	}
-	if m.St.LogStores {
-		m.journal = append(m.journal, recs...)
 	}
 	return nil
 }
@@ -846,7 +823,6 @@ func (m *Machine) Reset() {
 	m.skipProbe = false
 	m.excBudget = 0
 	m.pendingExcErr = nil
-	m.journal = m.journal[:0]
 	m.test = nil
 	m.BlockHook = nil
 	m.CheckpointHook = nil

@@ -168,11 +168,11 @@ func (t *TestMachine) check(m *Machine, advance uint64, pc uint32, where site) e
 }
 
 // compareJournals compares both memories at every address either side
-// stored to since the previous checkpoint — the machine's journal (VLIW
-// Engine stores), its state's store log (Primary Processor stores) and
-// the test machine's — then empties all three for reuse.
+// stored to since the previous checkpoint — the machine's store log
+// (Primary Processor and VLIW Engine stores) and the test machine's —
+// then empties both for reuse.
 func (t *TestMachine) compareJournals(m *Machine) string {
-	for _, recs := range [...][]arch.StoreRec{m.journal, m.St.StoreLog, t.St.StoreLog} {
+	for _, recs := range [...][]arch.StoreRec{m.St.StoreLog, t.St.StoreLog} {
 		for _, r := range recs {
 			a, errA := m.St.Mem.Read(r.Addr, r.Size)
 			b, errB := t.St.Mem.Read(r.Addr, r.Size)
@@ -185,7 +185,6 @@ func (t *TestMachine) compareJournals(m *Machine) string {
 			}
 		}
 	}
-	m.journal = m.journal[:0]
 	m.St.StoreLog = m.St.StoreLog[:0]
 	t.St.StoreLog = t.St.StoreLog[:0]
 	return ""

@@ -98,7 +98,7 @@ func TestTestModeCatchesDroppedCopies(t *testing.T) {
 // TestLockstepCheckpointZeroAlloc: a lock-step checkpoint that finds the
 // machines equal allocates nothing, at every kind of site. Each Primary
 // step is at an address not seen before, and each one stores, so the
-// store journals are compared too. The halt comparison, which compares
+// store logs are compared too. The halt comparison, which compares
 // the full memory image, allocates nothing either.
 func TestLockstepCheckpointZeroAlloc(t *testing.T) {
 	const runs = 50

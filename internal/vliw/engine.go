@@ -3,8 +3,9 @@
 // against the architectural state shared with the Primary Processor, with
 //
 //   - read-before-write semantics within each long instruction (a slot
-//     writes in place as it executes unless lowering stages its writes
-//     to the end of the long instruction),
+//     writes in place as it executes unless lowering stages its writes,
+//     which wait in one write queue, in program order, for the end of
+//     their due long instruction),
 //   - branch-tag validation and trace-exit redirection,
 //   - renaming registers holding split instruction results (and deferred
 //     exception information),
@@ -12,7 +13,11 @@
 //   - memory-aliasing detection through load/store lists, order fields and
 //     cross bits, and
 //   - checkpointing of the registers each block writes, with a recovery
-//     store list (Hwu & Patt).
+//     store list (Hwu & Patt), or the data store list alternative.
+//
+// Committed stores reach memory through arch.State.Store, so the state's
+// store log lists them under LogStores; an exception is reported in
+// Result.Err alone.
 package vliw
 
 import (
@@ -125,23 +130,16 @@ type Result struct {
 	ExitAdvance uint64
 	ExitBranch  uint32
 
-	// Exception is set when recovery is required; Aliasing distinguishes
-	// aliasing exceptions (which invalidate the block) from others. The
-	// engine has already rolled the block back when Exception is set,
-	// unless Err is a *RecoveryError.
-	Exception      bool
-	Aliasing       bool
+	// Err is set when the long instruction raised an exception; an
+	// *AliasingError invalidates the block. The engine has already
+	// rolled the block back when Err is set, unless Err is a
+	// *RecoveryError.
 	Err            error
 	RecoveryCycles int // cycles spent restoring the checkpoint
 
 	// MemAddrs lists committed memory access addresses for Data Cache
-	// timing; Stores lists committed memory writes for lockstep memory
-	// comparison.
+	// timing.
 	MemAddrs []uint32
-	Stores   []arch.StoreRec
-
-	Committed int
-	Annulled  int
 }
 
 // Stats accumulates VLIW Engine statistics (Table 3 columns).
@@ -191,57 +189,42 @@ type Engine struct {
 	shadowCWP  uint8                  //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
 	undo       []undoRec              //resetcheck:allow truncated by BeginLowered before any read
 
-	scheme  StoreScheme //resetcheck:allow store-handling scheme fixed at construction
-	overlay *dataStoreOverlay
+	scheme StoreScheme //resetcheck:allow store-handling scheme fixed at construction
+	// storeList is the data store list of SchemeStoreList (paper §3.11):
+	// the block's stores in commit order, drained to memory by EndBlock.
+	storeList []microStore
 
-	// Multicycle extension: writes of latency-L slots commit at the end
-	// of long instruction issueLI+L-1.
-	pendWrites []pendWrite //resetcheck:allow truncated by BeginLowered before any read
-	pendRens   []renWrite  //resetcheck:allow truncated by BeginLowered before any read
-	pendFulls  []fullWrite //resetcheck:allow truncated by BeginLowered before any read
-	maxDue     int         //resetcheck:allow recomputed by BeginLowered before any read
+	// Staged writes in program order, each landing at the end of its due
+	// long instruction: the writes of staged slots and of latencies above
+	// one, copies' staged writes, deferred exceptions and split stores.
+	// pend0 is the queue's length before the current long instruction's
+	// phase 2; the copy bypass reads only pend[:pend0].
+	pend  []pendWrite //resetcheck:allow truncated by BeginLowered before any read
+	pend0 int         //resetcheck:allow set by each ExecLI before any read
 
 	// Per-LI scratch arenas, reused across ExecLI calls so the steady-
-	// state hot loop never allocates: the staged slots' writes, the
-	// payloads of deferred exceptions and split stores, and every
-	// memory store. Result.MemAddrs and Result.Stores alias
-	// scMemAddrs/scStores and are valid until the next ExecLI.
-	scWrites   []pendWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scRens     []renWrite      //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scFulls    []fullWrite     //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scPend     []microStore    //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scMemOps   []opMem         //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scMemAddrs []uint32        //resetcheck:allow per-LI scratch, truncated at each ExecLI
-	scStores   []arch.StoreRec //resetcheck:allow per-LI scratch, truncated at each ExecLI
+	// state hot loop never allocates: every memory store, every memory
+	// operation's aliasing metadata and every access address.
+	// Result.MemAddrs aliases scMemAddrs and is valid until the next
+	// ExecLI.
+	scPend     []microStore //resetcheck:allow per-LI scratch, truncated at each ExecLI
+	scMemOps   []opMem      //resetcheck:allow per-LI scratch, truncated at each ExecLI
+	scMemAddrs []uint32     //resetcheck:allow per-LI scratch, truncated at each ExecLI
 
 	Stats Stats
 }
 
-// pendWrite is an architectural write awaiting its producer's latency.
+// pendWrite is one staged write awaiting the end of its due long
+// instruction. Its target is renaming register flat when kind is
+// isa.LocRen, carrying the payload v when full is set, and otherwise the
+// architectural location kind/idx.
 type pendWrite struct {
-	due int
-	w   bufWrite
-}
-
-// renWrite is a value-only renaming-register write, the common case,
-// buffered until its due long instruction; the target register is a flat
-// index into the engine's epoch-stamped rename arena.
-type renWrite struct {
 	due  int32
+	kind isa.LocKind
+	full bool
+	idx  uint16
 	flat int32
 	val  uint32
-}
-
-// fullWrite is a renaming-register write carrying a renVal payload: a
-// deferred exception or a split store. Each renaming register is written
-// by one slot of its block (the Scheduler Unit allocates them fresh per
-// block), so a register has at most one write in flight and renWrites
-// and fullWrites need no order between them. A payload always lands
-// through commitLI, an in-place slot's (due dueNow) at the end of its
-// long instruction.
-type fullWrite struct {
-	due  int32
-	flat int32
 	v    renVal
 }
 
@@ -258,17 +241,17 @@ func (e *Engine) renValue(flat int32) uint32 {
 // copySource reads a renaming register for a copy instruction through
 // the result-forwarding bypass: a copy scheduled inside its multicycle
 // producer's latency shadow picks the value up from the functional
-// unit's output latch (the pending write) rather than the rename file.
+// unit's output latch (the write still queued by an earlier long
+// instruction) rather than the rename file. Each renaming register is
+// written by one slot of its block, so at most one such write is queued.
 // p is the register's payload, nil when it holds only a value.
 func (e *Engine) copySource(flat int32) (val uint32, p *renVal) {
-	for i := len(e.pendFulls) - 1; i >= 0; i-- {
-		if e.pendFulls[i].flat == flat {
-			return 0, &e.pendFulls[i].v
-		}
-	}
-	for i := len(e.pendRens) - 1; i >= 0; i-- {
-		if e.pendRens[i].flat == flat {
-			return e.pendRens[i].val, nil
+	for i := e.pend0 - 1; i >= 0; i-- {
+		if w := &e.pend[i]; w.kind == isa.LocRen && w.flat == flat {
+			if w.full {
+				return 0, &w.v
+			}
+			return w.val, nil
 		}
 	}
 	switch c := e.ren[flat]; c.stamp {
@@ -278,15 +261,6 @@ func (e *Engine) copySource(flat int32) (val uint32, p *renVal) {
 		return 0, &e.renFull[flat]
 	}
 	return 0, nil
-}
-
-func (e *Engine) commitRen(w renWrite) {
-	e.ren[w.flat] = renCell{val: w.val, stamp: e.epoch}
-}
-
-func (e *Engine) commitFull(w *fullWrite) {
-	e.ren[w.flat] = renCell{stamp: e.epoch | fullBit}
-	e.renFull[w.flat] = w.v
 }
 
 // New builds a VLIW Engine over the shared architectural state.
@@ -302,14 +276,12 @@ func (e *Engine) SetTelemetry(t *telemetry.Collector) { e.tel = t }
 // the same architectural state object. Every arena survives: the flat
 // rename file stays epoch-invalidated (the stamp discipline makes stale
 // entries unreadable), the per-block and per-LI scratch slices are
-// truncated by the next BeginLowered, and the store-list overlay is
+// truncated by the next BeginLowered, and the data store list is
 // emptied. Statistics are zeroed. A reset engine behaves identically to
 // a freshly constructed one.
 func (e *Engine) Reset() {
 	e.lb = nil
-	if e.overlay != nil {
-		e.overlay.reset()
-	}
+	e.storeList = e.storeList[:0]
 	e.Stats = Stats{}
 }
 
@@ -333,10 +305,7 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.loads = e.loads[:0]
 	e.strs = e.strs[:0]
 	e.undo = e.undo[:0]
-	e.pendWrites = e.pendWrites[:0]
-	e.pendRens = e.pendRens[:0]
-	e.pendFulls = e.pendFulls[:0]
-	e.maxDue = 0
+	e.pend = e.pend[:0]
 	copyWriteSet(lb, e.shadowRegs[:], e.st.Regs, &e.shadowF, &e.st.F)
 	e.shadowICC = e.st.ICC()
 	e.shadowFCC = e.st.FCC()
@@ -382,14 +351,11 @@ func (e *Engine) recover() (int, *RecoveryError) {
 	e.st.SetFCC(e.shadowFCC)
 	e.st.SetY(e.shadowY)
 	e.st.SetCWP(e.shadowCWP)
-	e.pendWrites = e.pendWrites[:0]
-	e.pendRens = e.pendRens[:0]
-	e.pendFulls = e.pendFulls[:0]
-	e.maxDue = 0
+	e.pend = e.pend[:0]
 	if e.scheme == SchemeStoreList {
 		// Discarding the data store list is the whole recovery for
 		// memory: nothing was written through (paper §3.11).
-		e.overlay.reset()
+		e.storeList = e.storeList[:0]
 		return 1, nil
 	}
 	cycles := 1 + len(e.undo)
@@ -407,13 +373,6 @@ func (e *Engine) recover() (int, *RecoveryError) {
 	return cycles, err
 }
 
-// bufWrite is one buffered non-memory architectural write.
-type bufWrite struct {
-	kind isa.LocKind
-	idx  uint16
-	val  uint32
-}
-
 // opMem is the aliasing metadata of one committed memory operation.
 type opMem struct {
 	addr    uint32
@@ -421,15 +380,4 @@ type opMem struct {
 	order   uint16
 	cross   bool
 	isStore bool
-}
-
-// loadMem performs one in-block memory read, honouring the data-store-
-// list overlay when the §3.11 scheme is active.
-func (e *Engine) loadMem(addr uint32, size uint8) (uint32, error) {
-	if e.scheme == SchemeStoreList {
-		// Loads read the data store list over the Data Cache and use the
-		// last data stored on a list hit (paper §3.11).
-		return e.overlay.read(e, addr, size)
-	}
-	return e.st.Mem.Read(addr, size)
 }

@@ -2,8 +2,8 @@ package vliw
 
 import (
 	"fmt"
+	"math"
 
-	"dtsvliw/internal/arch"
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
 )
@@ -16,8 +16,8 @@ import (
 // its end. On an exception, the block has already been rolled back to
 // its entry checkpoint when ExecLI returns.
 //
-// Result.MemAddrs and Result.Stores alias engine-owned scratch arenas and
-// are valid only until the next ExecLI call.
+// Result.MemAddrs aliases an engine-owned scratch arena and is valid only
+// until the next ExecLI call.
 func (e *Engine) ExecLI(line int) Result {
 	var res Result
 	e.ExecLIInto(line, &res)
@@ -31,7 +31,6 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 	*res = Result{}
 	lb := e.lb
 	if lb == nil || line < 0 || line >= len(lb.lines) {
-		res.Exception = true
 		res.Err = fmt.Errorf("vliw: no long instruction %d", line)
 		return
 	}
@@ -74,10 +73,13 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 	}
 
 	// Phase 2: execute valid slots. An unstaged slot writes its registers
-	// in place (due dueNow); a staged slot's writes go to the reusable
-	// scratch arenas, each carrying the long-instruction index at which
-	// its producer's latency lands.
-	e.resetScratch()
+	// in place (due dueNow); a staged slot's writes join the queue, each
+	// carrying the long-instruction index at which its producer's latency
+	// lands.
+	e.pend0 = len(e.pend)
+	e.scPend = e.scPend[:0]
+	e.scMemOps = e.scMemOps[:0]
+	e.scMemAddrs = e.scMemAddrs[:0]
 	committed, annulled := 0, 0
 	for i := range ops {
 		op := &ops[i]
@@ -104,7 +106,8 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 				// Deferred exception: stash it in the renaming registers;
 				// it surfaces only if a copy commits (paper §3.8).
 				for _, f := range rens {
-					e.scFulls = append(e.scFulls, fullWrite{due: int32(lands), flat: f, v: renVal{exc: err}})
+					e.pend = append(e.pend, pendWrite{due: int32(lands), kind: isa.LocRen,
+						full: true, flat: f, v: renVal{exc: err}})
 				}
 				continue
 			}
@@ -132,10 +135,7 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 	if e.tel != nil {
 		e.tel.LIExecuted(committed, annulled)
 	}
-	res.Committed = committed
-	res.Annulled = annulled
 	res.MemAddrs = e.scMemAddrs
-	res.Stores = e.scStores
 	if exit {
 		e.Stats.TraceExits++
 		res.TraceExit = true
@@ -149,10 +149,8 @@ func (e *Engine) ExecLIInto(line int, res *Result) {
 // the long instruction's exception. A recovery that cannot complete
 // reports its *RecoveryError, with err as the cause, instead.
 func (e *Engine) fail(res *Result, err error) {
-	res.Aliasing = isAliasing(err)
 	cycles, rerr := e.recover()
 	res.RecoveryCycles = cycles
-	res.Exception = true
 	res.Err = err
 	if rerr != nil {
 		rerr.Cause = err
@@ -160,85 +158,40 @@ func (e *Engine) fail(res *Result, err error) {
 	}
 }
 
-// resetScratch readies the per-LI scratch arenas for a new long
-// instruction.
-func (e *Engine) resetScratch() {
-	e.scWrites = e.scWrites[:0]
-	e.scRens = e.scRens[:0]
-	e.scFulls = e.scFulls[:0]
-	e.scPend = e.scPend[:0]
-	e.scMemOps = e.scMemOps[:0]
-	e.scMemAddrs = e.scMemAddrs[:0]
-	e.scStores = e.scStores[:0]
-}
-
-// commitLI runs the commit phases over the scratch arenas. Phase 4:
-// in-flight writes from earlier long instructions land first (when an
-// older producer's latency expires in the same long instruction in which
-// a younger instruction writes the same location, program order requires
-// the younger value to survive), then this long instruction's writes
-// apply or queue on their due line,
-// then buffered stores reach memory under the active recoverability
-// scheme. Phase 5 records cross-bit memory operations in the load/store
-// lists. It returns false if a memory fault forced a rollback, with res
-// filled in.
+// commitLI runs the commit phases. Phase 4: the queued writes due by
+// the end of this long instruction land in queue order, so when an older
+// producer's latency expires in the same long instruction in which a
+// younger instruction writes the same location, the younger value
+// survives as program order requires; then buffered stores reach memory
+// under the active recoverability scheme. Phase 5 records cross-bit
+// memory operations in the load/store lists. It returns false if a
+// memory fault forced a rollback, with res filled in.
 func (e *Engine) commitLI(line int, res *Result) bool {
-	e.commitDue(line)
-	for _, w := range e.scWrites {
-		if w.due <= line {
-			e.applyWrite(w.w)
-		} else {
-			e.pendWrites = append(e.pendWrites, w)
-			if w.due > e.maxDue {
-				e.maxDue = w.due
-			}
-		}
-	}
-	for _, r := range e.scRens {
-		if int(r.due) <= line {
-			e.commitRen(r)
-		} else {
-			e.pendRens = append(e.pendRens, r)
-			if int(r.due) > e.maxDue {
-				e.maxDue = int(r.due)
-			}
-		}
-	}
-	for i := range e.scFulls {
-		r := &e.scFulls[i]
-		if int(r.due) <= line {
-			e.commitFull(r)
-		} else {
-			e.pendFulls = append(e.pendFulls, *r)
-			if int(r.due) > e.maxDue {
-				e.maxDue = int(r.due)
-			}
-		}
-	}
+	e.land(line)
 	for _, ms := range e.scPend {
 		if e.scheme == SchemeStoreList {
-			// Buffer in the data store list; memory is written at block
-			// end (drain) and the journal is produced there.
+			// Buffer in the data store list; EndBlock writes memory.
 			if !e.st.Mem.Mapped(ms.addr) {
 				e.fail(res, &mem.FaultError{Addr: ms.addr})
 				return false
 			}
-			e.overlay.add(ms)
+			e.storeList = append(e.storeList, ms)
 			continue
 		}
+		// Store only once the undo read has succeeded, so the state's
+		// store log (under LogStores) lists only mapped addresses.
 		old, err := e.st.Mem.Read(ms.addr, ms.size)
 		if err == nil {
 			e.undo = append(e.undo, undoRec{addr: ms.addr, old: old, size: ms.size})
-			err = e.st.Mem.Write(ms.addr, ms.val, ms.size)
+			err = e.st.Store(ms.addr, ms.val, ms.size)
 		}
 		if err != nil {
 			e.fail(res, err)
 			return false
 		}
-		e.scStores = append(e.scStores, arch.StoreRec{Addr: ms.addr, Size: ms.size})
 	}
 	if e.scheme == SchemeStoreList {
-		if n := len(e.overlay.log); n > e.Stats.MaxDataStoreList {
+		if n := len(e.storeList); n > e.Stats.MaxDataStoreList {
 			e.Stats.MaxDataStoreList = n
 		}
 	} else if len(e.undo) > e.Stats.MaxCkptList {
@@ -264,11 +217,6 @@ func (e *Engine) commitLI(line int, res *Result) bool {
 		e.Stats.MaxStoreList = len(e.strs)
 	}
 	return true
-}
-
-func isAliasing(err error) bool {
-	_, ok := err.(*AliasingError)
-	return ok
 }
 
 // checkAliasing applies the paper's §3.10 rules: every load compares
@@ -322,71 +270,55 @@ func (e *Engine) checkAliasing(memOps []opMem) error {
 	return nil
 }
 
-func (e *Engine) applyWrite(w bufWrite) {
-	switch w.kind {
+// applyWrite writes val to the architectural location kind/idx.
+func (e *Engine) applyWrite(kind isa.LocKind, idx uint16, val uint32) {
+	switch kind {
 	case isa.LocIReg:
-		e.st.WriteReg(w.idx, w.val)
+		e.st.WriteReg(idx, val)
 	case isa.LocFReg:
-		e.st.WriteF(uint8(w.idx), w.val)
+		e.st.WriteF(uint8(idx), val)
 	case isa.LocICC:
-		e.st.SetICC(uint8(w.val))
+		e.st.SetICC(uint8(val))
 	case isa.LocFCC:
-		e.st.SetFCC(uint8(w.val))
+		e.st.SetFCC(uint8(val))
 	case isa.LocY:
-		e.st.SetY(w.val)
+		e.st.SetY(val)
 	case isa.LocCWP:
-		e.st.SetCWP(uint8(w.val))
+		e.st.SetCWP(uint8(val))
 	}
 }
 
-// commitDue applies pending delayed writes whose due long instruction has
-// been reached.
-func (e *Engine) commitDue(line int) {
-	if len(e.pendWrites) > 0 {
-		keep := e.pendWrites[:0]
-		for _, p := range e.pendWrites {
-			if p.due <= line {
-				e.applyWrite(p.w)
-			} else {
-				keep = append(keep, p)
-			}
+// land applies every queued write due at or before line, in queue
+// order, and keeps the rest queued.
+func (e *Engine) land(line int) {
+	keep := e.pend[:0]
+	for i := range e.pend {
+		w := &e.pend[i]
+		switch {
+		case int(w.due) > line:
+			keep = append(keep, *w)
+		case w.kind != isa.LocRen:
+			e.applyWrite(w.kind, w.idx, w.val)
+		case w.full:
+			e.ren[w.flat] = renCell{stamp: e.epoch | fullBit}
+			e.renFull[w.flat] = w.v
+		default:
+			e.ren[w.flat] = renCell{val: w.val, stamp: e.epoch}
 		}
-		e.pendWrites = keep
 	}
-	if len(e.pendRens) > 0 {
-		keep := e.pendRens[:0]
-		for _, p := range e.pendRens {
-			if int(p.due) <= line {
-				e.commitRen(p)
-			} else {
-				keep = append(keep, p)
-			}
-		}
-		e.pendRens = keep
-	}
-	if len(e.pendFulls) > 0 {
-		keep := e.pendFulls[:0]
-		for i := range e.pendFulls {
-			if p := &e.pendFulls[i]; int(p.due) <= line {
-				e.commitFull(p)
-			} else {
-				keep = append(keep, *p)
-			}
-		}
-		e.pendFulls = keep
-	}
+	e.pend = keep
 }
 
 // FlushPending commits every delayed write at a block boundary (normal
 // end or trace exit) and returns the stall cycles needed for the longest
 // in-flight latency to complete (zero with all-1 latencies). lastLine is
-// the last long instruction executed.
+// the last long instruction executed; every write still queued is due
+// after it.
 func (e *Engine) FlushPending(lastLine int) int {
 	stall := 0
-	if e.maxDue > lastLine {
-		stall = e.maxDue - lastLine
+	for i := range e.pend {
+		stall = max(stall, int(e.pend[i].due)-lastLine)
 	}
-	e.commitDue(1 << 30)
-	e.maxDue = 0
+	e.land(math.MaxInt)
 	return stall
 }

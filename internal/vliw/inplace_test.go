@@ -62,7 +62,7 @@ func TestInPlaceRollback(t *testing.T) {
 			t.Fatalf("slot %d of the first long instruction is staged; the test needs in-place writes", i)
 		}
 	}
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if st.Regs[isa.PhysReg(31, 23, nwin)] != 77 || st.CWP() != 30 || st.Y() == want.Y() {
@@ -70,7 +70,7 @@ func TestInPlaceRollback(t *testing.T) {
 	}
 	res := e.ExecLI(1)
 	var fe *mem.FaultError
-	if !res.Exception || !errors.As(res.Err, &fe) {
+	if !errors.As(res.Err, &fe) {
 		t.Fatalf("unmapped load: %+v, want a memory fault", res)
 	}
 	for i := range want.Regs {

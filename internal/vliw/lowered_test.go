@@ -60,7 +60,7 @@ func TestLoweredRichBlockEndState(t *testing.T) {
 	e := New(st)
 	begin(t, e, b)
 	for li := 0; li < b.NumLIs; li++ {
-		if res := e.ExecLI(li); res.Exception || res.TraceExit {
+		if res := e.ExecLI(li); res.Err != nil || res.TraceExit {
 			t.Fatalf("LI %d: %+v", li, res)
 		}
 	}
@@ -109,31 +109,49 @@ func TestMaxRenameTargetsCoversEveryOp(t *testing.T) {
 // TestEngineHotLoopZeroAlloc is the engine twin of the scheduler feed
 // guard: once warmed, re-entering and executing a lowered block must not
 // allocate at all — the arenas, rename file and scratch buffers are all
-// reused across blocks.
+// reused across blocks. The data store list run also logs its stores
+// and drains them at EndBlock, as a lockstep machine's engine does.
 func TestEngineHotLoopZeroAlloc(t *testing.T) {
-	b := richBlock()
-	lb := Lower(b, 8)
-	if lb == nil {
-		t.Fatal("richBlock did not lower")
-	}
-	st := richState()
-	e := New(st)
-	runBlock := func() {
-		// Re-prime the inputs the block consumed so every pass executes
-		// the same path (register writes only: no allocation).
-		st.SetReg(1, 10)
-		st.SetReg(6, 0x40020)
-		st.SetICC(isa.ICCZ)
-		e.BeginLowered(lb)
-		for li := 0; li < b.NumLIs; li++ {
-			if res := e.ExecLI(li); res.Exception || res.TraceExit {
-				t.Fatalf("LI %d: %+v", li, res)
+	for _, tc := range []struct {
+		name   string
+		scheme StoreScheme
+	}{{"checkpoint", SchemeCheckpoint}, {"storelist", SchemeStoreList}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := richBlock()
+			lb := Lower(b, 8)
+			if lb == nil {
+				t.Fatal("richBlock did not lower")
 			}
-		}
-	}
-	runBlock() // warm the arenas
-	if allocs := testing.AllocsPerRun(200, runBlock); allocs != 0 {
-		t.Fatalf("warmed lowered hot loop allocates %.1f allocs/block, want 0", allocs)
+			st := richState()
+			e := New(st)
+			e.SetScheme(tc.scheme)
+			storeList := tc.scheme == SchemeStoreList
+			st.LogStores = storeList
+			runBlock := func() {
+				// Re-prime the inputs the block consumed so every pass
+				// executes the same path (register writes only: no
+				// allocation).
+				st.SetReg(1, 10)
+				st.SetReg(6, 0x40020)
+				st.SetICC(isa.ICCZ)
+				st.StoreLog = st.StoreLog[:0]
+				e.BeginLowered(lb)
+				for li := 0; li < b.NumLIs; li++ {
+					if res := e.ExecLI(li); res.Err != nil || res.TraceExit {
+						t.Fatalf("LI %d: %+v", li, res)
+					}
+				}
+				if storeList {
+					if err := e.EndBlock(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			runBlock() // warm the arenas
+			if allocs := testing.AllocsPerRun(200, runBlock); allocs != 0 {
+				t.Fatalf("warmed lowered hot loop allocates %.1f allocs/block, want 0", allocs)
+			}
+		})
 	}
 }
 

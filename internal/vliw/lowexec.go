@@ -72,9 +72,9 @@ func (e *Engine) lop2(op *lop) uint32 {
 const dueNow = -1
 
 // Emit helpers perform one effect: in place for due dueNow, otherwise
-// buffered in the scratch arenas with its due line. The handle routes it
-// to the flat rename arena or an architectural location. They stay small
-// enough to inline into execLoweredOp, which calls one per write.
+// queued in Engine.pend with its due line. The handle routes it to the
+// flat rename arena or an architectural location. They stay small enough
+// to inline into execLoweredOp, which calls one per write.
 
 func (e *Engine) lemitReg(h int32, v uint32, due int) {
 	switch {
@@ -84,8 +84,8 @@ func (e *Engine) lemitReg(h int32, v uint32, due int) {
 	case due == dueNow:
 		e.st.Regs[h] = v
 	default:
-		e.scWrites = append(e.scWrites, pendWrite{due: due,
-			w: bufWrite{kind: isa.LocIReg, idx: uint16(h), val: v}})
+		e.pend = append(e.pend, pendWrite{due: int32(due), kind: isa.LocIReg,
+			idx: uint16(h), val: v})
 	}
 }
 
@@ -96,8 +96,8 @@ func (e *Engine) lemitF(h int32, v uint32, due int) {
 	case due == dueNow:
 		e.st.F[h&31] = v
 	default:
-		e.scWrites = append(e.scWrites, pendWrite{due: due,
-			w: bufWrite{kind: isa.LocFReg, idx: uint16(h), val: v}})
+		e.pend = append(e.pend, pendWrite{due: int32(due), kind: isa.LocFReg,
+			idx: uint16(h), val: v})
 	}
 }
 
@@ -110,8 +110,7 @@ func (e *Engine) lemitICC(h int32, v uint32, due int) {
 	case due == dueNow:
 		e.st.SetICC(uint8(v))
 	default:
-		e.scWrites = append(e.scWrites, pendWrite{due: due,
-			w: bufWrite{kind: isa.LocICC, val: v}})
+		e.pend = append(e.pend, pendWrite{due: int32(due), kind: isa.LocICC, val: v})
 	}
 }
 
@@ -121,22 +120,20 @@ func (e *Engine) lemitLoc(h int32, kind isa.LocKind, v uint32, due int) {
 	case h < 0:
 		e.lemitRen(^h, v, due)
 	case due == dueNow:
-		e.applyWrite(bufWrite{kind: kind, val: v})
+		e.applyWrite(kind, 0, v)
 	default:
-		e.scWrites = append(e.scWrites, pendWrite{due: due,
-			w: bufWrite{kind: kind, val: v}})
+		e.pend = append(e.pend, pendWrite{due: int32(due), kind: kind, val: v})
 	}
 }
 
-// lemitRen writes a value to renaming register flat. Its in-place store
-// spells out commitRen, which would push its callers past the inliner's
-// budget.
+// lemitRen writes a value to renaming register flat.
 func (e *Engine) lemitRen(flat int32, v uint32, due int) {
 	if due == dueNow {
 		e.ren[flat] = renCell{val: v, stamp: e.epoch}
 		return
 	}
-	e.scRens = append(e.scRens, renWrite{due: int32(due), flat: flat, val: v})
+	e.pend = append(e.pend, pendWrite{due: int32(due), kind: isa.LocRen,
+		flat: flat, val: v})
 }
 
 func (e *Engine) lemitD(op *lop, v float64, due int) {
@@ -167,7 +164,7 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 
 // execLoweredCopy commits a copy instruction: each renaming register's
 // value is written to its architectural location, in place for due
-// dueNow and otherwise buffered with a due line of the current long
+// dueNow and otherwise queued with a due line of the current long
 // instruction (copies always complete in one cycle); memory renaming
 // registers release their buffered stores to the per-LI arenas. A
 // deferred exception held in a renaming register surfaces here (paper
@@ -178,8 +175,8 @@ func (e *Engine) execLoweredCopy(op *lop, due int) error {
 		if p != nil && p.exc != nil {
 			return p.exc
 		}
-		switch c.kind {
-		case isa.LocMem:
+		switch {
+		case c.kind == isa.LocMem:
 			var memEA uint32
 			if p != nil {
 				e.scPend = append(e.scPend, p.st[:p.nst]...)
@@ -189,13 +186,11 @@ func (e *Engine) execLoweredCopy(op *lop, due int) error {
 				addr: memEA, size: op.memSize, order: op.order,
 				cross: op.cross, isStore: true,
 			})
+		case due == dueNow:
+			e.applyWrite(c.kind, c.idx, val)
 		default:
-			w := bufWrite{kind: c.kind, idx: c.idx, val: val}
-			if due == dueNow {
-				e.applyWrite(w)
-			} else {
-				e.scWrites = append(e.scWrites, pendWrite{due: due, w: w})
-			}
+			e.pend = append(e.pend, pendWrite{due: int32(due), kind: c.kind,
+				idx: c.idx, val: val})
 		}
 	}
 	return nil
@@ -550,7 +545,8 @@ func (e *Engine) execLoweredStore(op *lop, due int) error {
 		// register; the access is charged when its memory copy commits.
 		rv := renVal{st: sts, nst: nst, memEA: ea}
 		for _, f := range e.lb.rens[op.mem0:op.mem1] {
-			e.scFulls = append(e.scFulls, fullWrite{due: int32(due), flat: f, v: rv})
+			e.pend = append(e.pend, pendWrite{due: int32(due), kind: isa.LocRen,
+				full: true, flat: f, v: rv})
 		}
 		return nil
 	}

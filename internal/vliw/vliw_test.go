@@ -57,14 +57,14 @@ func TestPlainExecution(t *testing.T) {
 	}
 	begin(t, e, block(0x1000, li))
 	res := e.ExecLI(0)
-	if res.Exception || res.TraceExit {
+	if res.Err != nil || res.TraceExit {
 		t.Fatalf("unexpected result %+v", res)
 	}
 	if st.ReadReg(3) != 12 || st.ReadReg(4) != 2 {
 		t.Fatalf("g3=%d g4=%d", st.ReadReg(3), st.ReadReg(4))
 	}
-	if res.Committed != 2 {
-		t.Fatalf("committed %d", res.Committed)
+	if e.Stats.OpsCommitted != 2 {
+		t.Fatalf("committed %d", e.Stats.OpsCommitted)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestTagAnnulment(t *testing.T) {
 	if st.ReadReg(5) != 0 {
 		t.Fatal("annulled slot committed")
 	}
-	if res.Annulled != 1 {
-		t.Fatalf("annulled count %d", res.Annulled)
+	if e.Stats.OpsAnnulled != 1 {
+		t.Fatalf("annulled count %d", e.Stats.OpsAnnulled)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestSplitAndCopy(t *testing.T) {
 		t.Fatal("producer wrote architecturally before the copy")
 	}
 	res := e.ExecLI(1)
-	if res.Exception {
+	if res.Err != nil {
 		t.Fatalf("copy failed: %v", res.Err)
 	}
 	if st.ReadReg(2) != 42 {
@@ -235,17 +235,17 @@ func TestDeferredException(t *testing.T) {
 		Copies: []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}}
 	begin(t, e, block(0x1000, []*sched.Slot{ld}, []*sched.Slot{clobber}, []*sched.Slot{cp}))
 
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal("speculative fault must be deferred")
 	}
-	if res := e.ExecLI(1); res.Exception {
+	if res := e.ExecLI(1); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if st.ReadReg(5) != 1 {
 		t.Fatal("clobber did not commit")
 	}
 	res := e.ExecLI(2)
-	if !res.Exception {
+	if res.Err == nil {
 		t.Fatal("copy must surface the deferred exception")
 	}
 	if res.RecoveryCycles < 1 {
@@ -274,14 +274,14 @@ func TestStoreRollback(t *testing.T) {
 	bad.IsMem, bad.MemSize = true, 4
 	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{bad}))
 
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if v, _ := st.Mem.ReadWord(0x40010); v != 0x2222 {
 		t.Fatal("store did not commit")
 	}
 	res := e.ExecLI(1)
-	if !res.Exception {
+	if res.Err == nil {
 		t.Fatal("faulting load must raise")
 	}
 	if v, _ := st.Mem.ReadWord(0x40010); v != 0x1111 {
@@ -304,12 +304,12 @@ func TestRecoveryStoreFailure(t *testing.T) {
 	ld.IsMem, ld.MemSize = true, 4
 	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
 
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	st.Mem.Recycle()
 	res := e.ExecLI(1)
-	if !res.Exception {
+	if res.Err == nil {
 		t.Fatal("load from recycled memory must raise")
 	}
 	var re *RecoveryError
@@ -340,11 +340,11 @@ func TestAliasingStoreAfterYoungerLoad(t *testing.T) {
 	store.IsMem, store.IsStore, store.MemAddr, store.MemSize, store.Order = true, true, 0x40020, 4, 1
 	begin(t, e, block(0x1000, []*sched.Slot{ld}, []*sched.Slot{store}))
 
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	res := e.ExecLI(1)
-	if !res.Exception || !res.Aliasing {
+	if !errors.As(res.Err, new(*AliasingError)) {
 		t.Fatalf("aliasing not detected: %+v", res)
 	}
 	if !strings.Contains(res.Err.Error(), "younger load") {
@@ -368,11 +368,11 @@ func TestAliasingLoadAfterYoungerStore(t *testing.T) {
 	ld.IsMem, ld.MemSize, ld.Order = true, 4, 1
 	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
 
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	res := e.ExecLI(1)
-	if !res.Exception || !res.Aliasing {
+	if !errors.As(res.Err, new(*AliasingError)) {
 		t.Fatalf("aliasing not detected: %+v", res)
 	}
 }
@@ -390,10 +390,10 @@ func TestNoFalseAliasing(t *testing.T) {
 	ld := slot(isa.Inst{Op: isa.OpLD, Rd: 3, Rs1: 2, UseImm: true}, 0x1004, 1)
 	ld.IsMem, ld.MemSize, ld.Order, ld.Cross = true, 4, 2, true
 	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
-	if res := e.ExecLI(0); res.Exception {
+	if res := e.ExecLI(0); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res := e.ExecLI(1); res.Exception {
+	if res := e.ExecLI(1); res.Err != nil {
 		t.Fatalf("false aliasing: %v", res.Err)
 	}
 	if e.Stats.MaxStoreList != 1 || e.Stats.MaxLoadList != 1 {
@@ -421,7 +421,7 @@ func TestMemoryCopyCommitsBufferedStore(t *testing.T) {
 	if v, _ := st.Mem.ReadWord(0x40050); v != 0 {
 		t.Fatal("renamed store hit memory early")
 	}
-	if res := e.ExecLI(1); res.Exception {
+	if res := e.ExecLI(1); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if v, _ := st.Mem.ReadWord(0x40050); v != 0xABCD {
