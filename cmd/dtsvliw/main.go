@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	strategies := core.StrategyNames()
 	strategy := fs.String("strategy", "", "scheduling strategy ("+strings.Join(strategies, " ")+"; empty = "+strategies[0]+")")
 	schedBudget := fs.Int("sched-budget", 0, "search budget per block for the optimal strategy (0 = default, negative = unlimited)")
-	noChain := fs.Bool("nochain", false, "disable direct block chaining: associative VLIW Cache lookup on every block transition")
 	showOutput := fs.Bool("output", false, "print the program's trap output")
 	dumpBlocks := fs.Int("dumpblocks", 0, "print the first N scheduled blocks (Figure 2c style)")
 	trace := fs.String("trace", "", "write a Chrome trace-event JSON timeline to this path (open in Perfetto)")
@@ -89,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.MaxInstrs = *max
 	cfg.TestMode = *testMode
-	cfg.NoChain = *noChain
 	cfg.SchedStrategy = *strategy
 	cfg.SchedNodeBudget = *schedBudget
 	if *trace != "" || *profile {
@@ -164,9 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "IPC:                 %.3f\n", s.IPC())
 	fmt.Fprintf(stdout, "VLIW cycles:         %.2f%%\n", 100*s.VLIWCycleFraction())
-	if s.VCacheChainHits > 0 {
-		fmt.Fprintf(stdout, "chain hits:          %.1f%% of VLIW Cache hits\n", 100*s.ChainHitRate())
-	}
 	fmt.Fprintf(stdout, "renaming (int/fp/flag/mem): %d/%d/%d/%d\n",
 		s.Sched.MaxRenames[0], s.Sched.MaxRenames[1], s.Sched.MaxRenames[2], s.Sched.MaxRenames[3])
 	if sys.Halted() {

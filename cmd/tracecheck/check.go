@@ -10,14 +10,13 @@ type traceFile struct {
 }
 
 type traceEvent struct {
-	Name  *string         `json:"name"`
-	Ph    *string         `json:"ph"`
-	Ts    *float64        `json:"ts"`
-	Dur   *float64        `json:"dur"`
-	Pid   *int            `json:"pid"`
-	Tid   *int            `json:"tid"`
-	Scope string          `json:"s"`
-	Args  json.RawMessage `json:"args"`
+	Name  *string  `json:"name"`
+	Ph    *string  `json:"ph"`
+	Ts    *float64 `json:"ts"`
+	Dur   *float64 `json:"dur"`
+	Pid   *int     `json:"pid"`
+	Tid   *int     `json:"tid"`
+	Scope string   `json:"s"`
 }
 
 // knownPhases lists the trace-event phase codes the viewers accept.
@@ -28,20 +27,9 @@ var knownPhases = map[string]bool{
 	"R": true, "c": true,
 }
 
-// chainArgs names the args each direct-chaining instant event must carry
-// and how each value is typed: true means a hex address string ("0x..."),
-// false a JSON number. WriteChromeTrace emits these for EvChainLink /
-// EvChainUnlink, and CI traces of chained runs are rejected if the shape
-// drifts — Perfetto would render them silently as empty markers.
-var chainArgs = map[string]map[string]bool{
-	"chain-link":   {"block": true, "exitPC": true},
-	"chain-unlink": {"block": true, "edges": false},
-}
-
 // checkTrace validates Chrome trace-event JSON and returns a one-line
 // summary. It enforces the structural rules the viewers rely on (name,
-// known phase, pid/tid, ts on timed events, dur >= 0 on "X") plus the
-// arg schema of the chain events above.
+// known phase, pid/tid, ts on timed events, dur >= 0 on "X").
 func checkTrace(data []byte) (string, error) {
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
@@ -51,7 +39,6 @@ func checkTrace(data []byte) (string, error) {
 		return "", fmt.Errorf("missing traceEvents array")
 	}
 	counts := map[string]int{}
-	chainCount := 0
 	for i, raw := range tf.TraceEvents {
 		var e traceEvent
 		if err := json.Unmarshal(raw, &e); err != nil {
@@ -88,12 +75,6 @@ func checkTrace(data []byte) (string, error) {
 				return "", fmt.Errorf("traceEvents[%d] (%s, ph=%s): missing ts", i, *e.Name, *e.Ph)
 			}
 		}
-		if want, ok := chainArgs[*e.Name]; ok {
-			if err := checkChainArgs(*e.Name, e.Args, want); err != nil {
-				return "", fmt.Errorf("traceEvents[%d]: %v", i, err)
-			}
-			chainCount++
-		}
 		counts[*e.Ph]++
 	}
 	if counts["X"] == 0 {
@@ -105,36 +86,5 @@ func checkTrace(data []byte) (string, error) {
 			summary += fmt.Sprintf(", %d %s", counts[ph], ph)
 		}
 	}
-	if chainCount > 0 {
-		summary += fmt.Sprintf(", %d chain", chainCount)
-	}
 	return summary, nil
-}
-
-// checkChainArgs verifies one chain event's args against its schema:
-// every named key present, hex-typed values a "0x..." string, numeric
-// values a JSON number.
-func checkChainArgs(name string, raw json.RawMessage, want map[string]bool) error {
-	var args map[string]json.RawMessage
-	if raw == nil || json.Unmarshal(raw, &args) != nil {
-		return fmt.Errorf("%s: missing or malformed args", name)
-	}
-	for key, isHex := range want {
-		v, ok := args[key]
-		if !ok {
-			return fmt.Errorf("%s: missing arg %q", name, key)
-		}
-		if isHex {
-			var s string
-			if json.Unmarshal(v, &s) != nil || len(s) < 3 || s[0] != '0' || s[1] != 'x' {
-				return fmt.Errorf("%s: arg %q is not a hex address string: %s", name, key, v)
-			}
-		} else {
-			var n float64
-			if json.Unmarshal(v, &n) != nil || n < 0 {
-				return fmt.Errorf("%s: arg %q is not a non-negative number: %s", name, key, v)
-			}
-		}
-	}
-	return nil
 }

@@ -2,10 +2,8 @@
 // produced by dtsvliw -trace) against the trace-event format rules that
 // Perfetto and chrome://tracing rely on: a traceEvents array whose
 // entries carry a name, a known phase, pid/tid, a timestamp on timed
-// events, and a non-negative duration on complete ("X") events. The
-// direct-chaining instant events (chain-link, chain-unlink) are
-// additionally checked against their arg schema. CI runs it on the
-// exported workload trace before uploading the artifact.
+// events, and a non-negative duration on complete ("X") events. CI runs
+// it on the exported workload trace before uploading the artifact.
 //
 // Usage:
 //

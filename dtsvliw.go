@@ -113,12 +113,6 @@ type Config struct {
 	// exits (paper §5 future work).
 	ExitPrediction bool
 
-	// NoChain disables direct block chaining in the VLIW Cache
-	// (DESIGN.md §16), reverting to an associative lookup on every block
-	// transition. Architecturally invisible either way; for
-	// cross-checking.
-	NoChain bool
-
 	// SchedStrategy names the Scheduler Unit's placement policy, one of
 	// core.StrategyNames (DESIGN.md §14): empty selects "fcfs", the
 	// paper's hardware algorithm; "optimal" repacks every block to its
@@ -177,7 +171,6 @@ func (c Config) toInternal() (core.Config, error) {
 		base.StoreScheme = vliw.SchemeStoreList
 	}
 	base.ExitPrediction = c.ExitPrediction
-	base.NoChain = c.NoChain
 	base.SchedStrategy = c.SchedStrategy
 	base.SchedNodeBudget = c.SchedNodeBudget
 	base.LoadLatency = c.LoadLatency

@@ -21,7 +21,7 @@ func FuzzBlockVerify(f *testing.F) {
 	f.Add(int64(1234), int64(3), int64(4))
 	f.Add(int64(99), int64(2), int64(1))
 	f.Add(int64(314), int64(4), int64(5))
-	f.Add(int64(2718), int64(1), int64(6)) // nochain dispatch path
+	f.Add(int64(2718), int64(1), int64(6))
 	f.Fuzz(func(t *testing.T, seed, shapeIdx, cfgIdx int64) {
 		shapes := progen.Shapes()
 		shape := shapes[int(uint64(shapeIdx)%uint64(len(shapes)))]
@@ -47,51 +47,6 @@ func FuzzBlockVerify(f *testing.F) {
 					seed, shape, ve.Report)
 			}
 			t.Fatalf("seed=%d shape=%s: machine fault: %v", seed, shape, err)
-		}
-	})
-}
-
-// FuzzChainIdentity fuzzes the architectural-invisibility contract of
-// direct block chaining (DESIGN.md §16): for any generated program,
-// configuration and seed, a chained run and a -nochain run must produce
-// identical Stats once the chain dispatch counters are stripped.
-func FuzzChainIdentity(f *testing.F) {
-	f.Add(int64(1), int64(0), int64(0))
-	f.Add(int64(42), int64(1), int64(2))
-	f.Add(int64(7), int64(2), int64(3))
-	f.Add(int64(99), int64(3), int64(1))
-	f.Add(int64(314), int64(4), int64(4))
-	f.Fuzz(func(t *testing.T, seed, shapeIdx, cfgIdx int64) {
-		shapes := progen.Shapes()
-		shape := shapes[int(uint64(shapeIdx)%uint64(len(shapes)))]
-		configs := verifyConfigs()
-		cfg := configs[int(uint64(cfgIdx)%uint64(len(configs)))].Cfg
-		cfg.MaxInstrs = 20_000
-		cfg.MaxCycles = 1 << 30
-
-		src := progen.Generate(progen.ShapeParams(shape, seed))
-		run := func(nochain bool) core.Stats {
-			c := cfg
-			c.NoChain = nochain
-			st, err := oracle.BuildState(src, c.NWin)
-			if err != nil {
-				t.Fatalf("progen emitted an unassemblable program: %v", err)
-			}
-			m, err := core.NewMachine(c, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Run(); err != nil {
-				t.Fatalf("seed=%d shape=%s nochain=%v: machine fault: %v", seed, shape, nochain, err)
-			}
-			s := m.Stats
-			s.VCacheChainHits, s.VCacheChainLinks, s.VCacheChainUnlinks = 0, 0, 0
-			return s
-		}
-		chained, unchained := run(false), run(true)
-		if chained != unchained {
-			t.Fatalf("seed=%d shape=%s: stats diverge chained vs nochain:\nchained: %+v\nnochain: %+v",
-				seed, shape, chained, unchained)
 		}
 	})
 }

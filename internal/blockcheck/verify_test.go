@@ -58,15 +58,12 @@ func verifyConfigs() []oracle.NamedConfig {
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
 	nofwd := core.IdealConfig(8, 8)
 	nofwd.NoSourceForwarding = true
-	nochain := core.IdealConfig(8, 8)
-	nochain.NoChain = true
 	return []oracle.NamedConfig{
 		{Name: "ideal-8x8", Cfg: core.IdealConfig(8, 8)},
 		{Name: "ideal-4x4", Cfg: core.IdealConfig(4, 4)},
 		{Name: "feasible", Cfg: core.FeasibleConfig()},
 		{Name: "multicycle", Cfg: multi},
 		{Name: "nofwd", Cfg: nofwd},
-		{Name: "nochain", Cfg: nochain},
 	}
 }
 

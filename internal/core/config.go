@@ -57,14 +57,6 @@ type Config struct {
 	// it.
 	InterpretedEngine bool
 
-	// NoChain disables direct block chaining (DESIGN.md §16): the VLIW
-	// Engine's dispatch loop resolves every block transition by an
-	// associative VLIW Cache lookup, never following or installing a
-	// chain link. Chaining is architecturally invisible — Stats, IPC and
-	// cycle ledgers are identical either way — so this switch exists to
-	// cross-check that.
-	NoChain bool
-
 	// ExitPrediction enables next-long-instruction prediction (paper §5
 	// future work): a last-target predictor keyed by the deviating
 	// branch hides the one-cycle trace-exit bubble on a correct

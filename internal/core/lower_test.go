@@ -78,12 +78,14 @@ func TestProbeHitLineReplacedBeforeEntry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				probeHits := uint64(0)
 				m.BlockHook = func(b *sched.Block) {
-					// On the Primary Processor curLine is set only between
-					// a probe hit and the entry of the hit block, at PC.
-					if m.curLine == vcache.NoLine {
+					// A probe hit counts its flush just before saving the
+					// flushed block, while PC still holds the hit address.
+					if m.Stats.FlushesProbeHit == probeHits {
 						return
 					}
+					probeHits = m.Stats.FlushesProbeHit
 					if ent, ok := m.vc.Probe(m.St.PC, m.St.CWP()); !ok || ent.Blk == b {
 						replaced++
 					}

@@ -49,13 +49,6 @@ type Machine struct {
 	mode      Mode
 	predictor map[uint32]uint32 // trace-exit target predictor
 	vpc       sched.LongAddr
-	// curLine is the VLIW Cache line of the block currently executing
-	// (vcache.NoLine outside VLIW mode), the source line for chain-link
-	// installation and Follow. Attribution is best-effort: a block save
-	// between the probe hit and block entry may relocate the line, which
-	// chain edges tolerate by construction (a present edge always targets
-	// the line an associative lookup would return; see vcache.Follow).
-	curLine int32
 	// engRes is runVLIW's reusable ExecLIInto result, fully overwritten
 	// by each ExecLIInto call.
 	engRes        vliw.Result //resetcheck:allow scratch result, overwritten before every read
@@ -82,8 +75,8 @@ type Machine struct {
 	// at which the dispatch loops return to Run: the earlier of MaxCycles
 	// and the next periodic publish (MaxUint64 when neither applies). Each
 	// loop's cycle check is then a single compare against a field on the
-	// machine's own hot cache line, and a stretch of chained blocks on the
-	// VLIW Engine cannot outlast a flush interval.
+	// machine's own hot cache line, and a stretch of cache-resident blocks
+	// on the VLIW Engine cannot outlast a flush interval.
 	pub    *metricsPublisher
 	stopAt uint64
 
@@ -146,8 +139,7 @@ func NewMachine(cfg Config, st *arch.State) (*Machine, error) {
 		cfg: cfg, St: st,
 		sch: sch, vc: vc, eng: vliw.New(st),
 		ic: ic, dc: dc,
-		pipe:    primary.New(cfg.Latencies),
-		curLine: vcache.NoLine,
+		pipe: primary.New(cfg.Latencies),
 	}
 	m.eng.SetScheme(cfg.StoreScheme)
 	if cfg.Telemetry != nil {
@@ -463,7 +455,6 @@ func (m *Machine) syncStats() {
 	s.VCacheStores, s.VCacheEvictions, s.VCacheInvalidations = vc.Stores, vc.Replaced, vc.Invalidats
 	s.VCacheSetLookups, s.VCacheSetHits = vc.SetLookups, vc.SetHits
 	s.VCacheSetEvictions, s.VCacheSetInvalidations = vc.SetEvictions, vc.SetInvalidations
-	s.VCacheChainHits, s.VCacheChainLinks, s.VCacheChainUnlinks = vc.ChainHits, vc.ChainLinks, vc.ChainUnlinks
 }
 
 // stepPrimary executes one instruction on the Primary Processor, feeds it
@@ -477,7 +468,6 @@ func (m *Machine) stepPrimary() error {
 	// is annulled before write-back and re-executed in VLIW mode.
 	if !m.skipProbe && m.excBudget == 0 {
 		if ent, hitLine, ok := m.vc.LookupLine(pc, m.St.CWP()); ok {
-			m.curLine = hitLine
 			blk := m.sch.Flush(pc, m.seq)
 			if blk != nil {
 				m.Stats.FlushesProbeHit++
@@ -562,39 +552,15 @@ func (m *Machine) stepPrimary() error {
 	return m.notifyCheckpoint(1, m.St.PC, site{kind: sitePrimary, pc: pc})
 }
 
-// chainLookup resolves the successor block at a block transition: first
-// through the current line's chain links, then by associative lookup —
-// installing the missing edge so the next visit follows the link
-// directly. Both paths perform identical hit/miss accounting, so
-// replacement order and statistics match a plain Lookup exactly. Under
-// NoChain every transition takes the plain associative lookup and no
-// link is ever followed or installed.
-func (m *Machine) chainLookup(pc uint32, cwp uint8) (vcache.Entry, int32, bool) {
-	from := m.curLine
-	if m.cfg.NoChain || from == vcache.NoLine {
-		return m.vc.LookupLine(pc, cwp)
-	}
-	if ent, line, ok := m.vc.Follow(from, pc, cwp); ok {
-		return ent, line, true
-	}
-	ent, line, ok := m.vc.LookupLine(pc, cwp)
-	if ok {
-		m.vc.Link(from, pc, cwp, line)
-	}
-	return ent, line, ok
-}
-
 // runVLIW is the VLIW Engine's dispatch loop (DESIGN.md §16): one long
 // instruction per iteration, so runs of cache-resident blocks execute
-// back-to-back without returning to Run's dispatch. Block transitions
-// resolve through chainLookup (chain links on the VLIW Cache lines, or a
-// plain associative lookup under NoChain); control returns to the
-// machine loop only on a handover to the Primary Processor (lookup miss,
+// back-to-back without returning to Run's dispatch. Each block
+// transition, fall-through or trace exit, looks the successor's address
+// up in the VLIW Cache (paper §3.4–§3.5); control returns to the machine
+// loop only on a handover to the Primary Processor (lookup miss,
 // exception), when the instruction limit is reached, or at stopAt (Run
 // re-checks the limits and produces the canonical outcome, or publishes
-// and calls back in mid-block). Chaining is
-// architecturally invisible: cycle accounting, statistics, telemetry
-// ordering and checkpoint sequence are identical with NoChain set.
+// and calls back in mid-block).
 func (m *Machine) runVLIW() error {
 	blk := m.eng.Block()
 	res := &m.engRes
@@ -622,7 +588,7 @@ func (m *Machine) runVLIW() error {
 		}
 
 		if res.Err == nil && !res.TraceExit && m.vpc.Line != blk.NBA.Line {
-			// Intra-block advance, the hot path of a chained run.
+			// Intra-block advance, the hot path.
 			m.vpc.Line++
 			if batch {
 				pending += cycles
@@ -697,12 +663,11 @@ func (m *Machine) runVLIW() error {
 			if err := m.notifyCheckpoint(res.ExitAdvance, res.NextPC, site{kind: siteTraceExit}); err != nil {
 				return err
 			}
-			if ent, line, ok := m.chainLookup(res.NextPC, m.St.CWP()); ok {
+			if ent, line, ok := m.vc.LookupLine(res.NextPC, m.St.CWP()); ok {
 				if err := m.beginBlock(ent, line); err != nil {
 					return err
 				}
 				m.vpc = sched.LongAddr{Addr: res.NextPC, Line: 0}
-				m.curLine = line
 				m.addCycles(cycles, true)
 				blk = m.eng.Block()
 				continue
@@ -726,13 +691,12 @@ func (m *Machine) runVLIW() error {
 			if err := m.notifyCheckpoint(advance, next, site{kind: siteBlockEnd}); err != nil {
 				return err
 			}
-			if ent, line, ok := m.chainLookup(next, m.St.CWP()); ok {
+			if ent, line, ok := m.vc.LookupLine(next, m.St.CWP()); ok {
 				cycles += m.cfg.NextLIMissPenalty
 				if err := m.beginBlock(ent, line); err != nil {
 					return err
 				}
 				m.vpc = sched.LongAddr{Addr: next, Line: 0}
-				m.curLine = line
 				m.addCycles(cycles, true)
 				blk = m.eng.Block()
 				continue
@@ -750,7 +714,6 @@ func (m *Machine) runVLIW() error {
 
 func (m *Machine) switchToPrimary(pc uint32, cycles *int) {
 	m.mode = ModePrimary
-	m.curLine = vcache.NoLine
 	m.St.PC = pc
 	m.skipProbe = true
 	m.pipe.FlushState()
@@ -817,7 +780,6 @@ func (m *Machine) Reset() {
 		clear(m.predictor)
 	}
 	m.vpc = sched.LongAddr{}
-	m.curLine = vcache.NoLine
 	m.seq = 0
 	m.drain = 0
 	m.skipProbe = false

@@ -163,8 +163,8 @@ func sameConfig(a, b *Config) bool {
 		a.NWin == b.NWin && a.ICache == b.ICache && a.DCache == b.DCache &&
 		a.VCacheKB == b.VCacheKB && a.VCacheAssoc == b.VCacheAssoc &&
 		a.NextLIMissPenalty == b.NextLIMissPenalty && a.StoreScheme == b.StoreScheme &&
-		a.InterpretedEngine == b.InterpretedEngine && a.NoChain == b.NoChain &&
-		a.ExitPrediction == b.ExitPrediction && a.NoSourceForwarding == b.NoSourceForwarding &&
+		a.InterpretedEngine == b.InterpretedEngine && a.ExitPrediction == b.ExitPrediction &&
+		a.NoSourceForwarding == b.NoSourceForwarding &&
 		a.SchedStrategy == b.SchedStrategy && a.SchedNodeBudget == b.SchedNodeBudget &&
 		a.Latencies == b.Latencies && a.Telemetry == b.Telemetry && a.Metrics == b.Metrics &&
 		a.TestMode == b.TestMode && a.VerifyBlocks == b.VerifyBlocks && a.Fault == b.Fault &&

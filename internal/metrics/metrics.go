@@ -11,10 +11,10 @@
 //   - A per-machine publisher walks one counter table over Stats and
 //     flushes each row's *delta* into a registry instrument at coarse
 //     synchronisation points: every return from Run, and every 2^14
-//     simulated cycles, chained VLIW execution included. Registry
-//     instruments are atomics, so any number of machines can share one
-//     registry and a scraper can read it concurrently, mid-run, without
-//     locks on the simulation side.
+//     simulated cycles, long stretches of VLIW execution included.
+//     Registry instruments are atomics, so any number of machines can
+//     share one registry and a scraper can read it concurrently,
+//     mid-run, without locks on the simulation side.
 //
 // This keeps the per-instruction hot paths untouched (the zero-alloc
 // guards and perf gates hold with metrics permanently on) while a live

@@ -35,8 +35,8 @@ type NamedConfig struct {
 // DefaultConfigs returns the machine configurations the conformance sweep
 // rotates through: the paper's ideal geometries, the feasible machine,
 // and one variant per orthogonal mechanism (multicycle latencies, the
-// §3.11 data-store-list scheme, next-long-instruction prediction, the
-// no-source-forwarding ablation, and unchained block dispatch).
+// §3.11 data-store-list scheme, next-long-instruction prediction and the
+// no-source-forwarding ablation).
 func DefaultConfigs() []NamedConfig {
 	multi := core.IdealConfig(8, 8)
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
@@ -50,9 +50,6 @@ func DefaultConfigs() []NamedConfig {
 	nofwd := core.IdealConfig(8, 8)
 	nofwd.NoSourceForwarding = true
 
-	nochain := core.IdealConfig(8, 8)
-	nochain.NoChain = true
-
 	return []NamedConfig{
 		{"ideal-4x4", core.IdealConfig(4, 4)},
 		{"ideal-8x8", core.IdealConfig(8, 8)},
@@ -63,7 +60,6 @@ func DefaultConfigs() []NamedConfig {
 		{"storelist", storelist},
 		{"exitpred", exitpred},
 		{"nofwd", nofwd},
-		{"nochain", nochain},
 	}
 }
 

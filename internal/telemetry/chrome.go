@@ -164,16 +164,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 					"block": hex(e.Addr), "fcfsLIs": e.Aux >> 16, "optLIs": e.Aux & 0xffff,
 					"proven": e.Aux2 == 1,
 				}))
-		case EvChainLink:
-			out.TraceEvents = append(out.TraceEvents,
-				instant("chain-link", e.Cycle, map[string]any{
-					"block": hex(e.Addr), "exitPC": hex(e.Aux),
-				}))
-		case EvChainUnlink:
-			out.TraceEvents = append(out.TraceEvents,
-				instant("chain-unlink", e.Cycle, map[string]any{
-					"block": hex(e.Addr), "edges": e.Aux,
-				}))
 		}
 	}
 	closeOcc(end)

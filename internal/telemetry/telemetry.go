@@ -44,8 +44,6 @@ const (
 	EvDCacheMiss            // Addr = data address
 	EvVCacheMiss            // Addr = probe address
 	EvSchedGap              // Addr = block tag, Aux = FCFS LIs<<16 | repacked LIs, Aux2 = proven
-	EvChainLink             // Addr = predecessor block tag, Aux = exit PC
-	EvChainUnlink           // Addr = unlinked block tag, Aux = edges severed
 	NumKinds
 )
 
@@ -83,10 +81,6 @@ func (k Kind) String() string {
 		return "vcache-miss"
 	case EvSchedGap:
 		return "sched-gap"
-	case EvChainLink:
-		return "chain-link"
-	case EvChainUnlink:
-		return "chain-unlink"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -258,8 +252,8 @@ func (c *Collector) EnterBlock(tag uint32, numLIs int) {
 }
 
 // EnterBlockProf is EnterBlock with the profile already resolved. Block
-// entry is the hottest telemetry hook (every block chained on the VLIW
-// side fires it), so the VLIW Cache line carries the profile pointer —
+// entry is the hottest telemetry hook (every block the VLIW Engine
+// enters fires it), so the VLIW Cache line carries the profile pointer —
 // resolved once per save via Profile — and entry skips the map lookup.
 func (c *Collector) EnterBlockProf(p *BlockProf, numLIs int) {
 	c.record(EvBlockEntered, p.Tag, uint32(numLIs), 0)
@@ -408,20 +402,6 @@ func (c *Collector) BlockEvicted(tag uint32) {
 // BlockInvalidated records an aliasing invalidation of a cached block.
 func (c *Collector) BlockInvalidated(tag uint32) {
 	c.record(EvBlockInvalidated, tag, 0, 0)
-}
-
-// ChainLinked records a chain edge installed from the block tagged tag to
-// the successor at exit PC pc. Chain events exist only in chained runs —
-// they describe the dispatch mechanism, not the simulated machine — so
-// ledger-identity checks compare cycle ledgers, never raw event streams.
-func (c *Collector) ChainLinked(tag, pc uint32) {
-	c.record(EvChainLink, tag, pc, 0)
-}
-
-// ChainUnlinked records n chain edges severed from/to the block tagged
-// tag when its line was replaced or invalidated.
-func (c *Collector) ChainUnlinked(tag uint32, n uint64) {
-	c.record(EvChainUnlink, tag, uint32(n), 0)
 }
 
 // Finish closes the collection at the end of a run: an open VLIW-mode

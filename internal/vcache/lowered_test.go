@@ -8,8 +8,8 @@ import (
 	"dtsvliw/internal/vliw"
 )
 
-// lblk builds a one-instruction block with its lowered form, chained to
-// next via the nba store.
+// lblk builds a one-instruction block with its lowered form, whose nba
+// store names next.
 func lblk(t *testing.T, tag uint32, cwp uint8, next uint32) (*sched.Block, *vliw.LoweredBlock) {
 	t.Helper()
 	b := &sched.Block{Tag: tag, EntryCWP: cwp, NumLIs: 1, LIs: [][]*sched.Slot{{
@@ -82,7 +82,8 @@ func TestEvictionDropsLoweredBlock(t *testing.T) {
 // TestNBAChainingReResolvesAfterReplacement: the machine follows a hit
 // block's nba to look up its successor. After the successor is replaced
 // by a re-scheduled version, the same nba walk must resolve to the new
-// entry (block and lowered form both).
+// entry (block and lowered form both), and after the successor is
+// invalidated it must miss.
 func TestNBAChainingReResolvesAfterReplacement(t *testing.T) {
 	c, err := New(cfg(96, 4))
 	if err != nil {
@@ -105,12 +106,17 @@ func TestNBAChainingReResolvesAfterReplacement(t *testing.T) {
 	// The successor is re-scheduled (same tag, new block + lowering).
 	succ2, lowSucc2 := lblk(t, 0x2100, 1, 0x2300)
 	c.Save(succ2, lowSucc2)
-	next, ok = c.Lookup(ent.Blk.NBA.Addr, 1)
+	next, line, ok := c.LookupLine(ent.Blk.NBA.Addr, 1)
 	if !ok {
 		t.Fatal("successor lost after replacement")
 	}
 	if next.Blk != succ2 || next.Low != lowSucc2 {
 		t.Fatal("nba walk resolved to the stale entry after replacement")
+	}
+
+	c.Invalidate(ent.Blk.NBA.Addr, 1)
+	if _, l, ok := c.LookupLine(ent.Blk.NBA.Addr, 1); ok || l != NoLine {
+		t.Fatalf("nba walk hit line %d after the successor was invalidated (was line %d)", l, line)
 	}
 }
 

@@ -2,13 +2,9 @@
 // cache whose line is one block of long instructions, tagged with the SPARC
 // ISA address of the first instruction placed in the block, with a next
 // block address (nba) store per line. Long instructions within a block are
-// addressed by {address field, line index} pairs.
-//
-// Beyond the paper's structure, lines carry direct chain links (DESIGN.md
-// §16): each line records, per exit (PC, CWP), the index of the line
-// holding the successor block, so the machine can stream from block to
-// block without an associative lookup per transition — the software
-// analogue of translation-block chaining in dynamic binary translators.
+// addressed by {address field, line index} pairs. The machine resolves
+// every block transition, fall-through or trace exit, with one lookup of
+// the successor's address (DESIGN.md §16).
 package vcache
 
 import (
@@ -49,23 +45,7 @@ func (c Config) Blocks() int {
 	return n
 }
 
-// chainMaxEdges bounds the per-line successor table. Hot blocks exit to
-// very few distinct targets (the fall-through NBA plus a handful of trace
-// exits); a full table keeps its first-installed edges — a deterministic
-// policy, so runs are reproducible — and later targets simply keep paying
-// the associative lookup.
-const chainMaxEdges = 8
-
-// chainEdge is one exit link: the block in this line, when it exits to
-// (pc, cwp), continues in line to.
-type chainEdge struct {
-	pc  uint32
-	cwp uint8
-	to  int32
-}
-
-// NoLine is the line index returned when a lookup misses; Machine code
-// uses it as the "not executing from a cached line" sentinel.
+// NoLine is the line index LookupLine returns when it misses.
 const NoLine int32 = -1
 
 // SetGroups is the number of set-index buckets the per-set activity
@@ -95,24 +75,16 @@ type Cache struct {
 	Replaced   uint64 // valid blocks evicted
 	Invalidats uint64
 
-	// Per-set-group activity (DESIGN.md §17): lookups (hits + misses,
-	// chain hits included), hits, evictions and invalidations bucketed by
-	// set index into SetGroups groups. groupShift maps a set index to its
-	// group. Plain single-owner counters like the totals above; the
-	// metrics publisher snapshots them at coarse sync points.
+	// Per-set-group activity (DESIGN.md §17): lookups (hits + misses),
+	// hits, evictions and invalidations bucketed by set index into
+	// SetGroups groups. groupShift maps a set index to its group. Plain
+	// single-owner counters like the totals above; the metrics publisher
+	// snapshots them at coarse sync points.
 	SetLookups       [SetGroups]uint64
 	SetHits          [SetGroups]uint64
 	SetEvictions     [SetGroups]uint64
 	SetInvalidations [SetGroups]uint64
 	groupShift       uint //resetcheck:allow pure function of sets, computed at construction
-
-	// Chain-link statistics: ChainHits counts transitions resolved by
-	// Follow (each also counts in Hits — a chain hit is architecturally a
-	// cache hit), ChainLinks edges installed, ChainUnlinks edges severed
-	// by replacement or invalidation.
-	ChainHits    uint64
-	ChainLinks   uint64
-	ChainUnlinks uint64
 
 	tel *telemetry.Collector //resetcheck:allow nil when telemetry is disabled; pooled reuse refuses telemetry machines
 }
@@ -126,13 +98,6 @@ type line struct {
 	cwp   uint8
 	ent   Entry
 	lru   uint64
-
-	// edges is the outbound successor table; inRefs lists every line
-	// holding an edge that targets this line, so unlink can sever all
-	// inbound links in O(degree) when the line is replaced or
-	// invalidated. Both keep their capacity across clears.
-	edges  []chainEdge
-	inRefs []int32
 }
 
 // Entry is one cache line's payload: the scheduled block and its
@@ -188,11 +153,6 @@ func (c *Cache) set(tag uint32) int { return int((tag >> 2) & c.setMask) }
 // group maps a set index to its set-group bucket.
 func (c *Cache) group(set int) int { return set >> c.groupShift }
 
-// lineGroup maps a line index to its set-group bucket.
-func (c *Cache) lineGroup(line int32) int {
-	return c.group(int(line) / c.cfg.Assoc)
-}
-
 // Lookup finds the block tagged with (addr, cwp). The window pointer is
 // part of the tag: the physical register addresses recorded in a block are
 // only valid at the window depth the block was scheduled at (see DESIGN.md
@@ -203,7 +163,8 @@ func (c *Cache) Lookup(addr uint32, cwp uint8) (Entry, bool) {
 }
 
 // LookupLine is Lookup returning also the index of the hit line (NoLine
-// on a miss), so the machine can chain from it.
+// on a miss), so the machine can record the block's lowered form on it
+// (SetLowered).
 func (c *Cache) LookupLine(addr uint32, cwp uint8) (Entry, int32, bool) {
 	set := c.set(addr)
 	g := c.group(set)
@@ -238,99 +199,6 @@ func (c *Cache) Probe(addr uint32, cwp uint8) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Follow consults line from's successor table for a link to (pc, cwp).
-// On a hit it performs exactly Lookup's hit bookkeeping — clock advance,
-// LRU touch, hit count — so a chained run leaves the cache in the state
-// an unchained run would: replacement decisions, statistics and telemetry
-// are identical either way (the architectural-invisibility contract).
-// Precise unlinking guarantees a present edge always targets the valid
-// line holding (pc, cwp), so no tag re-validation is needed.
-func (c *Cache) Follow(from int32, pc uint32, cwp uint8) (Entry, int32, bool) {
-	l := &c.lines[from]
-	for i := range l.edges {
-		e := &l.edges[i]
-		if e.pc == pc && e.cwp == cwp {
-			t := &c.lines[e.to]
-			c.clock++
-			t.lru = c.clock
-			c.Hits++
-			c.ChainHits++
-			g := c.lineGroup(e.to)
-			c.SetLookups[g]++
-			c.SetHits[g]++
-			return t.ent, e.to, true
-		}
-	}
-	return Entry{}, NoLine, false
-}
-
-// Link installs the exit edge (pc, cwp) -> to on line from, recording the
-// inbound reference on the target so unlink can sever it. Installing an
-// edge that already exists, or one past the per-line table bound, is a
-// no-op; either way the next Follow behaves deterministically.
-func (c *Cache) Link(from int32, pc uint32, cwp uint8, to int32) {
-	l := &c.lines[from]
-	if !l.valid || !c.lines[to].valid || len(l.edges) >= chainMaxEdges {
-		return
-	}
-	for i := range l.edges {
-		if l.edges[i].pc == pc && l.edges[i].cwp == cwp {
-			return
-		}
-	}
-	l.edges = append(l.edges, chainEdge{pc: pc, cwp: cwp, to: to})
-	c.lines[to].inRefs = append(c.lines[to].inRefs, from)
-	c.ChainLinks++
-	if c.tel != nil {
-		c.tel.ChainLinked(l.tag, pc)
-	}
-}
-
-// unlink severs every chain edge touching line v: inbound edges (other
-// lines whose successor table targets v, found through v's back-pointer
-// list) and v's own outbound edges (removing v from its successors'
-// back-pointer lists). Called before any overwrite or invalidation of a
-// valid line, so a window-pointer change, set replacement or aliasing
-// invalidation can never leave a link to a stale line behind.
-func (c *Cache) unlink(v int32) {
-	l := &c.lines[v]
-	severed := uint64(0)
-	for _, from := range l.inRefs {
-		f := &c.lines[from]
-		for i := 0; i < len(f.edges); {
-			if f.edges[i].to == v {
-				f.edges[i] = f.edges[len(f.edges)-1]
-				f.edges = f.edges[:len(f.edges)-1]
-				severed++
-			} else {
-				i++
-			}
-		}
-	}
-	l.inRefs = l.inRefs[:0]
-	// A self-loop edge was already removed by the inbound walk above, so
-	// the outbound walk only sees edges to other lines.
-	for _, e := range l.edges {
-		t := &c.lines[e.to]
-		for i := 0; i < len(t.inRefs); {
-			if t.inRefs[i] == v {
-				t.inRefs[i] = t.inRefs[len(t.inRefs)-1]
-				t.inRefs = t.inRefs[:len(t.inRefs)-1]
-			} else {
-				i++
-			}
-		}
-		severed++
-	}
-	l.edges = l.edges[:0]
-	if severed > 0 {
-		c.ChainUnlinks += severed
-		if c.tel != nil {
-			c.tel.ChainUnlinked(l.tag, severed)
-		}
-	}
-}
-
 // Save stores a block and its lowered form, nil when the block has not
 // been lowered yet, replacing the LRU way of its set (or an existing
 // block with the same tag).
@@ -352,31 +220,20 @@ func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) {
 			victim = base + i
 		}
 	}
-	if c.lines[victim].valid {
-		// Every overwrite severs the victim's chain edges — including a
-		// same-tag reschedule, whose cached lowered form is replaced, so
-		// a link must re-resolve through Lookup before it is trusted
-		// again.
-		c.unlink(int32(victim))
-		if c.lines[victim].tag != b.Tag || c.lines[victim].cwp != b.EntryCWP {
-			c.Replaced++
-			c.SetEvictions[c.group(c.set(b.Tag))]++
-			if c.tel != nil {
-				c.tel.BlockEvicted(c.lines[victim].tag)
-			}
-		}
-	}
-	if !c.lines[victim].valid {
+	if v := &c.lines[victim]; !v.valid {
 		c.used = append(c.used, victim)
+	} else if v.tag != b.Tag || v.cwp != b.EntryCWP {
+		c.Replaced++
+		c.SetEvictions[c.group(c.set(b.Tag))]++
+		if c.tel != nil {
+			c.tel.BlockEvicted(v.tag)
+		}
 	}
 	ent := Entry{Blk: b, Low: low}
 	if c.tel != nil {
 		ent.Prof = c.tel.Profile(b.Tag)
 	}
-	vl := &c.lines[victim]
-	*vl = line{valid: true, tag: b.Tag, cwp: b.EntryCWP,
-		ent: ent, lru: c.clock,
-		edges: vl.edges[:0], inRefs: vl.inRefs[:0]}
+	c.lines[victim] = line{valid: true, tag: b.Tag, cwp: b.EntryCWP, ent: ent, lru: c.clock}
 }
 
 // SetLowered records low as the lowered form of the block in line, if
@@ -390,13 +247,12 @@ func (c *Cache) SetLowered(line int32, b *sched.Block, low *vliw.LoweredBlock) {
 }
 
 // Invalidate drops the block tagged (addr, cwp) (paper §3.11: aliasing
-// exceptions invalidate the faulting block), severing its chain edges.
+// exceptions invalidate the faulting block).
 func (c *Cache) Invalidate(addr uint32, cwp uint8) {
 	base := c.set(addr) * c.cfg.Assoc
 	for i := 0; i < c.cfg.Assoc; i++ {
 		l := &c.lines[base+i]
 		if l.valid && l.tag == addr && l.cwp == cwp {
-			c.unlink(int32(base + i))
 			l.valid = false
 			c.Invalidats++
 			c.SetInvalidations[c.group(c.set(addr))]++
@@ -415,21 +271,17 @@ func (c *Cache) Reset() {
 // Drain clears the cache like Reset, handing every valid entry to fn (when
 // non-nil) before it is dropped, so callers can recycle block storage —
 // the machine pool returns drained blocks to the scheduler's block pool.
-// Chain edges die with their lines wholesale (the per-edge unlink walk
-// would be pure overhead when everything goes); edge and back-pointer
-// storage keeps its capacity for the next run.
 func (c *Cache) Drain(fn func(Entry)) {
 	for _, i := range c.used {
 		l := &c.lines[i]
 		if fn != nil && l.valid {
 			fn(l.ent)
 		}
-		*l = line{edges: l.edges[:0], inRefs: l.inRefs[:0]}
+		*l = line{}
 	}
 	c.used = c.used[:0]
 	c.clock = 0
 	c.Hits, c.Misses, c.Stores, c.Replaced, c.Invalidats = 0, 0, 0, 0, 0
-	c.ChainHits, c.ChainLinks, c.ChainUnlinks = 0, 0, 0
 	c.SetLookups = [SetGroups]uint64{}
 	c.SetHits = [SetGroups]uint64{}
 	c.SetEvictions = [SetGroups]uint64{}

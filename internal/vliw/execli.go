@@ -25,8 +25,8 @@ func (e *Engine) ExecLI(line int) Result {
 }
 
 // ExecLIInto is ExecLI writing its result into *res, which is reset
-// first. A chained dispatch loop reuses one Result across an entire run
-// of blocks instead of copying the struct out per long instruction.
+// first. The machine's dispatch loop reuses one Result across an entire
+// run of blocks instead of copying the struct out per long instruction.
 func (e *Engine) ExecLIInto(line int, res *Result) {
 	*res = Result{}
 	lb := e.lb
