@@ -166,7 +166,8 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 // value is written to its architectural location, in place for due
 // dueNow and otherwise queued with a due line of the current long
 // instruction (copies always complete in one cycle); memory renaming
-// registers release their buffered stores to the per-LI arenas. A
+// registers release their buffered stores to the per-LI arenas, and each
+// released store is one Data Cache access, as a plain store is. A
 // deferred exception held in a renaming register surfaces here (paper
 // §3.8).
 func (e *Engine) execLoweredCopy(op *lop, due int) error {
@@ -180,6 +181,7 @@ func (e *Engine) execLoweredCopy(op *lop, due int) error {
 			var memEA uint32
 			if p != nil {
 				e.scPend = append(e.scPend, p.st[:p.nst]...)
+				e.scMemAddrs = append(e.scMemAddrs, p.memEA)
 				memEA = p.memEA
 			}
 			e.scMemOps = append(e.scMemOps, opMem{

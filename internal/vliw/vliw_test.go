@@ -417,15 +417,21 @@ func TestMemoryCopyCommitsBufferedStore(t *testing.T) {
 		Copies: []sched.RenamePair{{Loc: isa.MemLoc(0x40050, 4), Reg: ren}}}
 	begin(t, e, block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
 
-	e.ExecLI(0)
+	if res := e.ExecLI(0); len(res.MemAddrs) != 0 {
+		t.Fatalf("split store charged Data Cache accesses %#x before its copy", res.MemAddrs)
+	}
 	if v, _ := st.Mem.ReadWord(0x40050); v != 0 {
 		t.Fatal("renamed store hit memory early")
 	}
-	if res := e.ExecLI(1); res.Err != nil {
+	res := e.ExecLI(1)
+	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if v, _ := st.Mem.ReadWord(0x40050); v != 0xABCD {
 		t.Fatalf("memory copy wrote %#x", v)
+	}
+	if len(res.MemAddrs) != 1 || res.MemAddrs[0] != 0x40050 {
+		t.Fatalf("memory copy charged Data Cache accesses %#x, want [0x40050]", res.MemAddrs)
 	}
 }
 
